@@ -27,7 +27,8 @@ VALID_LAMBDAS = (-1, 0, 1)
 
 
 def check_lambda(lam: int) -> int:
-    if lam not in VALID_LAMBDAS:
+    # bool is a subclass of int and 1.0 == 1, so test the exact type too.
+    if type(lam) is not int or lam not in VALID_LAMBDAS:
         raise DomainError(f"curvature sign must be -1, 0 or +1, got {lam!r}")
     return lam
 

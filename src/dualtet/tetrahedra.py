@@ -283,8 +283,9 @@ def ideal_from_angles(lam: int, alpha: float, beta: float,
 # -- edge data -----------------------------------------------------------------
 
 
-def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, int]:
-    """Shape parameter and sine-ratio sign of an edge."""
+def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, float]:
+    """Shape parameter of an edge and the real sine ratio it is built from;
+    |exp_ell| = 1, so the ratio's absolute value is the parameter's modulus."""
     gamma = -(alpha + beta)
     e = frozenset(edge)
     if e in EDGE_PAIRS[0]:
@@ -295,7 +296,7 @@ def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, int]:
         ratio, arg = gsin(lam, gamma) / gsin(lam, beta), alpha
     else:
         raise DomainError(f"not an edge: {tuple(edge)!r}")
-    return -exp_ell(lam, arg) * ratio, (1 if ratio > 0 else -1)
+    return -exp_ell(lam, arg) * ratio, ratio
 
 
 def edge_data(t: Tetrahedron) -> list[EdgeData]:
@@ -303,9 +304,10 @@ def edge_data(t: Tetrahedron) -> list[EdgeData]:
     out = []
     for edge in EDGE_ORDER:
         rest = tuple(sorted(set((1, 2, 3, 4)) - set(edge)))
-        z, sig = _shape_param(t.lam, t.alpha, t.beta, edge)
-        mod = math.sqrt(abs(z.mod_sq()))
+        z, ratio = _shape_param(t.lam, t.alpha, t.beta, edge)
+        mod = abs(ratio)
         phi = abs(math.log(mod))
+        sig = 1 if ratio > 0 else -1
         out.append(EdgeData(edge, rest, _edge_value(t.alpha, t.beta, edge), z, mod, phi, sig))
     return out
 
@@ -380,7 +382,8 @@ def edge_symmetry(t: Tetrahedron, edge) -> Isometry:
 def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
     frame = t.frame()
     lam = t.lam
-    z, sig = _shape_param(lam, t.alpha, t.beta, (i, j))
+    z, ratio = _shape_param(lam, t.alpha, t.beta, (i, j))
+    sig = 1 if ratio > 0 else -1
     x_ij = frame.x_dir(i, j)
     im_x = Mat2.from_real(x_ij.im_rows(), lam)
     one = Mat2.identity(lam)
@@ -391,7 +394,7 @@ def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
 
 
 def _edge_symmetry_ideal(t: Tetrahedron, i: int, j: int) -> tuple[Isometry, int, int]:
-    z_target, _sig = _shape_param(t.lam, t.alpha, t.beta, (i, j))
+    z_target, _ratio = _shape_param(t.lam, t.alpha, t.beta, (i, j))
     k, l = sorted(set((1, 2, 3, 4)) - {i, j})
     yi, yj = t.vertex(i), t.vertex(j)
     for kk, ll in ((k, l), (l, k)):

@@ -5,7 +5,13 @@ Closed forms are built from the curvature-indexed Clausen function
     cl(lam, x) = -integral_0^x log|2 s_lam(theta/2)| dtheta,
 
 which is the classical Clausen function for lam = 1, its hyperbolic
-analogue for lam = -1, and x*(1 - log|x|) for lam = 0.  The ideal volume is
+analogue for lam = -1, and x*(1 - log|x|) for lam = 0.  For lam = +-1 it
+is evaluated by one route: integration by parts turns it into a Bernoulli
+power series (Horner's rule on precomputed float coefficients), convergent
+after reducing x to [-pi, pi] for lam = 1; for lam = -1 and |x| >= 3 the
+dilogarithm form pi^2/6 - x^2/4 - Li2(exp(-x)) takes over, its series
+converging geometrically (Lewin, Polylogarithms and Associated Functions,
+1981, ch. 4).  The ideal volume is
 (cl(2a) + cl(2b) + cl(2g))/2 with g = -(a + b); the lightlike volume adds
 sine-log terms and divides by the curvature, collapsing to a*b*(a+b)/3 in
 the flat case.
@@ -26,17 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubature import adaptive_quad, adaptive_quad_2d
+from .cubature import adaptive_quad_2d
 from .errors import ConvergenceWarning, DomainError
 from .gcnum import check_lambda, gcos, gsin
 from .tetrahedra import KIND_IDEAL, KIND_LIGHTLIKE, check_kind, validate_angles
-
-# Below this argument the log-extracted series evaluates the Clausen
-# function; above it, lam = +-1 use summation of the defining series
-# resp. the defining integral.
-_SMALL_X = 0.05
-_DELTA = 1e-3  # analytic split point for the lam = -1 integral
-
 
 # -- Bernoulli numbers ---------------------------------------------------------
 
@@ -64,62 +63,46 @@ def bernoulli(n: int) -> float:
 
 # -- generalized Clausen function ----------------------------------------------
 
+# Taylor coefficients 4^k B_2k (-1)^k / (2k+1)!, k = 0..28, of the primitive
+# F(lam, y) = integral_0^y x/t_lam(x) dx = y * sum_k c_k (lam y^2)^k.  The
+# series has radius pi in |y|*sqrt|lam|; its terms shrink by (y/pi)^2.
+_COT_COEFFS = tuple(float(Fraction(4 ** k * (-1) ** k) * _bernoulli_exact(2 * k)
+                          / math.factorial(2 * k + 1)) for k in range(29))
+# 1/n^2, n = 1..14: Li2(q) to double precision for q <= exp(-_LI2_FROM).
+_LI2_COEFFS = tuple(1.0 / (n * n) for n in range(1, 15))
+_LI2_FROM = 3.0
 
-def _f_cot_primitive(lam: float, y: float, kmax: int) -> float:
-    """integral_0^y x/t_lam(x) dx as the Bernoulli power series; valid for
-    |y|*sqrt|lam| below pi."""
+
+def _horner(coeffs: tuple[float, ...], u: float) -> float:
     acc = 0.0
-    for k in range(kmax + 1):
-        coeff = (4.0 ** k) * float(_bernoulli_exact(2 * k)) * ((-1.0) ** k) * (lam ** k)
-        acc += coeff * y ** (2 * k + 1) / math.factorial(2 * k + 1)
+    for c in reversed(coeffs):
+        acc = acc * u + c
     return acc
-
-
-def _clausen_tiny(lam: int, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    return 2.0 * _f_cot_primitive(lam, 0.5 * x, 6) - x * math.log(abs(2.0 * gsin(lam, 0.5 * x)))
-
-
-def _clausen_fourier(x: float, tol: float = 1e-11) -> float:
-    """Sum of sin(k x)/k^2 with an Abel-transformed tail bound."""
-    s_half = math.sin(0.5 * x)
-    n = int(min(4.0e6, max(2.0e5, math.sqrt(1.0 / (tol * abs(s_half))))))
-    k = np.arange(1, n + 1, dtype=float)
-    partial = np.sin(0.5 * k * x) * np.sin(0.5 * (k + 1.0) * x) / s_half
-    weights = 1.0 / (k * k) - 1.0 / ((k + 1.0) ** 2)
-    return float(partial @ weights)
-
-
-def _clausen_neg_integral(x: float) -> float:
-    """-integral_0^x log(2 sinh(t/2)) dt for x >= _SMALL_X, split at _DELTA."""
-    head = _DELTA * (math.log(_DELTA) - 1.0) + _DELTA ** 3 / 72.0 - _DELTA ** 5 / 14400.0
-    tail, _err = adaptive_quad(lambda t: np.log(2.0 * np.sinh(0.5 * t)), _DELTA, x, tol=1e-13)
-    return -(head + tail)
 
 
 def clausen(lam: int, x: float) -> float:
     """Curvature-indexed Clausen function; odd, and 2*pi-periodic for
-    lam = 1."""
+    lam = 1.  For lam = +-1 it is 2 F(lam, x/2) - x log|2 s_lam(x/2)|,
+    or the dilogarithm form for lam = -1 and |x| >= _LI2_FROM."""
     check_lambda(lam)
-    if x < 0:
-        return -clausen(lam, -x)
+    sign = -1.0 if x < 0 else 1.0
+    x = abs(x)
     if x == 0.0:
         return 0.0
     if lam == 0:
-        return x * (1.0 - math.log(x))
+        return sign * x * (1.0 - math.log(x))
     if lam == 1:
-        r = math.remainder(x, 2.0 * math.pi)
-        if r < 0:
-            return -clausen(1, -r)
-        if r == 0.0:
+        x = math.remainder(x, 2.0 * math.pi)
+        if x < 0:
+            sign, x = -sign, -x
+        if x == 0.0:
             return 0.0
-        if r < _SMALL_X:
-            return _clausen_tiny(1, r)
-        return _clausen_fourier(r)
-    if x < _SMALL_X:
-        return _clausen_tiny(-1, x)
-    return _clausen_neg_integral(x)
+    elif x >= _LI2_FROM:
+        q = math.exp(-x)
+        return sign * (math.pi ** 2 / 6.0 - 0.25 * x * x - q * _horner(_LI2_COEFFS, q))
+    y = 0.5 * x
+    primitive = y * _horner(_COT_COEFFS, lam * y * y)
+    return sign * (2.0 * primitive - x * math.log(abs(2.0 * gsin(lam, y))))
 
 
 # -- closed-form volumes ---------------------------------------------------------

@@ -26,6 +26,7 @@ from dualtet import (
     polar,
 )
 from dualtet.errors import LambdaMismatch
+from dualtet.gcnum import check_lambda
 
 lambdas = st.sampled_from([-1, 0, 1])
 reals = st.floats(-50, 50, allow_nan=False)
@@ -73,6 +74,14 @@ def test_non_units_raise():
 def test_lambda_mixing_is_rejected():
     with pytest.raises(LambdaMismatch):
         gc(1, 0, 1) + gc(1, 0, 0)
+
+
+def test_lambda_must_be_an_exact_int():
+    for lam in (True, False, 1.0):
+        with pytest.raises(DomainError):
+            check_lambda(lam)
+        with pytest.raises(DomainError):
+            gc(1, 0, lam)
 
 
 def test_gc_arith_dispatch():

@@ -149,6 +149,20 @@ def test_symmetric_tetrahedron_has_unit_modulus_and_zero_angle():
         assert e12.phi == pytest.approx(0.0, abs=1e-12)
 
 
+def test_edge_data_far_into_anti_de_sitter_is_exact():
+    # split-complex |z|^2 = re^2 - im^2 cancels here; the sine ratio does not
+    a = b = 10.0
+    table = {e.edge: e for e in edge_data(ideal_from_angles(-1, a, b))}
+    ratios = {(1, 2): math.sinh(b) / math.sinh(a),
+              (3, 1): math.sinh(a) / math.sinh(-(a + b)),
+              (2, 3): math.sinh(-(a + b)) / math.sinh(b)}
+    for edge, ratio in ratios.items():
+        e = table[edge]
+        assert math.isfinite(e.mod_z) and math.isfinite(e.phi)
+        assert e.mod_z == pytest.approx(abs(ratio), rel=1e-12)
+        assert e.sigma == (1 if ratio > 0 else -1)
+
+
 def test_regular_circular_ideal_shape_parameter():
     t = ideal_from_angles(1, math.pi / 3, math.pi / 3)
     e12 = edge_data(t)[0]

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -91,6 +92,32 @@ def test_clausen_circular_periodicity():
 def test_clausen_fourier_agreement_on_grid():
     for x in (0.3, 1.0, 2.0, 3.0, 4.5):
         assert clausen(1, x) == pytest.approx(clausen_fourier_oracle(x), abs=2e-9)
+
+
+# Points straddle the lam = -1 switch to the dilogarithm form at x = 3, the
+# ends +-pi of the lam = 1 reduction, multiples of 2*pi, and tiny arguments.
+_REFERENCE_XS = (1e-8, 1e-3, 0.5, 1.7, 2.999999, 3.0, 3.000001, 3.5,
+                 math.pi - 1e-9, math.pi, math.pi + 1e-9, 5.0,
+                 2 * math.pi - 1e-6, 2 * math.pi, 2 * math.pi + 1e-6,
+                 4 * math.pi - 1e-3, 4 * math.pi, 11.0, 12.0)
+
+
+def clausen_reference(lam: int, x: float):
+    """30-digit reference: mpmath's Clausen function for lam = 1, the
+    defining integral by tanh-sinh quadrature for lam = -1."""
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        if lam == 1:
+            return mpmath.clsin(2, xm)
+        return -mpmath.quad(lambda t: mpmath.log(2 * mpmath.sinh(t / 2)), [0, xm])
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_clausen_matches_30_digit_reference(lam):
+    for x in _REFERENCE_XS:
+        want = clausen_reference(lam, x)
+        assert clausen(lam, x) == pytest.approx(float(want), abs=1e-13), (lam, x)
+        assert clausen(lam, -x) == pytest.approx(-float(want), abs=1e-13), (lam, -x)
 
 
 # -- closed-form volumes -------------------------------------------------------------
