@@ -76,10 +76,14 @@ class ChartInversionFailure(DualtetError):
 class ToleranceNotReached(DualtetError):
     """Adaptive integration stopped before reaching the tolerance."""
 
-    def __init__(self, value: float, err_est: float, message: str = ""):
+    def __init__(self, value: float, err_est: float, message: str = "", *,
+                 panels: int | None = None):
         self.value = value
         self.err_est = err_est
-        super().__init__(message or f"tolerance not reached (value={value!r}, err_est={err_est!r})")
+        self.panels = panels
+        held = "" if panels is None else f" with {panels} panels"
+        super().__init__(message or f"tolerance not reached{held} "
+                                    f"(value={value!r}, err_est={err_est!r})")
 
 
 class ConvergenceWarning(UserWarning):

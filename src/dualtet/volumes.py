@@ -101,6 +101,9 @@ def clausen(lam: int, x: float) -> float:
         q = math.exp(-x)
         return sign * (math.pi ** 2 / 6.0 - 0.25 * x * x - q * _horner(_LI2_COEFFS, q))
     y = 0.5 * x
+    if y == 0.0:
+        # x/2 underflows at the least subnormal x; the flat form is exact there.
+        return sign * x * (1.0 - math.log(x))
     primitive = y * _horner(_COT_COEFFS, lam * y * y)
     return sign * (2.0 * primitive - x * math.log(abs(2.0 * gsin(lam, y))))
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -179,3 +180,5 @@ def test_volume_unreachable_tolerance_exit_3(capsys):
                            "--tol", "1e-10")
     assert code == 3
     assert "ToleranceNotReached" in err
+    held = re.search(r"with (\d+) panels", err)
+    assert held and int(held.group(1)) >= 20000

@@ -120,6 +120,15 @@ def test_clausen_matches_30_digit_reference(lam):
         assert clausen(lam, -x) == pytest.approx(-float(want), abs=1e-13), (lam, -x)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-300, -5e-324, -1e-320, -1e-300])
+@pytest.mark.parametrize("lam", [1, -1])
+def test_clausen_is_flat_at_subnormal_arguments(lam, x):
+    # x/2 underflows to 0 at the least subnormal; the flat form holds there.
+    got = clausen(lam, x)
+    assert math.isfinite(got)
+    assert got == pytest.approx(clausen(0, x), rel=1e-12)
+
+
 # -- closed-form volumes -------------------------------------------------------------
 
 
@@ -269,6 +278,141 @@ def test_quadrature_budget_exhaustion_carries_estimate():
     assert exc.value.value == pytest.approx(2.0 * (math.sqrt(0.876544) + math.sqrt(0.123456)),
                                             rel=5e-2)
     assert exc.value.err_est > 0
+    assert exc.value.panels >= 40
+    assert f"{exc.value.panels} panels" in str(exc.value)
+
+
+def test_quadrature_1d_budget_exhaustion_raises_with_estimate():
+    from dualtet.cubature import adaptive_quad
+
+    def nasty(x):
+        return 1.0 / np.sqrt(np.abs(x - 0.123456))
+
+    with pytest.raises(ToleranceNotReached) as exc:
+        adaptive_quad(nasty, 0.0, 1.0, tol=1e-12, limit=8)
+    assert exc.value.value == pytest.approx(2.0 * (math.sqrt(0.876544) + math.sqrt(0.123456)),
+                                            rel=5e-2)
+    assert exc.value.err_est > 1e-12
+    assert exc.value.panels == 8
+
+
+def test_quadrature_1d_splits_share_one_call():
+    from dualtet.cubature import adaptive_quad
+
+    shapes = []
+
+    def f(x):
+        shapes.append(x.shape)
+        return np.log(x)
+
+    a = 1e-12
+    val, err = adaptive_quad(f, a, 2.0, tol=1e-12)
+    assert val == pytest.approx(2.0 * math.log(2.0) - 2.0 - a * math.log(a) + a, abs=1e-12)
+    assert err <= 1e-12
+    assert shapes[0] == (1, 15) and set(shapes[1:]) == {(2, 15)}
+
+
+def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
+    """Reference route: the same adaptive (G7, K15) cubature, with one
+    panel per integrand call on a 15x15 meshgrid."""
+    import heapq
+
+    from dualtet.cubature import _GAUSS_WEIGHTS, _KRONROD_NODES, _KRONROD_WEIGHTS
+
+    gauss_idx = np.arange(1, 15, 2)
+
+    def panel(rect):
+        x0, x1, y0, y1 = rect
+        hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+        xs = 0.5 * (x0 + x1) + hx * _KRONROD_NODES
+        ys = 0.5 * (y0 + y1) + hy * _KRONROD_NODES
+        xg, yg = np.meshgrid(xs, ys, indexing="ij")
+        vals = np.asarray(f(xg, yg), dtype=float)
+        kron = hx * hy * float(_KRONROD_WEIGHTS @ vals @ _KRONROD_WEIGHTS)
+        sub = vals[np.ix_(gauss_idx, gauss_idx)]
+        gauss = hx * hy * float(_GAUSS_WEIGHTS @ sub @ _GAUSS_WEIGHTS)
+        return kron, abs(kron - gauss)
+
+    rect = (float(xspan[0]), float(xspan[1]), float(yspan[0]), float(yspan[1]))
+    val, err = panel(rect)
+    heap = [(-err, 0, rect, val, err)]
+    counter = 1
+    total_val, total_err = val, err
+    while total_err > tol:
+        if len(heap) >= max_panels:
+            raise ToleranceNotReached(total_val, total_err)
+        _, _, (x0, x1, y0, y1), pval, perr = heapq.heappop(heap)
+        total_val -= pval
+        total_err -= perr
+        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        for sub in ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)):
+            v, e = panel(sub)
+            heapq.heappush(heap, (-e, counter, sub, v, e))
+            counter += 1
+            total_val += v
+            total_err += e
+    return total_val, total_err
+
+
+def _oracle_setup(kind, lam, alpha, beta):
+    from dualtet.volumes import _ideal_integrand, _lightlike_integrand
+
+    if kind == "ideal":
+        return _ideal_integrand(lam, alpha, beta), (0.0, alpha)
+    return _lightlike_integrand(lam, alpha, beta), (-0.25 * math.pi, 0.25 * math.pi)
+
+
+def _run_counting_panels(quad, f, xspan, max_panels):
+    """(value, panels evaluated, raised) of quad; a call on nodes of shape
+    (n, 15, 1) or (n, 15) evaluates n panels, a meshgrid call one."""
+    panels = [0]
+
+    def counted(x, y):
+        panels[0] += x.shape[0] if x.ndim == 3 else 1
+        return f(x, y)
+
+    try:
+        val, _err = quad(counted, xspan, (0.0, 1.0), 1e-8, max_panels)
+        return val, panels[0], False
+    except ToleranceNotReached as exc:
+        return exc.value, panels[0], True
+
+
+_REFERENCE_CELLS = [(kind, lam, a, b)
+                    for kind in ("ideal", "lightlike")
+                    for lam in LAMBDAS
+                    for a, b in ((0.3, 0.9), (0.2, 1.5), (0.8, 0.25))]
+_REFERENCE_CELLS += [("lightlike", -1, 0.3, 3.0), ("lightlike", 1, 0.3, 2.5), ("ideal", 1, 0.1, 2.8)]
+
+
+@pytest.mark.parametrize("max_panels", [20000, 40])
+def test_batched_cubature_matches_per_panel_reference(max_panels):
+    from dualtet.cubature import adaptive_quad_2d
+
+    raised = 0
+    for kind, lam, a, b in _REFERENCE_CELLS:
+        f, xspan = _oracle_setup(kind, lam, a, b)
+        want = _run_counting_panels(_per_panel_quad_2d, f, xspan, max_panels)
+        got = _run_counting_panels(adaptive_quad_2d, f, xspan, max_panels)
+        cell = (kind, lam, a, b)
+        assert got[1] == want[1], cell
+        assert got[2] == want[2], cell
+        assert got[0] == pytest.approx(want[0], rel=1e-15), cell
+        raised += got[2]
+    assert (raised > 0) == (max_panels == 40)
+
+
+@pytest.mark.parametrize("f, want", [
+    (lambda x, y: x ** 3, 12.0),          # shape (n, 15, 1)
+    (lambda x, y: y ** 2, 42.0),          # shape (n, 1, 15)
+    (lambda x, y: 2.5, 15.0),             # a scalar
+])
+def test_cubature_broadcasts_partial_integrands(f, want):
+    from dualtet.cubature import adaptive_quad_2d
+
+    val, err = adaptive_quad_2d(f, (0.0, 2.0), (1.0, 4.0), tol=1e-8)
+    assert val == pytest.approx(want, rel=1e-13)
+    assert err <= 1e-8
 
 
 # -- reports ----------------------------------------------------------------------
