@@ -37,14 +37,10 @@ from .gcnum import (
     gatan,
     gc,
     gc_angle,
-    gc_arith,
     gcos,
     gcot,
-    gen_trig,
-    gen_trig_inverse,
     gsin,
     gtan,
-    modulus_sq,
     polar,
 )
 from .matmodel import (
@@ -76,12 +72,10 @@ from .geometry import (
     common_point_three_planes,
     cross_ratio,
     dualize,
-    geodesic_eval,
     geodesic_from_tangent,
     geodesic_through,
     intersect_lightlike_planes,
     is_spacelike_connected,
-    plane_contains,
     plane_from_normal,
     plane_through_points,
     spacelike_geodesic_to_plane_pair,

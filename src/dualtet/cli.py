@@ -23,12 +23,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import DualtetError, ToleranceNotReached
+from .errors import DomainError, DualtetError, ToleranceNotReached
 from .tetrahedra import (
     Tetrahedron,
     edge_data,
     dualize_tet,
     from_descriptor,
+    pose_from_rows,
     recover_parameters,
     to_descriptor,
 )
@@ -61,13 +62,19 @@ def _descriptor_json(tet: Tetrahedron) -> str:
     return json.dumps(to_descriptor(tet), indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _IOFailure(str(exc)) from exc
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise DomainError(f"{path} does not hold JSON: {exc}") from exc
+
+
 def _load_tet(args) -> Tetrahedron:
     if getattr(args, "infile", None):
-        try:
-            with open(args.infile, encoding="utf-8") as fh:
-                return from_descriptor(json.load(fh))
-        except OSError as exc:
-            raise _IOFailure(str(exc)) from exc
+        return from_descriptor(_read_json(args.infile))
     if args.lam is None or args.alpha is None or args.beta is None:
         raise DualtetError("need --in FILE or all of --lambda/--kind/--alpha/--beta")
     return Tetrahedron(args.kind, args.lam, args.alpha, args.beta)
@@ -96,22 +103,8 @@ def _summary(tet: Tetrahedron) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_pose(path: str, lam: int):
-    from .gcnum import GC
-    from .matmodel import Isometry, Mat2
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
-    (aa, bb), (cc, dd) = rows
-    return Isometry(Mat2(GC(aa[0], aa[1], lam), GC(bb[0], bb[1], lam),
-                         GC(cc[0], cc[1], lam), GC(dd[0], dd[1], lam)))
-
-
 def cmd_build(args) -> int:
-    pose = _load_pose(args.pose, args.lam) if args.pose else None
+    pose = pose_from_rows(_read_json(args.pose), args.lam) if args.pose else None
     tet = Tetrahedron(args.kind, args.lam, args.alpha, args.beta, pose)
     if args.out:
         _write_text(args.out, _descriptor_json(tet))
@@ -184,7 +177,6 @@ def cmd_mesh(args) -> int:
     for face_idx in range(4):
         tri = [corners[i] for i in range(4) if i != face_idx]
         index = {}
-        offset = len(vertices)
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 lam1, lam2 = i / n, j / n
@@ -200,7 +192,6 @@ def cmd_mesh(args) -> int:
                 if j < n - i - 1:
                     d = index[(i + 1, j + 1)]
                     faces.append(f"f {b + 1} {d + 1} {c + 1}")
-        del offset
     _write_text(args.out, "\n".join(lines + vertices + faces) + "\n")
     return EXIT_OK
 

@@ -2,9 +2,11 @@
 
 Both integrators apply a (G7, K15) rule per panel, split the panel with the
 largest error estimate, and stop when the summed error estimate drops below
-the tolerance; when the panel budget runs out first they raise
-ToleranceNotReached carrying the best estimate.  Subdivision order is a
-deterministic function of the inputs, so results are bit-reproducible.
+the tolerance.  When the panel budget runs out first they raise
+ToleranceNotReached carrying the best estimate; when the integrand is not
+finite at a node they raise it at once, with value nan and error inf.
+Subdivision order is a deterministic function of the inputs, so results
+are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call: the
 children of a split (two in 1d, four in 2d) share one call.  In 1d, f gets
@@ -17,6 +19,7 @@ alone is thus computed on 15 nodes per panel, not 225.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -55,11 +58,21 @@ def _nodes(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, mid[..., None] + half[..., None] * _KRONROD_NODES
 
 
-def _panels_1d(f, segs) -> tuple[list[float], list[float]]:
+def _finite(vals: np.ndarray, held: int) -> np.ndarray:
+    """Integrand values, checked before any rule sum is formed: a value that
+    is not finite leaves no estimate, and ToleranceNotReached is raised."""
+    if not np.isfinite(vals).all():
+        raise ToleranceNotReached(math.nan, math.inf, "integrand is not finite at a node "
+                                  f"({held} panels held)", panels=held)
+    return vals
+
+
+def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     """Values and error estimates of the rule on n segments [(a, b), ...],
-    with one call f(x) on nodes of shape (n, 15)."""
+    with one call f(x) on nodes of shape (n, 15); `held` counts the panels
+    held with these."""
     half, x = _nodes(np.array(segs, dtype=float))
-    vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    vals = np.broadcast_to(_finite(np.asarray(f(x), dtype=float), held), x.shape)
     sums = half[:, None] * (vals @ _RULES.T)
     kron = sums[:, 0]
     return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
@@ -71,12 +84,13 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     tolerance `tol`; see the module docstring for the integrand contract.
 
     Raises ToleranceNotReached (carrying the best value, error bound and
-    panel count) when `limit` panels are held first.
+    panel count) when `limit` panels are held first, and when the
+    integrand is not finite at a node.
     """
     if a == b:
         return 0.0, 0.0
     seg = (float(a), float(b))
-    (val,), (err,) = _panels_1d(f, [seg])
+    (val,), (err,) = _panels_1d(f, [seg], 1)
     heap = [(-err, 0, seg, val, err)]
     counter = 1
     total_val, total_err = val, err
@@ -88,7 +102,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
         total_err -= perr
         mid = 0.5 * (lo + hi)
         subs = ((lo, mid), (mid, hi))
-        for sub, v, e in zip(subs, *_panels_1d(f, subs)):
+        for sub, v, e in zip(subs, *_panels_1d(f, subs, len(heap) + 2)):
             heapq.heappush(heap, (-e, counter, sub, v, e))
             counter += 1
             total_val += v
@@ -96,13 +110,13 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     return total_val, total_err
 
 
-def _panels_2d(f, rects) -> tuple[list[float], list[float]]:
+def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
     """Values and error estimates of the tensor rule on n rectangles
     [(x0, x1, y0, y1), ...], with one call f(x, y) on nodes of shapes
-    (n, 15, 1) and (n, 1, 15)."""
+    (n, 15, 1) and (n, 1, 15); `held` counts the panels held with these."""
     n = len(rects)
     half, nodes = _nodes(np.array(rects, dtype=float).reshape(n, 2, 2))
-    vals = np.asarray(f(nodes[:, 0, :, None], nodes[:, 1, None, :]), dtype=float)
+    vals = _finite(np.asarray(f(nodes[:, 0, :, None], nodes[:, 1, None, :]), dtype=float), held)
     if vals.shape != (n, 15, 15):  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, (n, 15, 15))
     # Diagonal of R V R^T: the Kronrod and the Gauss tensor sums of each panel.
@@ -122,10 +136,11 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
     four children of a split are evaluated in one call (n = 4).
 
     Raises ToleranceNotReached (carrying the best value, error bound and
-    panel count) when the panel budget is exhausted first.
+    panel count) when the panel budget is exhausted first, and when the
+    integrand is not finite at a node.
     """
     rect = (float(xspan[0]), float(xspan[1]), float(yspan[0]), float(yspan[1]))
-    (val,), (err,) = _panels_2d(f, [rect])
+    (val,), (err,) = _panels_2d(f, [rect], 1)
     heap = [(-err, 0, rect, val, err)]
     counter = 1
     total_val, total_err = val, err
@@ -137,7 +152,7 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
         total_err -= perr
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         subs = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
-        for sub, v, e in zip(subs, *_panels_2d(f, subs)):
+        for sub, v, e in zip(subs, *_panels_2d(f, subs, len(heap) + 4)):
             heapq.heappush(heap, (-e, counter, sub, v, e))
             counter += 1
             total_val += v

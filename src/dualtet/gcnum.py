@@ -127,26 +127,6 @@ def gc(re: float, im: float = 0.0, lam: int = 1) -> GC:
     return GC(float(re), float(im), check_lambda(lam))
 
 
-def gc_arith(a: GC, b: GC, op: str) -> GC:
-    """Dispatch surface over the ring operations; `op` in
-    {add, sub, mul, conj_of_a, inv_of_a}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "conj_of_a":
-        return a.conj()
-    if op == "inv_of_a":
-        return a.inv()
-    raise DomainError(f"unknown ring operation {op!r}")
-
-
-def modulus_sq(z: GC) -> float:
-    return z.mod_sq()
-
-
 # -- curvature-indexed trigonometry ------------------------------------------
 
 
@@ -211,23 +191,6 @@ def gacot(lam: int, r: float) -> float:
     if r == 0.0:
         raise DomainError("gacot(0, r) needs r != 0")
     return 1.0 / r
-
-
-def gen_trig(lam: int, theta: float, which: str) -> float:
-    """Dispatch surface: which in {s, c, t, ct}."""
-    table = {"s": gsin, "c": gcos, "t": gtan, "ct": gcot}
-    if which not in table:
-        raise DomainError(f"unknown trig selector {which!r}")
-    return table[which](lam, theta)
-
-
-def gen_trig_inverse(lam: int, r: float, which: str) -> float:
-    """Dispatch surface: which in {t_inv, ct_inv}."""
-    if which == "t_inv":
-        return gatan(lam, r)
-    if which == "ct_inv":
-        return gacot(lam, r)
-    raise DomainError(f"unknown inverse trig selector {which!r}")
 
 
 def exp_ell(lam: int, theta: float) -> GC:

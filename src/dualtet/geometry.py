@@ -14,6 +14,13 @@ whose kernel conditions cut out the dual plane of a point and extend to
 the ideal boundary, where they cut out lightlike planes.  With the vector
 identifications used here this single form realizes the duality for all
 three curvatures.
+
+Each convention has one home.  Isometries act on matrices only through
+`matmodel.push` (twisted conjugation by the involution of the space), and
+the pairing's kernels are taken only in `_dual_kernel`.  The spacelike
+geodesic cut out by two dual vectors, whether the intersection of two
+lightlike planes or the dual of a geodesic, is built only in
+`_spacelike_geodesic_dual_to`.
 """
 
 from __future__ import annotations
@@ -44,46 +51,27 @@ from .matmodel import (
     Tangent,
     SPACE_X,
     SPACE_Y,
+    PROJ_TOL,
     _canonical_point_rep,
     _model_inner,
-    act,
+    _project_model,
     check_space,
     embed,
-    involution,
-    involution_for,
     mat_exp_traceless,
     point_sqrt,
+    push,
+    quadric_diagonal,
     quadric_value,
     unembed,
 )
 
-PROJ_TOL = 1e-9
+_DUAL_SPACE = {SPACE_X: SPACE_Y, SPACE_Y: SPACE_X}
 
 
 # -- linear algebra over R^4 ---------------------------------------------------
 
-
-def pair_matrix(lam: int) -> np.ndarray:
-    check_lambda(lam)
-    return np.diag([-1.0, 1.0, 1.0, 1.0])
-
-
-def quadric_matrix(space: str, lam: int) -> np.ndarray:
-    if check_space(space) == SPACE_X:
-        return np.diag([-float(lam), 1.0, float(lam), float(lam)])
-    return np.diag([1.0, -float(lam), -1.0, -1.0])
-
-
-def ambient_form(v, w, lam: int) -> float:
-    """-v1*w1 + lam*v2*w2 + v3*w3 + v4*w4 (the form whose null cone is the
-    ideal boundary of the dual family)."""
-    v, w = np.asarray(v, float), np.asarray(w, float)
-    return float(-v[0] * w[0] + lam * v[1] * w[1] + v[2] * w[2] + v[3] * w[3])
-
-
-def duality_pair(v, w, lam: int) -> float:
-    v = np.asarray(v, float)
-    return float(v @ pair_matrix(lam) @ np.asarray(w, float))
+# pair(x, y) = sum of _PAIR_SIGNS * x * y, for every curvature.
+_PAIR_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 def _nullspace(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
@@ -94,6 +82,12 @@ def _nullspace(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
         return np.eye(a.shape[1])
     rank = int(np.sum(s > rtol * s[0]))
     return vh[rank:].T
+
+
+def _dual_kernel(vectors) -> np.ndarray:
+    """Columns spanning the vectors that pair to zero with each of
+    `vectors`."""
+    return _nullspace(np.asarray(vectors, dtype=float) * _PAIR_SIGNS)
 
 
 # -- model coordinates ---------------------------------------------------------
@@ -147,9 +141,7 @@ class Geodesic:
         return self.direction.lam
 
     def eval(self, t: float) -> Point:
-        kind = involution_for(self.space)
-        m = self.base.rep @ mat_exp_traceless(self.direction * t) @ involution(self.base.rep, kind)
-        return Point(self.space, m)
+        return Point(self.space, push(self.base, mat_exp_traceless(self.direction * t), self.space))
 
     def base_point(self) -> Point:
         return self.eval(0.0)
@@ -165,22 +157,15 @@ class Geodesic:
         if self.space != SPACE_Y or self.sigma != 1:
             raise WrongCausalClass("endpoints exist for spacelike geodesics of the dual family")
         one = Mat2.identity(self.lam)
-        kind = involution_for(SPACE_Y)
-        out = []
-        for sgn in (+1.0, -1.0):
-            m = self.base.rep @ (one + self.direction * sgn) @ involution(self.base.rep, kind)
-            out.append(boundary_from_matrix(m))
-        return out[0], out[1]
+        plus, minus = (boundary_from_matrix(push(self.base, one + self.direction * sgn, SPACE_Y))
+                       for sgn in (+1.0, -1.0))
+        return plus, minus
 
 
 def geodesic_from_tangent(t: Tangent) -> Geodesic:
     sigma = t.sigma()
     rep = t.rep if sigma == 0 else t.normalized().rep
     return Geodesic(t.space, t.base, rep, sigma)
-
-
-def geodesic_eval(g: Geodesic, t: float) -> Point:
-    return g.eval(t)
 
 
 def geodesic_through(p: Point, q: Point) -> Geodesic:
@@ -319,9 +304,6 @@ class BoundaryPoint:
             raise Degenerate("no affine coordinate: second entry is not a unit")
         return self.v1 * self.v2.inv()
 
-    def is_infinity(self) -> bool:
-        return not self.v2.is_unit() and self.v1.is_unit()
-
     def matrix(self) -> Mat2:
         v1, v2 = self.v1, self.v2
         return Mat2(v1 * v1.conj(), v1 * v2.conj(), v2 * v1.conj(), v2 * v2.conj())
@@ -371,33 +353,28 @@ def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
     raise Degenerate("matrix is not a nonzero rank-1 hermitian class")
 
 
-def _vec_pair(bp: BoundaryPoint) -> tuple[GC, GC]:
-    return bp.v1, bp.v2
-
-
-def _det2(u: tuple[GC, GC], w: tuple[GC, GC]) -> GC:
-    return u[0] * w[1] - u[1] * w[0]
+def _det2(u: BoundaryPoint, w: BoundaryPoint) -> GC:
+    return u.v1 * w.v2 - u.v2 * w.v1
 
 
 def is_spacelike_connected(b1: BoundaryPoint, b2: BoundaryPoint) -> bool:
     """Two ideal points bound a spacelike geodesic exactly when the minor
     of their representatives is a unit."""
-    return _det2(_vec_pair(b1), _vec_pair(b2)).is_unit()
+    return _det2(b1, b2).is_unit()
 
 
 def boundary_normalize(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint) -> Isometry:
     """Unique isometry sending (y1, y2, y3) to (infinity, 0, 1)."""
-    u1, u2, u3 = _vec_pair(y1), _vec_pair(y2), _vec_pair(y3)
-    d12 = _det2(u1, u2)
-    d32 = _det2(u3, u2)
-    d13 = _det2(u1, u3)
+    d12 = _det2(y1, y2)
+    d32 = _det2(y3, y2)
+    d13 = _det2(y1, y3)
     for d in (d12, d32, d13):
         if not d.is_unit():
             raise NotSpacelikeConnected("a pair of the triple is not joined by a spacelike geodesic")
     lam_inv = d12.inv()
     lmb = d32 * lam_inv
     mu = d13 * lam_inv
-    binv = Mat2(lmb * u1[0], mu * u2[0], lmb * u1[1], mu * u2[1])
+    binv = Mat2(lmb * y1.v1, mu * y2.v1, lmb * y1.v2, mu * y2.v2)
     return Isometry(binv).inv()
 
 
@@ -454,7 +431,7 @@ class Plane:
 
     def contains_vector(self, v, tol: float = PROJ_TOL) -> bool:
         v = np.asarray(v, float)
-        return abs(duality_pair(v, self.dual_vec, self.lam)) <= tol * max(np.linalg.norm(v), 1e-300)
+        return abs(float((v * _PAIR_SIGNS) @ self.dual_vec)) <= tol * max(np.linalg.norm(v), 1e-300)
 
     def contains(self, p: Point, tol: float = PROJ_TOL) -> bool:
         if p.space != self.space or p.lam != self.lam:
@@ -462,50 +439,31 @@ class Plane:
         return self.contains_vector(p.vector(), tol)
 
     def kernel_basis(self) -> np.ndarray:
-        return _nullspace((pair_matrix(self.lam) @ self.dual_vec)[None, :])
+        return _dual_kernel([self.dual_vec])
 
     def moved(self, a: Isometry) -> "Plane":
-        cols = []
-        kind = involution_for(self.space)
-        for v in self.kernel_basis().T:
-            m = a.rep @ embed(v, self.space, self.lam) @ involution(a.rep, kind)
-            cols.append(unembed(m, self.space))
-        w = _nullspace(np.array(cols) @ pair_matrix(self.lam))
+        cols = [unembed(push(a, embed(v, self.space, self.lam), self.space), self.space)
+                for v in self.kernel_basis().T]
+        w = _dual_kernel(cols)
         if w.shape[1] != 1:
             raise DegenerateNormal("isometry image did not produce a plane")
         base = (a @ self.base) if self.base is not None else None
         return Plane(self.space, self.lam, w[:, 0], base=base, normal=self.normal)
 
-    def base_isometry(self) -> Isometry:
-        self._ensure_frame()
-        return self.base
-
-    def normal_rep(self) -> Mat2:
-        self._ensure_frame()
-        return self.normal
-
     def normal_tangent(self) -> Tangent:
-        return Tangent(self.space, self.normal_rep(), self.base_isometry())
-
-    def causal_class(self) -> int:
-        return self.normal_tangent().sigma()
+        self._ensure_frame()
+        return Tangent(self.space, self.normal, self.base)
 
     def is_lightlike(self) -> bool:
-        return self.causal_class() == 0
+        return self.normal_tangent().sigma() == 0
 
     def _ensure_frame(self):
         if self.base is not None and self.normal is not None:
             return
-        kern = self.kernel_basis()  # 4 x 3
-        q = quadric_matrix(self.space, self.lam)
-        small = kern.T @ q @ kern
-        evals, evecs = np.linalg.eigh(0.5 * (small + small.T))
-        idx = int(np.argmax(evals))
-        if evals[idx] <= 1e-12:
+        v0 = _point_in_span(self.space, self.lam, self.kernel_basis())
+        if v0 is None:
             raise DegenerateNormal("plane does not meet the space")
-        v0 = kern @ evecs[:, idx]
-        base_pt = Point.from_vector(v0, self.space, self.lam)
-        a = point_sqrt(base_pt)
+        a = point_sqrt(Point.from_vector(v0, self.space, self.lam))
         rep = self.moved(a.inv())._normal_rep_at_origin()
         object.__setattr__(self, "base", a)
         object.__setattr__(self, "normal", rep)
@@ -559,32 +517,19 @@ def plane_from_normal(base: Point, n: Tangent) -> Plane:
     basis = _orthobasis_of_normal(n.space, n.lam, coords)
     if basis.shape[1] != 2:
         raise DegenerateNormal("normal does not have a 2d orthogonal complement")
-    kind = involution_for(n.space)
-    vecs = [unembed(a.rep @ Mat2.identity(n.lam) @ involution(a.rep, kind), n.space)]
-    for col in basis.T:
-        m = model_from_coords(n.space, col, n.lam)
-        vecs.append(unembed(a.rep @ m @ involution(a.rep, kind), n.space))
-    w = _nullspace(np.array(vecs) @ pair_matrix(n.lam))
+    models = [Mat2.identity(n.lam)] + [model_from_coords(n.space, col, n.lam) for col in basis.T]
+    w = _dual_kernel([unembed(push(a, m, n.space), n.space) for m in models])
     if w.shape[1] != 1:
         raise DegenerateNormal("normal data is degenerate")
     return Plane(n.space, n.lam, w[:, 0], base=a, normal=n.rep)
 
 
-def plane_contains(plane: Plane, p: Point, tol: float = PROJ_TOL) -> bool:
-    return plane.contains(p, tol)
-
-
-def plane_through_vectors(space: str, lam: int, vectors) -> Plane:
-    """Plane spanned by three independent projective vectors."""
-    arr = np.array([np.asarray(v, float) for v in vectors])
-    w = _nullspace(arr @ pair_matrix(lam))
-    if w.shape[1] != 1:
-        raise Degenerate("vectors do not span a plane")
-    return Plane(space, lam, w[:, 0])
-
-
 def plane_through_points(p1: Point, p2: Point, p3: Point) -> Plane:
-    return plane_through_vectors(p1.space, p1.lam, [p1.vector(), p2.vector(), p3.vector()])
+    """Plane spanned by three projectively independent points."""
+    w = _dual_kernel([p1.vector(), p2.vector(), p3.vector()])
+    if w.shape[1] != 1:
+        raise Degenerate("points do not span a plane")
+    return Plane(p1.space, p1.lam, w[:, 0])
 
 
 # -- lightlike plane geometry --------------------------------------------------
@@ -592,8 +537,7 @@ def plane_through_points(p1: Point, p2: Point, p3: Point) -> Plane:
 
 def _point_in_span(space: str, lam: int, span: np.ndarray):
     """Vector with positive quadric value inside the column span, or None."""
-    q = quadric_matrix(space, lam)
-    small = span.T @ q @ span
+    small = (span.T * quadric_diagonal(space, lam)) @ span
     evals, evecs = np.linalg.eigh(0.5 * (small + small.T))
     idx = int(np.argmax(evals))
     if evals[idx] <= 1e-12:
@@ -608,27 +552,27 @@ def intersect_lightlike_planes(p1: Plane, p2: Plane) -> Geodesic:
             raise NotLightlike("both planes must be lightlike")
     if p1.projectively_equal(p2):
         raise NoIntersection("planes coincide")
-    rows = np.array([pair_matrix(p1.lam) @ p1.dual_vec, pair_matrix(p1.lam) @ p2.dual_vec])
-    span = _nullspace(rows)
+    return _spacelike_geodesic_dual_to(p1.space, p1.lam, [p1.dual_vec, p2.dual_vec])
+
+
+def _spacelike_geodesic_dual_to(space: str, lam: int, duals) -> Geodesic:
+    """The spacelike geodesic of `space` on which every vector pairs to zero
+    with both `duals`: where their two dual planes meet."""
+    span = _dual_kernel(duals)
     if span.shape[1] != 2:
         raise NoIntersection("planes are not in general position")
-    v0 = _point_in_span(p1.space, p1.lam, span)
+    v0 = _point_in_span(space, lam, span)
     if v0 is None:
         raise NoIntersection("projective intersection misses the space")
-    base_pt = Point.from_vector(v0, p1.space, p1.lam)
-    a = point_sqrt(base_pt)
+    a = point_sqrt(Point.from_vector(v0, space, lam))
     # Second direction inside the span gives the geodesic direction at base.
     coeff = np.linalg.lstsq(span, v0, rcond=None)[0]
     other = span @ np.array([-coeff[1], coeff[0]])
-    kind = involution_for(p1.space)
-    ainv = a.inv()
-    m = ainv.rep @ embed(other, p1.space, p1.lam) @ involution(ainv.rep, kind)
-    s_part = m.traceless()
-    s_part = (s_part + involution(s_part, kind)) * 0.5
-    nsq = _model_inner(p1.space, s_part, s_part)
+    s_part = _project_model(push(a.inv(), embed(other, space, lam), space), space)
+    nsq = _model_inner(space, s_part, s_part)
     if nsq <= 1e-12 * max(s_part.frob_sq(), 1e-300):
         raise NoIntersection("intersection direction is not spacelike")
-    return Geodesic(p1.space, a, s_part * (1.0 / math.sqrt(nsq)), 1)
+    return Geodesic(space, a, s_part * (1.0 / math.sqrt(nsq)), 1)
 
 
 def spacelike_geodesic_to_plane_pair(g: Geodesic) -> tuple[Plane, Plane]:
@@ -665,6 +609,9 @@ def spacelike_geodesic_to_plane_pair(g: Geodesic) -> tuple[Plane, Plane]:
     return planes[0], planes[1]
 
 
+# Model coordinates of the lightlike normals n_1, n_2, n_3 of the standard
+# faces through the origin, and the labels [p : q] of their rays.
+STANDARD_LIGHT_NORMAL_COORDS = ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, -1.0, 1.0))
 STANDARD_LIGHT_NORMAL_LABELS = ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))  # values 0, inf, 1
 
 
@@ -707,8 +654,7 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
     for pl in planes:
         if not pl.is_lightlike():
             raise NotLightlike("all three planes must be lightlike")
-    rows = np.array([pair_matrix(lam) @ pl.dual_vec for pl in planes])
-    kern = _nullspace(rows)
+    kern = _dual_kernel([pl.dual_vec for pl in planes])
     if kern.shape[1] != 1:
         raise NoCommonPoint("planes do not meet in a single projective point")
     v = kern[:, 0]
@@ -725,9 +671,7 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
 
 
 def standard_light_normals(lam: int) -> tuple[Mat2, Mat2, Mat2]:
-    n1 = Mat2(GC(0, 0, lam), GC(0, 0, lam), GC(0, 1, lam), GC(0, 0, lam))
-    n2 = Mat2(GC(0, 0, lam), GC(0, -1, lam), GC(0, 0, lam), GC(0, 0, lam))
-    n3 = Mat2(GC(0, 1, lam), GC(0, -1, lam), GC(0, 1, lam), GC(0, -1, lam))
+    n1, n2, n3 = (model_from_coords(SPACE_X, c, lam) for c in STANDARD_LIGHT_NORMAL_COORDS)
     return n1, n2, n3
 
 
@@ -738,13 +682,12 @@ def dualize(obj):
     """Projective duality on points, planes, boundary points and spacelike
     geodesics.  Applying it twice is the identity up to representatives."""
     if isinstance(obj, Point):
-        other = SPACE_Y if obj.space == SPACE_X else SPACE_X
-        return Plane(other, obj.lam, obj.vector())
+        return Plane(_DUAL_SPACE[obj.space], obj.lam, obj.vector())
     if isinstance(obj, BoundaryPoint):
         return Plane(SPACE_X, obj.lam, obj.vec4())
     if isinstance(obj, Plane):
         w = obj.dual_vec
-        other = SPACE_Y if obj.space == SPACE_X else SPACE_X
+        other = _DUAL_SPACE[obj.space]
         if quadric_value(w, other, obj.lam) > 1e-12:
             return Point.from_vector(w, other, obj.lam)
         if obj.space == SPACE_X:
@@ -754,34 +697,12 @@ def dualize(obj):
                 raise WrongCausalClass(f"plane has no dual point: {exc}") from exc
         raise WrongCausalClass("plane has no dual point in the spacetime family")
     if isinstance(obj, Geodesic):
-        return _dualize_geodesic(obj)
+        if obj.sigma != 1:
+            raise WrongCausalClass("only spacelike geodesics have spacelike duals")
+        # The dual geodesic pairs to zero with every point of the original.
+        duals = [obj.eval(0.0).vector(), obj.eval(0.7).vector()]
+        return _spacelike_geodesic_dual_to(_DUAL_SPACE[obj.space], obj.lam, duals)
     raise WrongCausalClass(f"cannot dualize {type(obj)!r}")
-
-
-def _dualize_geodesic(g: Geodesic) -> Geodesic:
-    if g.sigma != 1:
-        raise WrongCausalClass("only spacelike geodesics have spacelike duals")
-    other = SPACE_Y if g.space == SPACE_X else SPACE_X
-    lam = g.lam
-    v_p = g.eval(0.0).vector()
-    v_q = g.eval(0.7).vector()
-    rows = np.array([pair_matrix(lam) @ v_p, pair_matrix(lam) @ v_q])
-    span = _nullspace(rows)
-    if span.shape[1] != 2:
-        raise NoIntersection("dual planes are not in general position")
-    v0 = _point_in_span(other, lam, span)
-    if v0 is None:
-        raise NoIntersection("dual geodesic misses the dual space")
-    p0 = Point.from_vector(v0, other, lam)
-    # A nearby second point inside the span pins down the direction.
-    coeff = np.linalg.lstsq(span, v0, rcond=None)[0]
-    w = span @ np.array([-coeff[1], coeff[0]])
-    t = 0.2 / max(np.linalg.norm(w), 1e-300)
-    v1 = v0 + t * np.linalg.norm(v0) * w / np.linalg.norm(w)
-    if quadric_value(v1, other, lam) <= 0:
-        v1 = v0 - t * np.linalg.norm(v0) * w / np.linalg.norm(w)
-    p1 = Point.from_vector(v1, other, lam)
-    return geodesic_through(p0, p1)
 
 
 # -- stabilizers ---------------------------------------------------------------

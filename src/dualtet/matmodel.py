@@ -69,18 +69,6 @@ class Mat2:
         return cls(one, zero, zero, one)
 
     @classmethod
-    def from_rows(cls, rows, lam: int | None = None) -> "Mat2":
-        """Build from [[a, b], [c, d]]; plain numbers are promoted."""
-        (a, b), (c, d) = rows
-
-        def promote(v):
-            if isinstance(v, GC):
-                return v
-            return gc(v, 0, lam)
-
-        return cls(promote(a), promote(b), promote(c), promote(d))
-
-    @classmethod
     def from_real(cls, rows, lam: int) -> "Mat2":
         (a, b), (c, d) = rows
         return cls(gc(a, 0, lam), gc(b, 0, lam), gc(c, 0, lam), gc(d, 0, lam))
@@ -163,21 +151,14 @@ class Mat2:
                 f"[{fmt(self.c)}, {fmt(self.d)}]; lam={self.lam}]")
 
 
-def involution(m: Mat2, kind: str) -> Mat2:
-    """Apply the involution named by kind ('circ' or 'dag')."""
-    if kind == "circ":
-        return m.circ()
-    if kind == "dag":
-        return m.dag()
-    raise DomainError(f"unknown involution {kind!r}")
-
-
-def involution_for(space: str) -> str:
-    return "circ" if check_space(space) == SPACE_X else "dag"
+def involution(m: Mat2, space: str) -> Mat2:
+    """The involution whose fixed matrices model `space`: `circ` on X,
+    `dag` on Y."""
+    return m.circ() if check_space(space) == SPACE_X else m.dag()
 
 
 def is_hermitian(m: Mat2, space: str, tol: float = 1e-9) -> bool:
-    return involution(m, involution_for(space)).isclose(m, tol)
+    return involution(m, space).isclose(m, tol)
 
 
 # -- embeddings of R^4 --------------------------------------------------------
@@ -216,12 +197,17 @@ def unembed(m: Mat2, space: str) -> np.ndarray:
     return np.array([y1, y2, y3, y4])
 
 
+def quadric_diagonal(space: str, lam: int) -> np.ndarray:
+    """Diagonal of the quadratic form v -> det(embed(v)) on R^4."""
+    if check_space(space) == SPACE_X:
+        return np.array([-float(lam), 1.0, float(lam), float(lam)])
+    return np.array([1.0, -float(lam), -1.0, -1.0])
+
+
 def quadric_value(v, space: str, lam: int) -> float:
     """det(embed(v)); positive exactly on points of the space."""
-    v1, v2, v3, v4 = (float(x) for x in v)
-    if check_space(space) == SPACE_X:
-        return v2 * v2 + lam * (-v1 * v1 + v3 * v3 + v4 * v4)
-    return v1 * v1 - lam * v2 * v2 - v3 * v3 - v4 * v4
+    v = np.asarray(v, float)
+    return float(quadric_diagonal(space, lam) @ (v * v))
 
 
 # -- isometries ---------------------------------------------------------------
@@ -271,10 +257,6 @@ class Isometry:
         return True
 
 
-def identity_isometry(lam: int) -> Isometry:
-    return Isometry.identity(lam)
-
-
 # -- points -------------------------------------------------------------------
 
 
@@ -282,7 +264,7 @@ def _canonical_point_rep(m: Mat2, space: str) -> Mat2:
     """Scale a hermitian positive-determinant matrix to det = 1 and fix the
     sign by tr >= 0, breaking tr = 0 ties by the first nonzero coordinate."""
     if not is_hermitian(m, space, 1e-7):
-        raise NormalizationFailure(f"representative is not {involution_for(space)}-hermitian")
+        raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
     d = m.det()
     scale = max(m.frob_sq(), 1e-300)
     if abs(d.im) > 1e-7 * scale:
@@ -428,11 +410,17 @@ def _project_model(m: Mat2, space: str) -> Mat2:
     """Orthogonal projection onto the traceless hermitian model space;
     removes numerical drift after conjugation."""
     m = m.traceless()
-    herm = involution(m, involution_for(space))
-    return (m + herm) * 0.5
+    return (m + involution(m, space)) * 0.5
 
 
 # -- group action -------------------------------------------------------------
+
+
+def push(a: Isometry, m: Mat2, space: str) -> Mat2:
+    """Twisted conjugation A m A^* with the involution of `space`: the
+    action of an isometry on the matrices of X (A^* = A^circ) or Y
+    (A^* = A^dag)."""
+    return a.rep @ m @ involution(a.rep, space)
 
 
 def act(a: Isometry, obj):
@@ -441,8 +429,7 @@ def act(a: Isometry, obj):
     if isinstance(obj, Point):
         if a.lam != obj.lam:
             raise LambdaMismatch("isometry and point carry different curvature tags")
-        kind = involution_for(obj.space)
-        return Point(obj.space, a.rep @ obj.rep @ involution(a.rep, kind))
+        return Point(obj.space, push(a, obj.rep, obj.space))
     if hasattr(obj, "moved"):
         return obj.moved(a)
     raise DomainError(f"cannot act on {type(obj)!r}")

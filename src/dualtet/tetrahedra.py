@@ -31,15 +31,16 @@ from .errors import (
 )
 from .gcnum import GC, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
+    STANDARD_LIGHT_NORMAL_COORDS,
     BoundaryPoint,
     Geodesic,
     Plane,
     boundary_from_matrix,
     boundary_normalize,
     cross_ratio,
-    pair_matrix,
+    model_from_coords,
     plane_from_normal,
-    _nullspace,
+    _dual_kernel,
 )
 from .matmodel import (
     Isometry,
@@ -90,28 +91,17 @@ def _alphas(alpha: float, beta: float) -> dict[int, float]:
 # -- standard frame ------------------------------------------------------------
 
 
+# Model coordinates of the unit edge directions from vertex 4 to vertex i.
+_X4_COORDS = {1: (1.0, -2.0, 0.0), 2: (1.0, 0.0, 2.0), 3: (-1.0, 0.0, 0.0)}
+
+
 def _x4i(lam: int, i: int) -> Mat2:
-    rows = {
-        1: [[1, -2], [0, -1]],
-        2: [[1, 0], [2, -1]],
-        3: [[-1, 0], [0, 1]],
-    }[i]
-    return Mat2(
-        GC(0, rows[0][0], lam), GC(0, rows[0][1], lam),
-        GC(0, rows[1][0], lam), GC(0, rows[1][1], lam),
-    )
+    return model_from_coords(SPACE_X, _X4_COORDS[i], lam)
 
 
 def _n4j(lam: int, j: int) -> Mat2:
-    rows = {
-        1: [[0, 0], [1, 0]],
-        2: [[0, -1], [0, 0]],
-        3: [[1, -1], [1, -1]],
-    }[j]
-    return Mat2(
-        GC(0, rows[0][0], lam), GC(0, rows[0][1], lam),
-        GC(0, rows[1][0], lam), GC(0, rows[1][1], lam),
-    )
+    """Lightlike normal at vertex 4 of the face opposite vertex j."""
+    return model_from_coords(SPACE_X, STANDARD_LIGHT_NORMAL_COORDS[j - 1], lam)
 
 
 class _StandardFrame:
@@ -223,9 +213,6 @@ class Tetrahedron:
 
     def moved(self, a: Isometry) -> "Tetrahedron":
         return Tetrahedron(self.kind, self.lam, self.alpha, self.beta, a @ self.pose)
-
-    def edge_value(self, i: int, j: int) -> float:
-        return _edge_value(self.alpha, self.beta, (i, j))
 
     def faces(self) -> tuple[Plane, Plane, Plane, Plane]:
         """The four face planes of a lightlike tetrahedron, f_j opposite
@@ -491,11 +478,6 @@ def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, 
     raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
 
 
-def _angle_from_ratio(rho: GC, lam: int) -> float:
-    """Half the angle of a unit ratio exp(2*l*theta)."""
-    return 0.5 * gc_angle(rho, tol=1e-6)
-
-
 def _recover_lightlike_raw(vertices, lam: int):
     from .geometry import common_point_three_planes, plane_through_points
 
@@ -516,9 +498,9 @@ def _recover_lightlike_raw(vertices, lam: int):
     angles = []
     for idx, flip in ((0, 1.0), (1, 1.0), (2, -1.0)):
         m = act(a, x[idx]).rep
-        rho = m.a * m.d.inv()
+        rho = m.a * m.d.inv()  # exp(2*l*angle)
         try:
-            angles.append(flip * _angle_from_ratio(rho, lam))
+            angles.append(flip * 0.5 * gc_angle(rho, tol=1e-6))
         except DomainError as exc:
             raise NotATetrahedron(f"vertex {idx + 1} is not in standard form: {exc}") from exc
     al, be, ga = angles
@@ -602,9 +584,8 @@ def _recover_ideal_raw(vertices, lam: int):
 # -- duality --------------------------------------------------------------------
 
 
-def _triple_kernel(vs, lam: int) -> np.ndarray:
-    rows = np.array([pair_matrix(lam) @ np.asarray(v, float) for v in vs])
-    kern = _nullspace(rows)
+def _triple_kernel(vs) -> np.ndarray:
+    kern = _dual_kernel(vs)
     if kern.shape[1] != 1:
         raise NotATetrahedron("dual planes do not meet in a single projective point")
     return kern[:, 0]
@@ -619,7 +600,7 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
         vecs = [v.vector() for v in t.vertices]
         new_vertices = []
         for i in range(4):
-            y = _triple_kernel([vecs[j] for j in range(4) if j != i], lam)
+            y = _triple_kernel([vecs[j] for j in range(4) if j != i])
             try:
                 new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
             except Degenerate as exc:
@@ -629,7 +610,7 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     vecs = [v.vec4() for v in t.vertices]
     new_points = []
     for i in range(4):
-        xv = _triple_kernel([vecs[j] for j in range(4) if j != i], lam)
+        xv = _triple_kernel([vecs[j] for j in range(4) if j != i])
         if quadric_value(xv, SPACE_X, lam) <= 0:
             raise NotATetrahedron(f"dual vertex {i + 1} misses the spacetime family")
         new_points.append(Point.from_vector(xv, SPACE_X, lam))
@@ -655,8 +636,7 @@ def _light_chart_r(t: Tetrahedron, a: float, b: float) -> float:
 def _light_chart_point(t: Tetrahedron, r: float, a: float, b: float) -> Point:
     lam = t.lam
     norm = math.sqrt(max(1.0 - 4.0 * a * b, 1e-300))
-    m = Mat2(GC(0, 1, lam), GC(0, -2.0 * a, lam), GC(0, 2.0 * b, lam), GC(0, -1, lam))
-    xhat = m * (1.0 / norm)
+    xhat = model_from_coords(SPACE_X, (1.0, -2.0 * a, 2.0 * b), lam) * (1.0 / norm)
     return act(t.pose, Point(SPACE_X, mat_exp_traceless(xhat * r)))
 
 
@@ -795,17 +775,29 @@ def to_descriptor(t: Tetrahedron) -> dict:
     }
 
 
+def pose_from_rows(rows, lam: int) -> Isometry:
+    """Isometry whose representative is [[a, b], [c, d]], given as a 2x2
+    array of [re, im] pairs (the `pose` of a descriptor)."""
+    try:
+        (a, b), (c, d) = rows
+        return Isometry(Mat2(*(GC(re, im, lam) for re, im in (a, b, c, d))))
+    except (TypeError, ValueError) as exc:  # wrong shape, or entries that are not numbers
+        raise DomainError(f"pose must be a 2x2 array of [re, im] pairs, got {rows!r}") from exc
+
+
 def from_descriptor(d: dict) -> Tetrahedron:
+    if not isinstance(d, dict):
+        raise DomainError(f"a descriptor is a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise DomainError(f"unsupported schema version {d.get('schema_version')!r}")
-    lam = int(d["lambda"])
+    try:
+        lam, kind = d["lambda"], d["kind"]
+        alpha, beta = float(d["alpha"]), float(d["beta"])
+    except KeyError as exc:
+        raise DomainError(f"descriptor lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"descriptor parameters must be numbers: {exc}") from exc
     check_lambda(lam)
-    kind = check_kind(d["kind"])
-    pose = None
-    if "pose" in d and d["pose"] is not None:
-        (aa, bb), (cc, dd) = d["pose"]
-        pose = Isometry(Mat2(
-            GC(aa[0], aa[1], lam), GC(bb[0], bb[1], lam),
-            GC(cc[0], cc[1], lam), GC(dd[0], dd[1], lam),
-        ))
-    return Tetrahedron(kind, lam, float(d["alpha"]), float(d["beta"]), pose)
+    check_kind(kind)
+    pose = None if d.get("pose") is None else pose_from_rows(d["pose"], lam)
+    return Tetrahedron(kind, lam, alpha, beta, pose)

@@ -32,7 +32,9 @@ from .matmodel import (
     act,
     embed,
     exp_point,
+    involution,
     point_sqrt,
+    push,
     tangent_metric,
 )
 from .tetrahedra import (
@@ -44,6 +46,7 @@ from .tetrahedra import (
     recover_parameters,
 )
 from .volumes import (
+    _gsin_np,
     clausen,
     ideal_volume,
     lightlike_volume,
@@ -147,7 +150,7 @@ def suite_matmodel(rng: np.random.Generator):
     for _ in range(80):
         a = random_isometry(rng, 0)
         t = random_spacelike_tangent(rng, "X", 0)
-        pushed = a.rep @ t.rep @ a.rep.circ()
+        pushed = push(a, t.rep, "X")
         re_a = Mat2.from_real(a.rep.re_rows(), 0)
         conj = re_a @ t.rep @ re_a.inv()
         cross_ok = False
@@ -164,7 +167,7 @@ def suite_matmodel(rng: np.random.Generator):
         theta = rng.uniform(0.0, 1.5)
         p = exp_point(theta, t)
         series = _taylor_exp(t.rep * (0.5 * theta))
-        q = Point(space, series @ (series.circ() if space == "X" else series.dag()))
+        q = Point(space, series @ involution(series, space))
         ok_exp &= p.isclose(q, 1e-10)
     rows.append(_row("exponential matches its Taylor series", ok_exp))
     return rows
@@ -292,8 +295,7 @@ def suite_volumes(rng: np.random.Generator):
     for lam in LAMBDAS:
         for x in (0.4, 1.1, 2.3, 3.0):
             def integrand(th, _lam=lam):
-                s = {1: np.sin, -1: np.sinh, 0: lambda u: u}[_lam](0.5 * th)
-                return np.log(np.abs(2.0 * s))
+                return np.log(np.abs(2.0 * _gsin_np(_lam, 0.5 * th)))
             ref, _e = adaptive_quad(integrand, 1e-12, x, tol=1e-12)
             worst_int = max(worst_int, abs(clausen(lam, x) + ref))
     rows.append(_row("clausen matches its defining integral", worst_int <= 1e-9,

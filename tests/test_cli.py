@@ -136,6 +136,31 @@ def test_missing_file_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"schema_version": "1", "lambda": 0, "kind": "lightlike", "alpha": 0.8,
+                "beta": 0.6, "pose": [[1, 0]]}),
+    json.dumps({"schema_version": "1", "lambda": 0, "kind": "lightlike", "beta": 0.6}),
+    json.dumps({"schema_version": "1", "lambda": 0.7, "kind": "lightlike", "alpha": 0.8,
+                "beta": 0.6}),
+    "{not json",
+], ids=["pose_shape", "missing_alpha", "fractional_lambda", "not_json"])
+def test_info_malformed_descriptor_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "info", "--in", str(path))
+    assert code == 2
+    assert "DomainError" in err
+
+
+def test_build_malformed_pose_exit_2(tmp_path, capsys):
+    path = tmp_path / "pose.json"
+    path.write_text(json.dumps([[1, 0]]))
+    code, _, err = run_cli(capsys, "build", "--lambda", "0", "--alpha", "0.6",
+                           "--beta", "0.4", "--pose", str(path))
+    assert code == 2
+    assert "DomainError" in err
+
+
 def test_verify_subset(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "42", "--suites",
                            "gcnum,matmodel")

@@ -15,14 +15,10 @@ from dualtet import (
     gatan,
     gc,
     gc_angle,
-    gc_arith,
     gcos,
     gcot,
-    gen_trig,
-    gen_trig_inverse,
     gsin,
     gtan,
-    modulus_sq,
     polar,
 )
 from dualtet.errors import LambdaMismatch
@@ -57,9 +53,9 @@ def test_dual_number_inverse():
 
 
 def test_modulus_examples():
-    assert modulus_sq(gc(1, 1, -1)) == 0          # null line of 1 + l
-    assert modulus_sq(gc(3, 4, 1)) == 25
-    assert modulus_sq(gc(1.7, -9.0, 0)) == pytest.approx(1.7 ** 2)
+    assert gc(1, 1, -1).mod_sq() == 0          # null line of 1 + l
+    assert gc(3, 4, 1).mod_sq() == 25
+    assert gc(1.7, -9.0, 0).mod_sq() == pytest.approx(1.7 ** 2)
 
 
 def test_non_units_raise():
@@ -82,15 +78,6 @@ def test_lambda_must_be_an_exact_int():
             check_lambda(lam)
         with pytest.raises(DomainError):
             gc(1, 0, lam)
-
-
-def test_gc_arith_dispatch():
-    a, b = gc(1, 2, -1), gc(3, -1, -1)
-    assert gc_arith(a, b, "add").isclose(a + b)
-    assert gc_arith(a, b, "sub").isclose(a - b)
-    assert gc_arith(a, b, "mul").isclose(a * b)
-    assert gc_arith(a, b, "conj_of_a").isclose(a.conj())
-    assert (gc_arith(a, b, "inv_of_a") * a).isclose(gc(1, 0, -1))
 
 
 @settings(max_examples=200)
@@ -121,12 +108,12 @@ def test_modulus_is_z_zbar_and_unit_iff_invertible(z):
 
 
 def test_flat_sine_is_identity():
-    assert gen_trig(0, 2.5, "s") == 2.5
-    assert gen_trig(0, 2.5, "c") == 1.0
+    assert gsin(0, 2.5) == 2.5
+    assert gcos(0, 2.5) == 1.0
 
 
 def test_circular_values():
-    assert gen_trig(1, math.pi / 2, "s") == pytest.approx(1.0)
+    assert gsin(1, math.pi / 2) == pytest.approx(1.0)
 
 
 def test_hyperbolic_sine_matches_exponential_oracle():
@@ -163,9 +150,9 @@ def test_tangent_pole():
 
 
 def test_inverse_branches():
-    assert gen_trig_inverse(1, 1.0, "t_inv") == pytest.approx(math.pi / 4)
-    assert gen_trig_inverse(1, 0.0, "ct_inv") == pytest.approx(math.pi / 2)
-    assert gen_trig_inverse(-1, 2.0, "ct_inv") == pytest.approx(0.5493061443, abs=1e-10)
+    assert gatan(1, 1.0) == pytest.approx(math.pi / 4)
+    assert gacot(1, 0.0) == pytest.approx(math.pi / 2)
+    assert gacot(-1, 2.0) == pytest.approx(0.5493061443, abs=1e-10)
     assert gacot(-1, 2.0) == pytest.approx(0.5 * math.log(3.0))
     with pytest.raises(DomainError):
         gatan(-1, 1.5)

@@ -24,7 +24,6 @@ from dualtet import (
     geodesic_from_tangent,
     intersect_lightlike_planes,
     is_spacelike_connected,
-    plane_contains,
     plane_from_normal,
     point_sqrt,
     spacelike_geodesic_to_plane_pair,
@@ -126,7 +125,7 @@ def test_base_point_lies_in_its_plane(rng):
         p = random_point(rng, "X", lam)
         n = act(point_sqrt(p), random_tangent(rng, "X", lam))
         pl = plane_from_normal(p, n)
-        assert plane_contains(pl, p)
+        assert pl.contains(p)
 
 
 def test_standard_lightlike_plane_contains_exponential_curve():
@@ -136,7 +135,7 @@ def test_standard_lightlike_plane_contains_exponential_curve():
         assert pl.is_lightlike()
         g = geodesic_from_tangent(Tangent("X", SPACELIKE_DIAG[lam]))
         for t in (-0.8, 0.3, 1.5):
-            assert plane_contains(pl, g.eval(t))
+            assert pl.contains(g.eval(t))
 
 
 def test_plane_membership_matches_exponential_chart(rng):
@@ -157,9 +156,9 @@ def test_plane_membership_matches_exponential_chart(rng):
                 chart_point = Point("X", a.rep @ mat_exp_traceless(w) @ a.rep.circ())
             except Exception:
                 continue
-            assert plane_contains(pl, chart_point, 1e-8)
-        assert not plane_contains(pl, act(random_isometry(rng, lam),
-                                          Point.origin("X", lam)), 1e-6) or True
+            assert pl.contains(chart_point, 1e-8)
+        assert not pl.contains(act(random_isometry(rng, lam),
+                                   Point.origin("X", lam)), 1e-6) or True
 
 
 def test_lightlike_intersection_standard_pair():
@@ -188,8 +187,8 @@ def test_spacelike_geodesic_plane_pair_round_trip(rng):
         assert p1.is_lightlike() and p2.is_lightlike()
         back = intersect_lightlike_planes(p1, p2)
         for t in (-0.4, 0.0, 0.8):
-            assert plane_contains(p1, g.eval(t), 1e-7)
-            assert plane_contains(p2, g.eval(t), 1e-7)
+            assert p1.contains(g.eval(t), 1e-7)
+            assert p2.contains(g.eval(t), 1e-7)
         sig, d = arc_length(back.eval(0.0), g.eval(0.0))
         assert sig in (0, 1)
 
@@ -361,6 +360,25 @@ def test_geodesic_dual_independent_of_sample_points(rng):
             if lam == -1:
                 hits += [d1.eval(s) for s in (math.pi - dist, dist - math.pi)]
             assert any(h.isclose(p, 1e-7) for h in hits)
+
+
+def test_dualize_spacelike_geodesics_seeded():
+    """The dual of a spacelike geodesic is a spacelike geodesic of the other
+    family, and the double dual runs along the original."""
+    rng = np.random.default_rng(5)
+    for lam in LAMBDAS:
+        for space in ("X", "Y"):
+            for _ in range(200):
+                a = random_isometry(rng, lam)
+                g = geodesic_from_tangent(act(a, random_tangent(rng, space, lam, sigma=1)))
+                d = dualize(g)
+                dd = dualize(d)
+                assert d.space != space and d.sigma == 1
+                span = np.array([g.eval(0.0).vector(), g.eval(1.0).vector()]).T
+                for t in (-0.9, 0.4, 1.3):
+                    v = dd.eval(t).vector()
+                    coeff = np.linalg.lstsq(span, v, rcond=None)[0]
+                    assert np.linalg.norm(span @ coeff - v) <= 1e-9 * np.linalg.norm(v)
 
 
 # -- stabilizers -------------------------------------------------------------------

@@ -50,8 +50,8 @@ mat2_pairs = st.sampled_from([-1, 0, 1]).flatmap(
 def test_involutions_on_identity(rng):
     for lam in LAMBDAS:
         one = Mat2.identity(lam)
-        assert involution(one, "circ").isclose(one)
-        assert involution(one, "dag").isclose(one)
+        assert involution(one, "X").isclose(one)
+        assert involution(one, "Y").isclose(one)
 
 
 def test_circ_explicit_form():
@@ -67,10 +67,10 @@ def test_circ_explicit_form():
 @given(mat2_pairs)
 def test_involutions_are_involutive_and_antimultiplicative(pair):
     m, n = pair
-    for kind in ("circ", "dag"):
-        assert involution(involution(m, kind), kind).isclose(m)
-        lhs = involution(m @ n, kind)
-        rhs = involution(n, kind) @ involution(m, kind)
+    for space in ("X", "Y"):
+        assert involution(involution(m, space), space).isclose(m)
+        lhs = involution(m @ n, space)
+        rhs = involution(n, space) @ involution(m, space)
         assert lhs.isclose(rhs, 1e-10)
 
 

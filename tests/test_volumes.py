@@ -296,6 +296,32 @@ def test_quadrature_1d_budget_exhaustion_raises_with_estimate():
     assert exc.value.panels == 8
 
 
+def test_quadrature_2d_infinite_integrand_raises():
+    from dualtet.cubature import adaptive_quad_2d
+
+    def pole(x, y):  # infinite on the line x = 0.5, a node of the first panel
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(x - 0.5) ** 0.5 + 0.0 * y
+
+    with pytest.raises(ToleranceNotReached) as exc:
+        adaptive_quad_2d(pole, (0, 1), (0, 1))
+    assert not math.isfinite(exc.value.err_est)
+    assert exc.value.panels == 1
+
+
+def test_quadrature_1d_infinite_integrand_raises():
+    from dualtet.cubature import adaptive_quad
+
+    def pole(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.abs(x - 0.5) ** 0.5
+
+    with pytest.raises(ToleranceNotReached) as exc:
+        adaptive_quad(pole, 0.0, 1.0)
+    assert not math.isfinite(exc.value.err_est)
+    assert exc.value.panels == 1
+
+
 def test_quadrature_1d_splits_share_one_call():
     from dualtet.cubature import adaptive_quad
 
