@@ -1,10 +1,9 @@
 """Geodesics, planes, the ideal boundary and projective duality.
 
 Geodesics are stored as (base isometry, unit or lightlike model direction);
-planes as projective dual vectors in R^4 together with an optional
-(base isometry, model normal) presentation.  Points of the ideal boundary
-of the dual family are projective classes [v] of 2-vectors over the
-algebra with v v^dag nonzero.
+planes as projective dual vectors in R^4 only.  Points of the ideal
+boundary of the dual family are projective classes [v] of 2-vectors over
+the algebra with v v^dag nonzero.
 
 The duality pairing used throughout is
 
@@ -21,6 +20,13 @@ the pairing's kernels are taken only in `_dual_kernel`.  The spacelike
 geodesic cut out by two dual vectors, whether the intersection of two
 lightlike planes or the dual of a geodesic, is built only in
 `_spacelike_geodesic_dual_to`.
+
+Planes are handled through the duality alone.  The duality turns the
+action of A on one family into the action of S A S on the other, with
+S = [[0, 1], [1, 0]], so a plane moves by one `push` of its dual vector
+by S A S in the other family.  A plane is lightlike exactly when its dual
+vector lies on the other family's boundary (`BOUNDARY_TOL`), and its
+normal at the origin is read off the dual vector in closed form.
 """
 
 from __future__ import annotations
@@ -414,6 +420,18 @@ def _canonical_dual_vec(w) -> np.ndarray:
     return w
 
 
+# A plane is lightlike exactly when its dual vector lies on the boundary of
+# the other family's quadric; `is_lightlike` and `dualize` share this cut.
+BOUNDARY_TOL = 1e-10
+
+
+def _dual_action(a: Isometry) -> Isometry:
+    """The action of `a` on one family, seen on the other through the
+    duality: S a S with S = [[0, 1], [1, 0]]."""
+    r = a.rep
+    return Isometry(Mat2(r.d, r.c, r.b, r.a))
+
+
 @dataclass(frozen=True)
 class Plane:
     """Geodesic plane cut out by pair(. , dual_vec) = 0."""
@@ -421,8 +439,6 @@ class Plane:
     space: str
     lam: int
     dual_vec: np.ndarray
-    base: Isometry | None = None
-    normal: Mat2 | None = None
 
     def __post_init__(self):
         check_space(self.space)
@@ -438,35 +454,18 @@ class Plane:
             raise DomainError("point and plane live in different spaces")
         return self.contains_vector(p.vector(), tol)
 
-    def kernel_basis(self) -> np.ndarray:
-        return _dual_kernel([self.dual_vec])
-
     def moved(self, a: Isometry) -> "Plane":
-        cols = [unembed(push(a, embed(v, self.space, self.lam), self.space), self.space)
-                for v in self.kernel_basis().T]
-        w = _dual_kernel(cols)
-        if w.shape[1] != 1:
-            raise DegenerateNormal("isometry image did not produce a plane")
-        base = (a @ self.base) if self.base is not None else None
-        return Plane(self.space, self.lam, w[:, 0], base=base, normal=self.normal)
-
-    def normal_tangent(self) -> Tangent:
-        self._ensure_frame()
-        return Tangent(self.space, self.normal, self.base)
+        other = _DUAL_SPACE[self.space]
+        w = push(_dual_action(a), embed(self.dual_vec, other, self.lam), other)
+        return Plane(self.space, self.lam, unembed(w, other))
 
     def is_lightlike(self) -> bool:
-        return self.normal_tangent().sigma() == 0
-
-    def _ensure_frame(self):
-        if self.base is not None and self.normal is not None:
-            return
-        v0 = _point_in_span(self.space, self.lam, self.kernel_basis())
-        if v0 is None:
+        """True when the induced metric is degenerate, that is, when the
+        dual vector lies on the boundary of the other family."""
+        if _point_in_span(self.space, self.lam, _dual_kernel([self.dual_vec])) is None:
             raise DegenerateNormal("plane does not meet the space")
-        a = point_sqrt(Point.from_vector(v0, self.space, self.lam))
-        rep = self.moved(a.inv())._normal_rep_at_origin()
-        object.__setattr__(self, "base", a)
-        object.__setattr__(self, "normal", rep)
+        other = _DUAL_SPACE[self.space]
+        return abs(quadric_value(self.dual_vec, other, self.lam)) <= BOUNDARY_TOL
 
     def _normal_rep_at_origin(self) -> Mat2:
         """Model normal at the origin; the plane must pass through it."""
@@ -474,13 +473,12 @@ class Plane:
         one_vec[1 if self.space == SPACE_X else 0] = 1.0
         if not self.contains_vector(one_vec, 1e-7):
             raise DegenerateNormal("plane does not pass through the origin")
-        kern = self.kernel_basis()
-        rows = [_traceless_coords_of_vector(self.space, v) for v in kern.T]
-        g = model_gram(self.space, self.lam)
-        n = _nullspace(np.array(rows) @ g)
-        if n.shape[1] != 1:
-            raise DegenerateNormal("could not isolate a unique normal direction")
-        rep = model_from_coords(self.space, n[:, 0], self.lam)
+        coords = _traceless_coords_of_vector(self.space, self.dual_vec)
+        if self.space == SPACE_Y:
+            coords = coords * np.array([self.lam, self.lam, 1.0])
+        if np.linalg.norm(coords) <= 1e-12:
+            raise DegenerateNormal("the plane has no normal direction at the origin")
+        rep = model_from_coords(self.space, coords, self.lam)
         norm_sq = _model_inner(self.space, rep, rep)
         if abs(norm_sq) > 1e-12:
             rep = rep * (1.0 / math.sqrt(abs(norm_sq)))
@@ -512,16 +510,12 @@ def plane_from_normal(base: Point, n: Tangent) -> Plane:
         raise BaseMismatch("normal and base live in different spaces")
     if not n.base_point().isclose(base):
         raise BaseMismatch("normal is not based at the given point")
-    a = n.base
-    coords = model_coords(n.space, n.rep)
-    basis = _orthobasis_of_normal(n.space, n.lam, coords)
-    if basis.shape[1] != 2:
-        raise DegenerateNormal("normal does not have a 2d orthogonal complement")
-    models = [Mat2.identity(n.lam)] + [model_from_coords(n.space, col, n.lam) for col in basis.T]
-    w = _dual_kernel([unembed(push(a, m, n.space), n.space) for m in models])
-    if w.shape[1] != 1:
-        raise DegenerateNormal("normal data is degenerate")
-    return Plane(n.space, n.lam, w[:, 0], base=a, normal=n.rep)
+    # The dual vector of the plane through the origin: the normal itself on
+    # X, its polar on Y.
+    w = unembed(n.rep, n.space)
+    if n.space == SPACE_Y:
+        w = w * _PAIR_SIGNS * quadric_diagonal(SPACE_Y, n.lam)
+    return Plane(n.space, n.lam, w).moved(n.base)
 
 
 def plane_through_points(p1: Point, p2: Point, p3: Point) -> Plane:
@@ -577,36 +571,11 @@ def _spacelike_geodesic_dual_to(space: str, lam: int, duals) -> Geodesic:
 
 def spacelike_geodesic_to_plane_pair(g: Geodesic) -> tuple[Plane, Plane]:
     """The two lightlike planes through a spacelike geodesic of the
-    spacetime family."""
+    spacetime family: the duals of the ideal endpoints of its dual."""
     if g.space != SPACE_X or g.sigma != 1:
         raise WrongCausalClass("needs a spacelike geodesic of the spacetime family")
-    x = model_coords(SPACE_X, g.direction)
-    perp = _orthobasis_of_normal(SPACE_X, g.lam, x)  # 2d, Lorentzian
-    gmat = model_gram(SPACE_X, g.lam)
-    a11 = perp[:, 0] @ gmat @ perp[:, 0]
-    a12 = perp[:, 0] @ gmat @ perp[:, 1]
-    a22 = perp[:, 1] @ gmat @ perp[:, 1]
-    # Null directions of s*u + w solve a11 s^2 + 2 a12 s + a22 = 0.
-    planes = []
-    base_pt = g.base_point()
-    if abs(a11) < 1e-14:
-        combos = [(1.0, 0.0)]
-        if abs(a12) > 1e-14:
-            combos.append((-a22 / (2.0 * a12), 1.0))
-    else:
-        disc = a12 * a12 - a11 * a22
-        if disc <= 0:
-            raise NotLightlike("no lightlike normals orthogonal to this direction")
-        r = math.sqrt(disc)
-        combos = [((-a12 + r) / a11, 1.0), ((-a12 - r) / a11, 1.0)]
-    for s, t in combos:
-        n = s * perp[:, 0] + t * perp[:, 1]
-        n = n / np.linalg.norm(n)
-        rep = model_from_coords(SPACE_X, n, g.lam)
-        planes.append(plane_from_normal(base_pt, Tangent(SPACE_X, rep, g.base)))
-    if len(planes) != 2 or planes[0].projectively_equal(planes[1]):
-        raise NotLightlike("failed to find two distinct lightlike planes")
-    return planes[0], planes[1]
+    e1, e2 = dualize(g).endpoints()
+    return dualize(e1), dualize(e2)
 
 
 # Model coordinates of the lightlike normals n_1, n_2, n_3 of the standard
@@ -688,7 +657,7 @@ def dualize(obj):
     if isinstance(obj, Plane):
         w = obj.dual_vec
         other = _DUAL_SPACE[obj.space]
-        if quadric_value(w, other, obj.lam) > 1e-12:
+        if quadric_value(w, other, obj.lam) > BOUNDARY_TOL:
             return Point.from_vector(w, other, obj.lam)
         if obj.space == SPACE_X:
             try:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -409,7 +410,10 @@ def edge_symmetry_mapping(t: Tetrahedron, edge) -> tuple[int, int]:
 _PERM_WORDS = ((), ("T",), ("T", "T"), ("I",), ("T", "I"), ("T", "T", "I"))
 
 
-def _perm_isometries(lam: int):
+@lru_cache(maxsize=None)
+def _perm_isometries(lam: int) -> tuple[Isometry, ...]:
+    """The six label permutations of a standard tetrahedron, built once per
+    curvature."""
     t_mat = Mat2.from_real([[0, 1], [-1, 1]], lam)
     i_mat = Mat2.from_real([[0, 1], [1, 0]], lam)
     table = {"T": t_mat, "I": i_mat}
@@ -419,7 +423,7 @@ def _perm_isometries(lam: int):
         for ch in word:
             m = m @ table[ch]
         out.append(Isometry(m))
-    return out
+    return tuple(out)
 
 
 def _orbit_triples(a: float, b: float, g: float):

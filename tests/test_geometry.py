@@ -7,6 +7,7 @@ import pytest
 from dualtet import (
     BoundaryPoint,
     Degenerate,
+    DegenerateNormal,
     GC,
     Geodesic,
     Isometry,
@@ -18,6 +19,7 @@ from dualtet import (
     arc_length,
     boundary_normalize,
     common_point_three_planes,
+    lightlike_from_angles,
     cross_ratio,
     dualize,
     gc,
@@ -25,13 +27,14 @@ from dualtet import (
     intersect_lightlike_planes,
     is_spacelike_connected,
     plane_from_normal,
+    plane_through_points,
     point_sqrt,
     spacelike_geodesic_to_plane_pair,
     stabilizer_angle,
     stabilizer_element,
     standard_light_normals,
 )
-from dualtet.geometry import model_from_coords
+from dualtet.geometry import Plane, model_from_coords
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent
 
 SPACELIKE_DIAG = {lam: Mat2(gc(0, 1, lam), gc(0, 0, lam), gc(0, 0, lam), gc(0, -1, lam))
@@ -159,6 +162,95 @@ def test_plane_membership_matches_exponential_chart(rng):
             assert pl.contains(chart_point, 1e-8)
         assert not pl.contains(act(random_isometry(rng, lam),
                                    Point.origin("X", lam)), 1e-6) or True
+
+
+def _moved_by_kernels(pl, a):
+    """Reference for `Plane.moved`: push a basis of the plane's kernel and
+    take the dual kernel of the images."""
+    from dualtet.geometry import _dual_kernel
+    from dualtet.matmodel import embed, push, unembed
+
+    cols = [unembed(push(a, embed(v, pl.space, pl.lam), pl.space), pl.space)
+            for v in _dual_kernel([pl.dual_vec]).T]
+    w = _dual_kernel(cols)
+    assert w.shape[1] == 1
+    return w[:, 0] / np.linalg.norm(w[:, 0])
+
+
+def test_plane_moved_matches_kernel_round_trip():
+    rng = np.random.default_rng(41)
+    for lam in LAMBDAS:
+        for space in ("X", "Y"):
+            for _ in range(40):
+                pts = [random_point(rng, space, lam) for _ in range(3)]
+                pl = plane_through_points(*pts)
+                a = random_isometry(rng, lam)
+                got = pl.moved(a)
+                want = _moved_by_kernels(pl, a)
+                assert min(np.abs(got.dual_vec - want).max(),
+                           np.abs(got.dual_vec + want).max()) <= 1e-9
+                for p in pts:
+                    assert got.contains(act(a, p), 1e-9)
+
+
+def test_is_lightlike_matches_causal_class_of_normal():
+    """The dual-vector test agrees with the causal class of the normal at a
+    point of the plane, for spacetime planes at every curvature and
+    anti-de Sitter planes of the dual family."""
+    rng = np.random.default_rng(43)
+    cases = [(space, lam) for lam in LAMBDAS for space in ("X", "Y")
+             if space == "X" or lam == -1]
+    seen = set()
+    for space, lam in cases:
+        planes = []
+        for _ in range(60):
+            pts = [random_point(rng, space, lam) for _ in range(3)]
+            planes.append((plane_through_points(*pts), pts[0]))
+        if space == "X":
+            for _ in range(5):
+                a, b = rng.uniform(0.15, 1.2, 2)
+                t = lightlike_from_angles(lam, a, b, random_isometry(rng, lam))
+                for j, face in enumerate(t.faces(), start=1):
+                    planes.append((face, t.vertex(1 if j != 1 else 2)))
+        for pl, p in planes:
+            light = pl.is_lightlike()
+            assert light == (pl.normal_at_point(p).sigma() == 0)
+            seen.add(light)
+    assert seen == {True, False}
+
+
+def test_faces_are_lightlike_and_dualize_to_boundary_points():
+    """Face planes built from the normals and from vertex triples sit on
+    the dual boundary by the one tolerance `is_lightlike` and `dualize`
+    share."""
+    rng = np.random.default_rng(47)
+    for lam in LAMBDAS:
+        for _ in range(10):
+            a, b = rng.uniform(0.05, 1.4, 2)
+            t = lightlike_from_angles(lam, a, b, random_isometry(rng, lam))
+            v = t.vertices
+            triples = [plane_through_points(*(v[i] for i in range(4) if i != j))
+                       for j in range(4)]
+            for face in list(t.faces()) + triples:
+                assert face.is_lightlike()
+                assert isinstance(dualize(face), BoundaryPoint)
+
+
+def test_half_pipe_planes_are_lightlike_exactly_when_vertical():
+    # Half-pipe (Y, lam = 0): the metric degenerates along the fibre, so a
+    # plane is lightlike exactly when it contains the fibre direction.
+    t = lightlike_from_angles(0, 0.7, 0.4)
+    for x in t.vertices:
+        assert not dualize(x).is_lightlike()
+    assert Plane("Y", 0, [0.0, 0.0, 1.0, 0.0]).is_lightlike()
+    assert not Plane("Y", 0, [0.0, 1.0, 1.0, 0.0]).is_lightlike()
+
+
+def test_plane_missing_its_space_has_no_causal_class():
+    # In the hyperbolic space the plane -y1 + 0.2 y4 = 0 lies outside the
+    # quadric's positive cone.
+    with pytest.raises(DegenerateNormal):
+        Plane("Y", 1, [1.0, 0.0, 0.0, 0.2]).is_lightlike()
 
 
 def test_lightlike_intersection_standard_pair():

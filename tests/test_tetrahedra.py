@@ -341,6 +341,22 @@ def test_duality_is_involutive_with_pose(rng):
                 assert v.isclose(w, 1e-6)
 
 
+def test_dual_pose_is_swap_conjugate_of_pose():
+    """Duality carries the action of A on one family to that of S A S on the
+    other, S = [[0, 1], [1, 0]], so the dual tetrahedron's pose is S A S."""
+    from dualtet import Isometry
+
+    rng = np.random.default_rng(61)
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            for _ in range(6):
+                a, b = rng.uniform(0.15, 1.2, 2)
+                pose = random_isometry(rng, lam)
+                d = dualize_tet(Tetrahedron(kind, lam, a, b, pose))
+                r = pose.rep
+                assert d.pose.projectively_equal(Isometry(Mat2(r.d, r.c, r.b, r.a)), 1e-8)
+
+
 def test_edge_lengths_equal_dual_dihedral_angles(rng):
     for lam in LAMBDAS:
         for a in (0.3, 0.7, 1.1):
