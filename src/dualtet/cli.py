@@ -72,12 +72,16 @@ def _read_json(path: str):
         raise DomainError(f"{path} does not hold JSON: {exc}") from exc
 
 
+def _flag_params(args) -> tuple[str, int, float, float]:
+    if args.lam is None or args.alpha is None or args.beta is None:
+        raise DualtetError("need --in FILE or all of --lambda/--kind/--alpha/--beta")
+    return args.kind, args.lam, args.alpha, args.beta
+
+
 def _load_tet(args) -> Tetrahedron:
     if getattr(args, "infile", None):
         return from_descriptor(_read_json(args.infile))
-    if args.lam is None or args.alpha is None or args.beta is None:
-        raise DualtetError("need --in FILE or all of --lambda/--kind/--alpha/--beta")
-    return Tetrahedron(args.kind, args.lam, args.alpha, args.beta)
+    return Tetrahedron(*_flag_params(args))
 
 
 def _summary(tet: Tetrahedron) -> str:
@@ -126,11 +130,14 @@ def cmd_info(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    tet = _load_tet(args)
-    series_order = args.series if args.series and tet.kind == "lightlike" else None
-    report = volume_report(tet.kind, tet.lam, tet.alpha, tet.beta,
-                           with_oracle=(args.oracle == "on"), tol=args.tol,
-                           series_order=series_order)
+    # Flags give the parameters directly: a volume needs no vertices.
+    if args.infile:
+        tet = _load_tet(args)
+        params = tet.kind, tet.lam, tet.alpha, tet.beta
+    else:
+        params = _flag_params(args)
+    report = volume_report(*params, with_oracle=(args.oracle == "on"), tol=args.tol,
+                           series_order=args.series or None)
     payload = report.as_dict()
     if args.fmt == "csv":
         keys = list(payload)
@@ -201,17 +208,15 @@ def cmd_plot(args) -> int:
     lo, hi = args.amin, args.amax
     rows = ["lambda,kind,alpha,beta,volume"]
     kinds = ("lightlike", "ideal") if args.kind == "both" else (args.kind,)
-    from .volumes import ideal_volume, lightlike_volume
-
     for kind in kinds:
-        fn = lightlike_volume if kind == "lightlike" else ideal_volume
         for i in range(n):
             for j in range(n):
                 a = lo + (hi - lo) * i / max(n - 1, 1)
                 b = lo + (hi - lo) * j / max(n - 1, 1)
                 if args.lam == 1 and a + b >= math.pi - 1e-9:
                     continue
-                rows.append(f"{args.lam},{kind},{a!r},{b!r},{fn(args.lam, a, b)!r}")
+                vol = volume_report(kind, args.lam, a, b, with_oracle=False).closed_form
+                rows.append(f"{args.lam},{kind},{a!r},{b!r},{vol!r}")
     _write_text(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 

@@ -79,8 +79,8 @@ def check_kind(kind: str) -> str:
 
 def validate_angles(lam: int, alpha: float, beta: float):
     check_lambda(lam)
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"parameters must be positive, got ({alpha}, {beta})")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise DomainError(f"parameters must be positive and finite, got ({alpha}, {beta})")
     if lam == 1 and alpha + beta >= math.pi:
         raise DomainError(f"alpha + beta must stay below pi for lam = 1, got {alpha + beta}")
 
@@ -247,17 +247,6 @@ def _normalize_light(m: Mat2) -> Mat2:
     return m * (1.0 / scale)
 
 
-def _edge_value(alpha: float, beta: float, edge) -> float:
-    e = frozenset(edge)
-    if e in EDGE_PAIRS[0]:
-        return alpha + beta
-    if e in EDGE_PAIRS[1]:
-        return beta
-    if e in EDGE_PAIRS[2]:
-        return alpha
-    raise DomainError(f"not an edge: {tuple(edge)!r}")
-
-
 def lightlike_from_angles(lam: int, alpha: float, beta: float,
                           pose: Isometry | None = None) -> Tetrahedron:
     return Tetrahedron(KIND_LIGHTLIKE, lam, alpha, beta, pose)
@@ -271,8 +260,9 @@ def ideal_from_angles(lam: int, alpha: float, beta: float,
 # -- edge data -----------------------------------------------------------------
 
 
-def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, float]:
-    """Shape parameter of an edge and the real sine ratio it is built from;
+def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, float, float]:
+    """Shape parameter of an edge, the real sine ratio it is built from, and
+    the edge value (length or dihedral angle) alpha + beta, beta or alpha;
     |exp_ell| = 1, so the ratio's absolute value is the parameter's modulus."""
     gamma = -(alpha + beta)
     e = frozenset(edge)
@@ -284,7 +274,7 @@ def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, float]:
         ratio, arg = gsin(lam, gamma) / gsin(lam, beta), alpha
     else:
         raise DomainError(f"not an edge: {tuple(edge)!r}")
-    return -exp_ell(lam, arg) * ratio, ratio
+    return -exp_ell(lam, arg) * ratio, ratio, abs(arg)
 
 
 def edge_data(t: Tetrahedron) -> list[EdgeData]:
@@ -292,11 +282,11 @@ def edge_data(t: Tetrahedron) -> list[EdgeData]:
     out = []
     for edge in EDGE_ORDER:
         rest = tuple(sorted(set((1, 2, 3, 4)) - set(edge)))
-        z, ratio = _shape_param(t.lam, t.alpha, t.beta, edge)
+        z, ratio, value = _shape_param(t.lam, t.alpha, t.beta, edge)
         mod = abs(ratio)
         phi = abs(math.log(mod))
         sig = 1 if ratio > 0 else -1
-        out.append(EdgeData(edge, rest, _edge_value(t.alpha, t.beta, edge), z, mod, phi, sig))
+        out.append(EdgeData(edge, rest, value, z, mod, phi, sig))
     return out
 
 
@@ -370,7 +360,7 @@ def edge_symmetry(t: Tetrahedron, edge) -> Isometry:
 def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
     frame = t.frame()
     lam = t.lam
-    z, ratio = _shape_param(lam, t.alpha, t.beta, (i, j))
+    z, ratio, _value = _shape_param(lam, t.alpha, t.beta, (i, j))
     sig = 1 if ratio > 0 else -1
     x_ij = frame.x_dir(i, j)
     im_x = Mat2.from_real(x_ij.im_rows(), lam)
@@ -382,7 +372,7 @@ def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
 
 
 def _edge_symmetry_ideal(t: Tetrahedron, i: int, j: int) -> tuple[Isometry, int, int]:
-    z_target, _ratio = _shape_param(t.lam, t.alpha, t.beta, (i, j))
+    z_target, _ratio, _value = _shape_param(t.lam, t.alpha, t.beta, (i, j))
     k, l = sorted(set((1, 2, 3, 4)) - {i, j})
     yi, yj = t.vertex(i), t.vertex(j)
     for kk, ll in ((k, l), (l, k)):

@@ -12,21 +12,23 @@ after reducing x to [-pi, pi] for lam = 1; for lam = -1 and |x| >= 3 the
 dilogarithm form pi^2/6 - x^2/4 - Li2(exp(-x)) takes over, its series
 converging geometrically (Lewin, Polylogarithms and Associated Functions,
 1981, ch. 4).  The ideal volume is
-(cl(2a) + cl(2b) + cl(2g))/2 with g = -(a + b); the lightlike volume adds
-sine-log terms and divides by the curvature, collapsing to a*b*(a+b)/3 in
-the flat case.
+(cl(2a) + cl(2b) + cl(2g))/2 with g = -(a + b); the lightlike volume is
+the ideal volume plus sine-log terms, divided by the curvature, collapsing
+to a*b*(a+b)/3 in the flat case.
 
 An independent oracle integrates the invariant volume forms over the
 explicit chart parametrizations of both kinds by adaptive cubature; it
 never touches the Clausen evaluations.  A Bernoulli-number power series
-around zero curvature provides a third route for small edge lengths.
+around zero curvature provides a third route for small edge lengths.  One
+coefficient table, 4^k B_2k (-1)^k / (2k+1)!, serves both the Clausen
+series and this curvature series.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,11 +65,11 @@ def bernoulli(n: int) -> float:
 
 # -- generalized Clausen function ----------------------------------------------
 
-# Taylor coefficients 4^k B_2k (-1)^k / (2k+1)!, k = 0..28, of the primitive
+# Taylor coefficients 4^k B_2k (-1)^k / (2k+1)!, k = 0..30, of the primitive
 # F(lam, y) = integral_0^y x/t_lam(x) dx = y * sum_k c_k (lam y^2)^k.  The
 # series has radius pi in |y|*sqrt|lam|; its terms shrink by (y/pi)^2.
 _COT_COEFFS = tuple(float(Fraction(4 ** k * (-1) ** k) * _bernoulli_exact(2 * k)
-                          / math.factorial(2 * k + 1)) for k in range(29))
+                          / math.factorial(2 * k + 1)) for k in range(31))
 # 1/n^2, n = 1..14: Li2(q) to double precision for q <= exp(-_LI2_FROM).
 _LI2_COEFFS = tuple(1.0 / (n * n) for n in range(1, 15))
 _LI2_FROM = 3.0
@@ -126,23 +128,22 @@ def lightlike_volume(lam: int, alpha: float, beta: float) -> float:
     if lam == 0:
         return alpha * beta * (alpha + beta) / 3.0
     gamma = -(alpha + beta)
-    cl_sum = (clausen(lam, 2 * alpha) + clausen(lam, 2 * beta) + clausen(lam, 2 * gamma))
     log_sum = (alpha * math.log(abs(gsin(lam, alpha)))
                + beta * math.log(abs(gsin(lam, beta)))
                + gamma * math.log(abs(gsin(lam, gamma))))
-    return 0.5 * cl_sum / lam + log_sum / lam
+    return (ideal_volume(lam, alpha, beta) + log_sum) / lam
 
 
 def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int) -> float:
     """Bernoulli power series for the lightlike volume around zero
     curvature; `lam` may be any real here.  Emits ConvergenceWarning outside
     |alpha + beta| < pi / sqrt|lam|."""
-    if not (alpha > 0 and beta > 0):
-        raise DomainError("parameters must be positive")
-    if k_order < 1:
-        raise DomainError("series order must be at least 1")
-    if 2 * k_order > 60:
-        raise DomainError("series order limited by the Bernoulli table (k <= 30)")
+    if not (0 < alpha < math.inf and 0 < beta < math.inf and math.isfinite(lam)):
+        raise DomainError(f"need finite alpha, beta > 0 and finite lam, got "
+                          f"({alpha}, {beta}, {lam})")
+    if not 1 <= k_order < len(_COT_COEFFS):
+        raise DomainError(f"series order must lie in [1, {len(_COT_COEFFS) - 1}] "
+                          f"(the Bernoulli table), got {k_order}")
     if lam != 0.0 and (alpha + beta) * math.sqrt(abs(lam)) >= math.pi:
         warnings.warn(
             f"series evaluated outside its convergence domain: "
@@ -152,9 +153,8 @@ def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int)
         )
     total = 0.0
     for k in range(1, k_order + 1):
-        coeff = (4.0 ** k) * float(_bernoulli_exact(2 * k)) / math.factorial(2 * k + 1)
         g_k = ((alpha + beta) ** (2 * k + 1) - alpha ** (2 * k + 1) - beta ** (2 * k + 1))
-        total += coeff * ((-1.0) ** (k + 1)) * (lam ** (k - 1)) * g_k
+        total -= _COT_COEFFS[k] * lam ** (k - 1) * g_k
     return total
 
 
@@ -222,8 +222,8 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     """
     check_kind(kind)
     validate_angles(lam, alpha, beta)
-    if tol < 1e-10:
-        raise DomainError("tolerances below 1e-10 are not attainable here")
+    if not tol >= 1e-10:  # also refuses NaN, which would stop the cubature at once
+        raise DomainError(f"tolerance must be a number >= 1e-10, got {tol}")
     if kind == KIND_IDEAL:
         f = _ideal_integrand(lam, alpha, beta)
         return adaptive_quad_2d(f, (0.0, alpha), (0.0, 1.0), tol=tol)
@@ -248,18 +248,9 @@ class VolumeReport:
     rel_discrepancy: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "oracle_err": self.oracle_err,
-            "series": self.series,
-            "series_order": self.series_order,
-            "rel_discrepancy": self.rel_discrepancy,
-        }
+        """Fields in declaration order, `lam` keyed as "lambda"."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)}
 
 
 def volume_report(kind: str, lam: int, alpha: float, beta: float,
@@ -268,15 +259,14 @@ def volume_report(kind: str, lam: int, alpha: float, beta: float,
     """Closed form next to the quadrature oracle and (optionally) the
     series, with their relative discrepancy."""
     check_kind(kind)
+    if series_order is not None and kind != KIND_LIGHTLIKE:
+        raise DomainError("the curvature series applies to the lightlike kind")
     closed = (ideal_volume if kind == KIND_IDEAL else lightlike_volume)(lam, alpha, beta)
-    oracle = oracle_err = rel = None
-    series = None
+    oracle = oracle_err = rel = series = None
     if with_oracle:
         oracle, oracle_err = volume_quadrature(kind, lam, alpha, beta, tol=tol)
         rel = abs(closed - oracle) / max(abs(closed), 1e-12)
     if series_order is not None:
-        if kind != KIND_LIGHTLIKE:
-            raise DomainError("the curvature series applies to the lightlike kind")
         series = lightlike_volume_series(lam, alpha, beta, series_order)
     return VolumeReport(kind, lam, alpha, beta, closed, oracle, oracle_err,
                         series, series_order, rel)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dualtet import lightlike_volume
 from dualtet.cli import main
 
 
@@ -47,6 +48,8 @@ def test_descriptor_round_trip_is_byte_identical(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "info", "--in", str(p1))
     assert code == 0
     assert "recovered: alpha=0.8" in out and "beta=0.6" in out
+    code, out, _ = run_cli(capsys, "volume", "--in", str(p1), "--oracle", "off")
+    assert code == 0 and json.loads(out)["closed_form"] == lightlike_volume(0, 0.8, 0.6)
     # write -> read -> write
     from dualtet import from_descriptor, to_descriptor
 
@@ -74,6 +77,26 @@ def test_volume_csv_and_series(capsys):
     header, row = out.strip().splitlines()
     cols = dict(zip(header.split(","), row.split(",")))
     assert abs(float(cols["series"]) - float(cols["closed_form"])) < 1e-10
+
+
+def test_volume_from_flags_builds_no_tetrahedron(capsys):
+    # Building these vertices fails on cosh/sinh growth; the volume needs none.
+    code, out, _ = run_cli(capsys, "volume", "--lambda", "-1", "--kind", "lightlike",
+                           "--alpha", "10", "--beta", "10", "--oracle", "off")
+    assert code == 0
+    assert json.loads(out)["closed_form"] == pytest.approx(99.17753300986013, rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--lambda", "1", "--kind", "ideal", "--alpha", "0.5", "--beta", "0.7", "--series", "5"),
+    ("--lambda", "1", "--kind", "ideal", "--alpha", "0.5", "--beta", "0.7", "--tol", "nan",
+     "--oracle", "on"),
+    ("--lambda", "0", "--alpha", "inf", "--beta", "1"),
+])
+def test_volume_domain_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "volume", *argv)
+    assert code == 2 and out == ""
+    assert "DomainError" in err
 
 
 def test_dual_swaps_kind_preserves_parameters(tmp_path, capsys):

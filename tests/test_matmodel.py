@@ -27,6 +27,8 @@ from dualtet import (
     unembed,
 )
 from dualtet.errors import BaseMismatch, NormalizationFailure
+from dualtet.geometry import geodesic_from_tangent, stabilizer_element
+from dualtet.matmodel import _model_inner
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent, taylor_exp
 
 
@@ -307,6 +309,24 @@ def test_metric_well_defined_across_frames(rng):
         t2 = Tangent("X", rep2.traceless(), a @ u)
         assert t2.base_point().isclose(t1.base_point(), 1e-8)
         assert tangent_metric(t1, t1) == pytest.approx(tangent_metric(t2, t2), abs=1e-8)
+
+
+def test_metric_transports_between_frames_of_one_point(rng):
+    # Bases a and a @ s reach the same point when s fixes the origin; the
+    # second model vector, pulled back by s, is transported back before pairing.
+    for lam in LAMBDAS:
+        for space in ("X", "Y"):
+            for _ in range(10):
+                g = geodesic_from_tangent(random_tangent(rng, space, lam))
+                s = stabilizer_element(g, 0.0, 0.8, 0.3)
+                a = random_isometry(rng, lam)
+                r1 = random_tangent(rng, space, lam).rep
+                r2 = random_tangent(rng, space, lam).rep
+                t1 = Tangent(space, r1, a)
+                t2 = Tangent(space, s.rep.inv() @ r2 @ s.rep, a @ s)
+                assert not t1.base.projectively_equal(t2.base)
+                assert tangent_metric(t1, t2) == pytest.approx(
+                    _model_inner(space, r1, r2), rel=1e-11, abs=1e-12)
 
 
 def test_mat_exp_traceless_lightlike_is_affine():

@@ -12,7 +12,9 @@ from dualtet import (
     ToleranceNotReached,
     bernoulli,
     clausen,
+    ideal_from_angles,
     ideal_volume,
+    lightlike_from_angles,
     lightlike_volume,
     lightlike_volume_series,
     volume_quadrature,
@@ -218,6 +220,14 @@ def test_series_convergence_warning():
         lightlike_volume_series(1.0, 2.0, 2.0, 5)
 
 
+def test_series_order_limited_by_coefficient_table():
+    a, b = 0.2, 0.3
+    assert lightlike_volume_series(1.0, a, b, 30) == pytest.approx(
+        lightlike_volume(1, a, b), rel=1e-14)
+    with pytest.raises(DomainError):
+        lightlike_volume_series(1.0, a, b, 31)
+
+
 def test_series_second_order_coefficients():
     # The quadratic-in-curvature correction is driven by B4 = -1/30.
     a, b = 0.3, 0.2
@@ -229,6 +239,21 @@ def test_series_second_order_coefficients():
 
 
 # -- quadrature oracle ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_parameters_raise_domain_error(bad):
+    for fn in (ideal_volume, lightlike_volume, lightlike_from_angles, ideal_from_angles,
+               lambda lam, a, b: volume_quadrature("lightlike", lam, a, b),
+               lambda lam, a, b: volume_report("ideal", lam, a, b, with_oracle=False),
+               lambda lam, a, b: lightlike_volume_series(lam, a, b, 5)):
+        for lam in LAMBDAS:
+            for a, b in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(DomainError):
+                    fn(lam, a, b)
+    for lam in (bad, -bad):
+        with pytest.raises(DomainError):
+            lightlike_volume_series(lam, 0.3, 0.4, 5)
 
 
 def test_quadrature_flat_lightlike_example():
@@ -263,8 +288,9 @@ def test_quadrature_is_deterministic():
 
 
 def test_quadrature_tolerance_guard():
-    with pytest.raises(DomainError):
-        volume_quadrature("ideal", 0, 0.5, 0.5, tol=1e-12)
+    for tol in (1e-12, math.nan):  # NaN would pass `tol < 1e-10` and stop the cubature
+        with pytest.raises(DomainError):
+            volume_quadrature("ideal", 0, 0.5, 0.5, tol=tol)
 
 
 def test_quadrature_budget_exhaustion_carries_estimate():
@@ -452,6 +478,9 @@ def test_volume_report_fields():
     assert rep.series == pytest.approx(2 / 3, rel=1e-12)
     d = rep.as_dict()
     assert d["lambda"] == 0 and d["kind"] == "lightlike"
+    # The CSV and text outputs of `dualtet volume` list the keys in this order.
+    assert list(d) == ["kind", "lambda", "alpha", "beta", "closed_form", "oracle",
+                       "oracle_err", "series", "series_order", "rel_discrepancy"]
 
 
 def test_volume_report_series_requires_lightlike():
