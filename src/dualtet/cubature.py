@@ -2,7 +2,14 @@
 
 Both integrators apply a (G7, K15) rule per panel, split the panel with the
 largest error estimate, and stop when the summed error estimate drops below
-the tolerance.  When the panel budget runs out first they raise
+the tolerance.  In 1d a panel's estimate is |K - G|.  In 2d the same 225
+values give four tensor rules, KK, KG, GK and GG (the first letter names
+the rule in x), and the estimate is max(|KK - GG|, |KK - GK| + |KK - KG|):
+the per-axis differences catch an axis that is under-resolved while the
+other hides it in GG, as DCUHRE's per-axis differences do (Berntsen,
+Espelid & Genz, ACM TOMS 17, 1991).  The 2d root panel is always split
+once, since its rules can agree by chance on an integrand they do not
+resolve.  When the panel budget runs out first they raise
 ToleranceNotReached carrying the best estimate; when the integrand is not
 finite at a node they raise it at once, with value nan and error inf.
 Subdivision order is a deterministic function of the inputs, so results
@@ -119,11 +126,13 @@ def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
     vals = _finite(np.asarray(f(nodes[:, 0, :, None], nodes[:, 1, None, :]), dtype=float), held)
     if vals.shape != (n, 15, 15):  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, (n, 15, 15))
-    # Diagonal of R V R^T: the Kronrod and the Gauss tensor sums of each panel.
-    sums = (half[:, 0] * half[:, 1])[:, None] * np.diagonal(_RULES @ vals @ _RULES.T,
-                                                            axis1=1, axis2=2)
-    kron = sums[:, 0]
-    return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
+    # R V R^T holds the four tensor rules of each panel: [[KK, KG], [GK, GG]],
+    # the first letter naming the rule in x.
+    sums = (half[:, 0] * half[:, 1])[:, None, None] * (_RULES @ vals @ _RULES.T)
+    kron = sums[:, 0, 0]
+    err = np.maximum(np.abs(kron - sums[:, 1, 1]),
+                     np.abs(kron - sums[:, 0, 1]) + np.abs(kron - sums[:, 1, 0]))
+    return kron.tolist(), err.tolist()
 
 
 def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
@@ -144,7 +153,9 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
     heap = [(-err, 0, rect, val, err)]
     counter = 1
     total_val, total_err = val, err
-    while total_err > tol:
+    # The root's rules can agree by chance on an integrand they do not
+    # resolve, so the root is always split once.
+    while total_err > tol or counter == 1:
         if len(heap) >= max_panels or not heap:
             raise ToleranceNotReached(total_val, total_err, panels=len(heap))
         _, _, (x0, x1, y0, y1), pval, perr = heapq.heappop(heap)

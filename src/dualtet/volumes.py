@@ -18,10 +18,20 @@ to a*b*(a+b)/3 in the flat case.
 
 An independent oracle integrates the invariant volume forms over the
 explicit chart parametrizations of both kinds by adaptive cubature; it
-never touches the Clausen evaluations.  A Bernoulli-number power series
-around zero curvature provides a third route for small edge lengths.  One
-coefficient table, 4^k B_2k (-1)^k / (2k+1)!, serves both the Clausen
-series and this curvature series.
+never touches the Clausen evaluations.  The densities have thin layers at
+the chart's edges and corners, whose width shrinks with s(beta)/s(alpha)
+on skewed cells and with e^-(alpha+beta) at lam = -1.  Sidi's sin^2
+substitution phi(u) = u - sin(2 pi u)/(2 pi) (ISNM 112, 1993), whose
+Jacobian 2 sin(pi u)^2 vanishes to second order at both ends, widens them:
+the ideal angle and the lightlike v get it twice, and each half of the
+lightlike t, whose density has a kink at t = 0, gets it once; the ideal w
+follows its layer exactly (see _oracle_integrand).  Both densities are
+sums of terms that are >= 0, so nothing cancels at a singular corner.
+
+A Bernoulli-number power series around zero curvature provides a third
+route for small edge lengths.  One coefficient table,
+4^k B_2k (-1)^k / (2k+1)!, serves both the Clausen series and this
+curvature series.
 """
 
 from __future__ import annotations
@@ -162,24 +172,11 @@ def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int)
 
 
 def _np_gacot(lam: int, x: np.ndarray) -> np.ndarray:
+    """Inverse cotangent at lam = 1 and reciprocal at lam = 0; the lam = -1
+    oracle works with x - 1 instead (see _lightlike_integrand)."""
     if lam == 1:
         return 0.5 * math.pi - np.arctan(x)
-    if lam == -1:
-        return 0.5 * np.log((x + 1.0) / (x - 1.0))
     return 1.0 / x
-
-
-def _ideal_integrand(lam: int, alpha: float, beta: float):
-    s_a = gsin(lam, alpha)
-    s_ab = gsin(lam, alpha + beta)
-    s_b = gsin(lam, beta)
-
-    def f(theta, u):
-        r_edge = s_b * s_ab / (s_a * _gsin_np(lam, theta + beta))
-        r0 = _gsin_np(lam, alpha + beta - theta) / s_a
-        return r_edge / (2.0 * (r0 - u * r_edge))
-
-    return f
 
 
 def _gsin_np(lam: int, x):
@@ -190,32 +187,133 @@ def _gsin_np(lam: int, x):
     return x
 
 
+def _ideal_integrand(lam: int, alpha: float, beta: float):
+    """Volume density of the ideal chart in (theta, w), theta in [0, alpha],
+    w in [0, 1].  The density r_edge / (2 (r0 - (1 - w) r_edge)) is written
+    as c / (2 (s(alpha - theta) s(theta) + w c)), c = s(beta) s(alpha + beta),
+    by s(a + b - t) s(t + b) - s(b) s(a + b) = s(a - t) s(t): both terms of
+    the denominator are >= 0, so nothing cancels at the singular corners
+    (0, 0) and (alpha, 0)."""
+    c = gsin(lam, beta) * gsin(lam, alpha + beta)
+
+    def f(theta, w):
+        return (0.5 * c) / (_gsin_np(lam, alpha - theta) * _gsin_np(lam, theta) + w * c)
+
+    return f
+
+
 def _lightlike_integrand(lam: int, alpha: float, beta: float):
+    """Volume density of the lightlike chart in (t, v), t in [-pi/4, pi/4],
+    v in [0, 1].  It is g(r) width / cos(s)^2 with s = |t| + v width,
+    width = pi/2 - 2|t|, r the inverse cotangent of arg = (a sin t + b cos t
+    + c sin s) / (d cos s) and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
+
+    At lam = -1, r = log1p(2 / y) / 2 blows up as y = arg - 1 goes to 0, so
+    y is formed directly as a sum of terms that are >= 0 on the chart,
+    with sigma = alpha + beta, p = s(alpha) / s(beta), h = (s + t) / 2 and
+    d = (s - t) / 2 = ((|t| - t) + v width) / 2:
+
+        y = [p (sin t + sin s) / 2 + cos h sin d / p + e^-sigma (cos t + cos s) / 2
+             + e^sigma sin h sin d] / (sinh sigma cos s),
+
+    and g = (2 (1 + y) / (y (y + 2)) - log1p(2 / y)) / 4."""
     s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
-    a_c = 0.5 * (s_a / s_b - s_b / s_a)
-    c_c = 0.5 * (s_a / s_b + s_b / s_a)
-    b_c = gcos(lam, alpha + beta)
-    d_c = gsin(lam, alpha + beta)
+    p = s_a / s_b
+    sigma = alpha + beta
+    a_c, c_c = 0.5 * (p - 1.0 / p), 0.5 * (p + 1.0 / p)
+    b_c, d_c = gcos(lam, sigma), gsin(lam, sigma)
+    if lam == -1:
+        e_lo, e_hi = math.exp(-sigma), math.exp(sigma)
 
     def f(t, v):
         att = np.abs(t)
         width = 0.5 * math.pi - 2.0 * att
         s = att + v * width
-        arg = (a_c * np.sin(t) + b_c * np.cos(t) + c_c * np.sin(s)) / (d_c * np.cos(s))
-        r = _np_gacot(lam, arg)
-        if lam == 0:
-            g = r ** 3 / 3.0
+        cos_s = np.cos(s)
+        if lam == -1:
+            h = 0.5 * (s + t)
+            sin_d = np.sin(0.5 * ((att - t) + v * width))
+            y = (0.5 * p * (np.sin(t) + np.sin(s)) + sin_d * (np.cos(h) / p + e_hi * np.sin(h))
+                 + 0.5 * e_lo * (np.cos(t) + cos_s)) / (d_c * cos_s)
+            g = 0.25 * (2.0 * (1.0 + y) / (y * (y + 2.0)) - np.log1p(2.0 / y))
         else:
-            g = (_gsin_np(lam, 2.0 * r) - 2.0 * r) / (-4.0 * lam)
-        return g * width / np.cos(s) ** 2
+            r = _np_gacot(lam, (a_c * np.sin(t) + b_c * np.cos(t) + c_c * np.sin(s))
+                          / (d_c * cos_s))
+            g = r ** 3 / 3.0 if lam == 0 else 0.25 * (2.0 * r - np.sin(2.0 * r))
+        return g * width / cos_s ** 2
 
     return f
+
+
+# phi(u) = u^3 sum_k c_k u^(2k), c_k = (-1)^k (2 pi)^(2k+2) / (2k+3)!, k = 0..7:
+# the Taylor series of u - sin(2 pi u) / (2 pi), to double precision for u <= 1/8.
+_PHI_SERIES = np.array([(-1) ** k * (2.0 * math.pi) ** (2 * k + 2) / math.factorial(2 * k + 3)
+                        for k in range(8)])
+_PHI_POWERS = np.arange(8)
+
+
+def _sin2(u):
+    """Sidi's sin^2 map phi(u) = u - sin(2 pi u) / (2 pi) of [0, 1] onto
+    itself, and its derivative 2 sin(pi u)^2, which vanishes to second order
+    at both ends.  Below u = 1/8 phi is summed as a series, since the
+    difference loses all its digits as u goes to 0."""
+    phi = u - np.sin(2.0 * math.pi * u) / (2.0 * math.pi)
+    low = u < 0.125
+    if low.any():
+        ul = u[low]
+        phi[low] = ul ** 3 * ((ul * ul)[:, None] ** _PHI_POWERS @ _PHI_SERIES)
+    return phi, 2.0 * np.sin(math.pi * u) ** 2
+
+
+def _sin2_twice(u):
+    """phi(phi(u)) and its derivative: nodes cluster like u^9 at both ends."""
+    p, dp = _sin2(u)
+    q, dq = _sin2(p)
+    return q, dq * dp
+
+
+def _oracle_integrand(kind: str, lam: int, alpha: float, beta: float):
+    """The chart density of `kind` as an integrand over the unit square in
+    (xi, eta), with the nodes clustered into the density's layers.
+
+    - ideal: the density is symmetric about theta = alpha / 2, so theta runs
+      over [0, alpha / 2], twice weighted, as (alpha / 2) phi(phi(xi)).  In w
+      the density is 1 / (2 (q + w)), q = s(alpha - theta) s(theta) / c,
+      with a layer of width q at w = 0; w = q expm1(eta L), L = log1p(1 / q),
+      spreads it evenly over eta (f dw / deta = L / 2 for every eta), so
+      the cubature refines in theta only.
+    - lightlike: t = (pi/4) sign(r) phi(|r|), r = 2 xi - 1, clusters nodes at
+      t = 0, where the density has a kink and a layer on one side, as well
+      as at t = +-pi/4; v = phi(phi(eta)) runs into the layer at v = 0.
+    """
+    if kind == KIND_IDEAL:
+        f = _ideal_integrand(lam, alpha, beta)
+        c = gsin(lam, beta) * gsin(lam, alpha + beta)
+
+        def g(xi, eta):
+            p, dp = _sin2_twice(xi)
+            theta = (0.5 * alpha) * p
+            q = _gsin_np(lam, alpha - theta) * _gsin_np(lam, theta) / c
+            span = np.log1p(1.0 / q)
+            w = q * np.expm1(span * eta)
+            return f(theta, w) * ((alpha * dp) * (span * (q + w)))
+    else:
+        f = _lightlike_integrand(lam, alpha, beta)
+
+        def g(xi, eta):
+            r = 2.0 * xi - 1.0
+            p, dp = _sin2(np.abs(r))
+            v, dv = _sin2_twice(eta)
+            return f((0.25 * math.pi) * np.copysign(p, r), v) * (((0.5 * math.pi) * dp) * dv)
+
+    return g
 
 
 def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
                       tol: float = 1e-8) -> tuple[float, float]:
     """Numerical volume by integrating the invariant volume form over the
-    chart parametrization; independent of the closed forms.
+    chart parametrization, clustered at the chart's edges; independent of
+    the closed forms.
 
     Returns (value, error estimate); raises ToleranceNotReached with the
     best estimate attached when the panel budget runs out.
@@ -224,11 +322,8 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     validate_angles(lam, alpha, beta)
     if not tol >= 1e-10:  # also refuses NaN, which would stop the cubature at once
         raise DomainError(f"tolerance must be a number >= 1e-10, got {tol}")
-    if kind == KIND_IDEAL:
-        f = _ideal_integrand(lam, alpha, beta)
-        return adaptive_quad_2d(f, (0.0, alpha), (0.0, 1.0), tol=tol)
-    f = _lightlike_integrand(lam, alpha, beta)
-    return adaptive_quad_2d(f, (-0.25 * math.pi, 0.25 * math.pi), (0.0, 1.0), tol=tol)
+    return adaptive_quad_2d(_oracle_integrand(kind, lam, alpha, beta), (0.0, 1.0), (0.0, 1.0),
+                            tol=tol)
 
 
 # -- reporting --------------------------------------------------------------------

@@ -69,6 +69,21 @@ def test_volume_json_and_exit(tmp_path, capsys):
     assert payload["rel_discrepancy"] < 1e-6
 
 
+@pytest.mark.parametrize("kind, lam, alpha, beta", [
+    ("lightlike", "0", "0.01", "0.01"),
+    ("ideal", "-1", "0.005", "0.004"),
+])
+def test_volume_exit_compares_absolute_discrepancy_with_tol(capsys, kind, lam, alpha, beta):
+    # Tiny volumes: the relative discrepancy exceeds --tol while the
+    # absolute one, the unit of --tol, stays within it.
+    code, out, _ = run_cli(capsys, "volume", "--lambda", lam, "--kind", kind,
+                           "--alpha", alpha, "--beta", beta, "--oracle", "on",
+                           "--tol", "1e-6")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["closed_form"] - payload["oracle"]) <= payload["oracle_err"] <= 1e-6
+
+
 def test_volume_csv_and_series(capsys):
     code, out, _ = run_cli(capsys, "volume", "--lambda", "-1", "--kind", "lightlike",
                            "--alpha", "0.3", "--beta", "0.3", "--oracle", "off",
@@ -223,8 +238,8 @@ def test_verify_full_run_exits_clean(capsys):
 
 
 def test_volume_unreachable_tolerance_exit_3(capsys):
-    code, _, err = run_cli(capsys, "volume", "--lambda", "-1", "--kind", "ideal",
-                           "--alpha", "0.01", "--beta", "1.3", "--oracle", "on",
+    code, _, err = run_cli(capsys, "volume", "--lambda", "-1", "--kind", "lightlike",
+                           "--alpha", "12", "--beta", "12", "--oracle", "on",
                            "--tol", "1e-10")
     assert code == 3
     assert "ToleranceNotReached" in err

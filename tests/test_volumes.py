@@ -381,16 +381,19 @@ def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         vals = np.asarray(f(xg, yg), dtype=float)
         kron = hx * hy * float(_KRONROD_WEIGHTS @ vals @ _KRONROD_WEIGHTS)
-        sub = vals[np.ix_(gauss_idx, gauss_idx)]
-        gauss = hx * hy * float(_GAUSS_WEIGHTS @ sub @ _GAUSS_WEIGHTS)
-        return kron, abs(kron - gauss)
+        gauss = hx * hy * float(_GAUSS_WEIGHTS @ vals[np.ix_(gauss_idx, gauss_idx)]
+                                @ _GAUSS_WEIGHTS)
+        # Kronrod in one axis, Gauss in the other.
+        kg = hx * hy * float(_KRONROD_WEIGHTS @ vals[:, gauss_idx] @ _GAUSS_WEIGHTS)
+        gk = hx * hy * float(_GAUSS_WEIGHTS @ vals[gauss_idx, :] @ _KRONROD_WEIGHTS)
+        return kron, max(abs(kron - gauss), abs(kron - kg) + abs(kron - gk))
 
     rect = (float(xspan[0]), float(xspan[1]), float(yspan[0]), float(yspan[1]))
     val, err = panel(rect)
     heap = [(-err, 0, rect, val, err)]
     counter = 1
     total_val, total_err = val, err
-    while total_err > tol:
+    while total_err > tol or counter == 1:  # the root is always split
         if len(heap) >= max_panels:
             raise ToleranceNotReached(total_val, total_err)
         _, _, (x0, x1, y0, y1), pval, perr = heapq.heappop(heap)
@@ -452,6 +455,132 @@ def test_batched_cubature_matches_per_panel_reference(max_panels):
         assert got[0] == pytest.approx(want[0], rel=1e-15), cell
         raised += got[2]
     assert (raised > 0) == (max_panels == 40)
+
+
+def volume_reference(kind: str, lam: int, alpha: float, beta: float):
+    """30-digit closed form: mpmath's Clausen function at lam = 1 and the
+    dilogarithm form pi^2/6 - x^2/4 - Li2(e^-x) at lam = -1."""
+    def cl(x):
+        if lam == 0:
+            return x * (1 - mpmath.log(abs(x)))
+        if lam == 1:
+            return mpmath.clsin(2, x)
+        return mpmath.sign(x) * (mpmath.pi ** 2 / 6 - x ** 2 / 4
+                                 - mpmath.polylog(2, mpmath.exp(-abs(x))))
+
+    def log_s(x):
+        return mpmath.log({1: mpmath.sin, -1: mpmath.sinh}.get(lam, lambda y: y)(x))
+
+    with mpmath.workdps(30):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        ideal = (cl(2 * a) + cl(2 * b) - cl(2 * (a + b))) / 2
+        if kind == "ideal":
+            return ideal
+        if lam == 0:
+            return a * b * (a + b) / 3
+        return (ideal + a * log_s(a) + b * log_s(b) - (a + b) * log_s(a + b)) / lam
+
+
+def _log_uniform_cells(n_per_cell: int, lo: float, hi: float, seed: int):
+    rng = np.random.default_rng(seed)
+    cells = []
+    for lam in LAMBDAS:
+        for kind in ("ideal", "lightlike"):
+            drawn = 0
+            while drawn < n_per_cell:
+                a, b = np.exp(rng.uniform(math.log(lo), math.log(hi), 2))
+                if lam == 1 and a + b >= math.pi:
+                    continue
+                cells.append((kind, lam, float(a), float(b)))
+                drawn += 1
+    return cells
+
+
+# Cells where the oracle used to exhaust its budget or under-estimate its error.
+_HARD_CELLS = [("lightlike", -1, 0.5, 5.0), ("lightlike", -1, 1.0, 6.0),
+               ("ideal", -1, 0.1, 3.0), ("ideal", -1, 1.0, 5.0),
+               ("lightlike", -1, 0.12245, 5.8172), ("ideal", -1, 0.328, 2.732)]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_quadrature_error_estimate_bounds_true_error(tol):
+    raised = []
+    for cell in _log_uniform_cells(16, 1e-4, 6.0, seed=9) + _HARD_CELLS:
+        try:
+            val, err = volume_quadrature(*cell, tol=tol)
+        except ToleranceNotReached:
+            raised.append(cell)
+            continue
+        with mpmath.workdps(30):
+            true = float(abs(mpmath.mpf(val) - volume_reference(*cell)))
+        assert true <= err <= tol, (cell, true, err)
+    assert not set(raised) & set(_HARD_CELLS), raised
+
+
+def test_sin2_map_keeps_its_digits_near_zero():
+    # The ideal chart puts theta = (alpha / 2) phi(phi(xi)); a phi that rounds
+    # to 0 would put a node on the density's pole.
+    from dualtet.volumes import _sin2, _sin2_twice
+
+    u = np.array([1e-30, 1e-12, 1e-6, 1e-3, 0.05, 0.1249, 0.125, 0.3, 0.5, 0.8, 0.99])
+    phi, dphi = _sin2(u[:, None])
+    with mpmath.workdps(80):
+        for k, x in enumerate(u):
+            z = 2 * mpmath.pi * mpmath.mpf(x)
+            assert phi[k, 0] == pytest.approx(float((z - mpmath.sin(z)) / (2 * mpmath.pi)),
+                                              rel=1e-15)
+            assert dphi[k, 0] == pytest.approx(float(1 - mpmath.cos(z)), rel=1e-14)
+    assert np.all(_sin2_twice(np.array([1e-3, 1e-2]))[0] > 0)
+
+
+def _old_ideal_density(lam, alpha, beta, theta, u):
+    """The ideal chart density as written before: r_edge / (2 (r0 - u r_edge))."""
+    s_a, s_ab, s_b = (_gsin(lam, x) for x in (alpha, alpha + beta, beta))
+    r_edge = s_b * s_ab / (s_a * _gsin(lam, theta + beta))
+    r0 = _gsin(lam, alpha + beta - theta) / s_a
+    return r_edge / (2.0 * (r0 - u * r_edge))
+
+
+def _old_lightlike_density(lam, alpha, beta, t, v):
+    """The lightlike chart density as written before, with arccoth(x) as
+    log((x + 1) / (x - 1)) / 2 at lam = -1."""
+    s_a, s_b = _gsin(lam, alpha), _gsin(lam, beta)
+    a_c, c_c = 0.5 * (s_a / s_b - s_b / s_a), 0.5 * (s_a / s_b + s_b / s_a)
+    b_c = {1: math.cos, -1: math.cosh}.get(lam, lambda x: 1.0)(alpha + beta)
+    d_c = _gsin(lam, alpha + beta)
+    width = 0.5 * math.pi - 2.0 * np.abs(t)
+    s = np.abs(t) + v * width
+    arg = (a_c * np.sin(t) + b_c * np.cos(t) + c_c * np.sin(s)) / (d_c * np.cos(s))
+    if lam == 0:
+        g = (1.0 / arg) ** 3 / 3.0
+    else:
+        if lam == -1:
+            r = 0.5 * np.log((arg + 1.0) / (arg - 1.0))
+        else:
+            r = 0.5 * math.pi - np.arctan(arg)
+        g = (_gsin(lam, 2.0 * r) - 2.0 * r) / (-4.0 * lam)
+    return g * width / np.cos(s) ** 2
+
+
+def _gsin(lam, x):
+    return {1: np.sin, -1: np.sinh}.get(lam, lambda y: y)(x)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_rewritten_densities_match_old_formulas(lam):
+    from dualtet.volumes import _ideal_integrand, _lightlike_integrand
+
+    frac = np.linspace(0.05, 0.95, 13)
+    for alpha, beta in ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4)):
+        theta = alpha * frac[:, None]
+        u = frac[None, :]
+        new = _ideal_integrand(lam, alpha, beta)(theta, 1.0 - u)
+        old = _old_ideal_density(lam, alpha, beta, theta, u)
+        np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
+        t = (0.25 * math.pi) * np.linspace(-0.95, 0.95, 13)[:, None]
+        new = _lightlike_integrand(lam, alpha, beta)(t, frac[None, :])
+        old = _old_lightlike_density(lam, alpha, beta, t, frac[None, :])
+        np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
 
 
 @pytest.mark.parametrize("f, want", [
