@@ -176,7 +176,7 @@ def _chart_coords(tet: Tetrahedron) -> list[np.ndarray]:
 def cmd_mesh(args) -> int:
     tet = _load_tet(args)
     corners = _chart_coords(tet)
-    n = max(1, args.density)
+    n = args.density
     lines = [f"# dualtet mesh lambda={tet.lam} kind={tet.kind} "
              f"alpha={tet.alpha!r} beta={tet.beta!r}"]
     vertices: list[str] = []
@@ -238,6 +238,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`; anything else is a
+    usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def _add_tet_args(p: argparse.ArgumentParser, with_in: bool = True):
     if with_in:
         p.add_argument("--in", dest="infile", help="descriptor JSON file")
@@ -283,21 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mesh", help="affine-chart triangle mesh")
     _add_tet_args(p)
-    p.add_argument("--density", type=int, default=8)
+    p.add_argument("--density", type=_int_at_least(1), default=8)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_mesh)
 
     p = sub.add_parser("plot", help="CSV sweep of volumes over a parameter grid")
     p.add_argument("--lambda", dest="lam", type=int, choices=(-1, 0, 1), required=True)
     p.add_argument("--kind", choices=("lightlike", "ideal", "both"), default="lightlike")
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=_int_at_least(1), default=20)
     p.add_argument("--amin", type=float, default=0.1)
     p.add_argument("--amax", type=float, default=1.2)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("verify", help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--suites", help="comma-separated subset of "
                                     + ",".join(SUITES))
     p.set_defaults(fn=cmd_verify)

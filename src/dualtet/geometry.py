@@ -103,16 +103,17 @@ def _dual_kernel(vectors) -> np.ndarray:
 
 
 def model_coords(space: str, rep: Mat2) -> np.ndarray:
+    f = rep.flat
     if check_space(space) == SPACE_X:
-        return np.array([rep.a.im, rep.b.im, rep.c.im])
-    return np.array([rep.a.re, rep.b.re, rep.b.im])
+        return np.array([f[1], f[3], f[5]])
+    return np.array([f[0], f[2], f[3]])
 
 
 def model_from_coords(space: str, coords, lam: int) -> Mat2:
     m1, m2, m3 = (float(x) for x in coords)
     if check_space(space) == SPACE_X:
-        return Mat2(GC(0, m1, lam), GC(0, m2, lam), GC(0, m3, lam), GC(0, -m1, lam))
-    return Mat2(GC(m1, 0, lam), GC(m2, m3, lam), GC(m2, -m3, lam), GC(-m1, 0, lam))
+        return Mat2.from_flat((0, m1, 0, m2, 0, m3, 0, -m1), lam)
+    return Mat2.from_flat((m1, 0, m2, m3, m2, -m3, -m1, 0), lam)
 
 
 def model_gram(space: str, lam: int) -> np.ndarray:

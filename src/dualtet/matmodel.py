@@ -11,12 +11,17 @@ A > x = A x A^circ on X and B > y = B y B^dag on Y.
 Tangent vectors at the identity are traceless hermitian matrices for the
 matching involution; a tangent at a general base point is stored as the
 pair (base isometry, model vector at the identity).
+
+A `Mat2` stores its four entries as eight numbers and one curvature tag,
+and does its arithmetic on those numbers in the order `GC` would, so its
+results are those of entrywise `GC` arithmetic bit for bit.  Scalar `GC`s
+are built only where a caller reads an entry, a determinant or a trace.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .errors import (
     LambdaMismatch,
     NormalizationFailure,
 )
-from .gcnum import GC, check_lambda, gc
+from .gcnum import GC, check_lambda
 
 SPACE_X = "X"
 SPACE_Y = "Y"
@@ -40,24 +45,91 @@ def check_space(space: str) -> str:
     return space
 
 
-@dataclass(frozen=True)
+def _mat(flat: tuple, lam: int) -> "Mat2":
+    """Matrix on eight numbers whose tag is already checked."""
+    m = _new(Mat2)
+    _set_flat(m, flat)
+    _set_lam(m, lam)
+    return m
+
+
+def _det(flat: tuple, lam: int) -> tuple:
+    """(re, im) of a*d - b*c, evaluated as `GC` evaluates it."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return ((a0 * d0 - lam * a1 * d1) - (b0 * c0 - lam * b1 * c1),
+            (a0 * d1 + d0 * a1) - (b0 * c1 + c0 * b1))
+
+
+def _mixed(lam1: int, lam2: int) -> LambdaMismatch:
+    return LambdaMismatch(f"mixed curvature tags {lam1} and {lam2}")
+
+
 class Mat2:
-    """2x2 matrix over the algebra, row-major entries a, b, c, d."""
+    """2x2 matrix over the algebra, row-major entries a, b, c, d.
 
-    a: GC
-    b: GC
-    c: GC
-    d: GC
+    The entries live in one tuple of eight numbers, `flat = (a.re, a.im,
+    b.re, b.im, c.re, c.im, d.re, d.im)`, beside one curvature tag `lam`
+    that is checked once per matrix; numbers are kept as passed, not
+    coerced.  Every operation is written out on these numbers as `GC` would
+    evaluate it entry by entry, term for term and in the same order, so
+    each result is bit-for-bit the one of `GC` arithmetic.  Operations on
+    two matrices, or on a matrix and a `GC`, compare the tags and raise
+    `LambdaMismatch` on a mix.
 
-    def __post_init__(self):
-        lam = self.a.lam
-        for e in (self.b, self.c, self.d):
-            if e.lam != lam:
-                raise LambdaMismatch("matrix entries carry mixed curvature tags")
+    `GC`s are built only when a caller asks for them: `a`, `b`, `c`, `d`,
+    `entries`, `det` and `tr` return them.  `Mat2(a, b, c, d)` takes four
+    `GC`s of one tag; `from_flat` takes the eight numbers.  A matrix is
+    immutable, and equal matrices hash equal.
+    """
+
+    __slots__ = ("flat", "lam")
+
+    def __init__(self, a: GC, b: GC, c: GC, d: GC):
+        lam = a.lam
+        if b.lam != lam or c.lam != lam or d.lam != lam:
+            raise LambdaMismatch("matrix entries carry mixed curvature tags")
+        _set_flat(self, (a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im))
+        _set_lam(self, lam)
+
+    @classmethod
+    def from_flat(cls, flat, lam: int) -> "Mat2":
+        flat = tuple(flat)
+        if len(flat) != 8:
+            raise DomainError(f"a matrix needs eight numbers, got {len(flat)}")
+        return _mat(flat, check_lambda(lam))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _mat, (self.flat, self.lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lam == other.lam and self.flat == other.flat
+
+    def __hash__(self):
+        return hash((self.flat, self.lam))
 
     @property
-    def lam(self) -> int:
-        return self.a.lam
+    def a(self) -> GC:
+        return GC(self.flat[0], self.flat[1], self.lam)
+
+    @property
+    def b(self) -> GC:
+        return GC(self.flat[2], self.flat[3], self.lam)
+
+    @property
+    def c(self) -> GC:
+        return GC(self.flat[4], self.flat[5], self.lam)
+
+    @property
+    def d(self) -> GC:
+        return GC(self.flat[6], self.flat[7], self.lam)
 
     @property
     def entries(self) -> tuple[GC, GC, GC, GC]:
@@ -65,90 +137,143 @@ class Mat2:
 
     @classmethod
     def identity(cls, lam: int) -> "Mat2":
-        one, zero = gc(1, 0, lam), gc(0, 0, lam)
-        return cls(one, zero, zero, one)
+        return _mat((1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), check_lambda(lam))
 
     @classmethod
     def from_real(cls, rows, lam: int) -> "Mat2":
         (a, b), (c, d) = rows
-        return cls(gc(a, 0, lam), gc(b, 0, lam), gc(c, 0, lam), gc(d, 0, lam))
+        return _mat((float(a), 0.0, float(b), 0.0, float(c), 0.0, float(d), 0.0),
+                    check_lambda(lam))
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        lam = self.lam
+        if other.lam != lam:
+            raise _mixed(lam, other.lam)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        e0, e1, f0, f1, g0, g1, h0, h1 = other.flat
+        return _mat((a0 + e0, a1 + e1, b0 + f0, b1 + f1,
+                     c0 + g0, c1 + g1, d0 + h0, d1 + h1), lam)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        lam = self.lam
+        if other.lam != lam:
+            raise _mixed(lam, other.lam)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        e0, e1, f0, f1, g0, g1, h0, h1 = other.flat
+        return _mat((a0 - e0, a1 - e1, b0 - f0, b1 - f1,
+                     c0 - g0, c1 - g1, d0 - h0, d1 - h1), lam)
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        return _mat((-a0, -a1, -b0, -b1, -c0, -c1, -d0, -d1), self.lam)
 
     def __mul__(self, s) -> "Mat2":
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        lam = self.lam
+        if isinstance(s, (int, float)):
+            return _mat((a0 * s, a1 * s, b0 * s, b1 * s, c0 * s, c1 * s, d0 * s, d1 * s), lam)
+        if not isinstance(s, GC):
+            raise TypeError(f"cannot scale Mat2 by {type(s)!r}")
+        if s.lam != lam:
+            raise _mixed(lam, s.lam)
+        # (x + l y)(sr + l si) = (x sr - lam y si) + l (x si + sr y)
+        sr, si = s.re, s.im
+        return _mat((a0 * sr - lam * a1 * si, a0 * si + sr * a1,
+                     b0 * sr - lam * b1 * si, b0 * si + sr * b1,
+                     c0 * sr - lam * c1 * si, c0 * si + sr * c1,
+                     d0 * sr - lam * d1 * si, d0 * si + sr * d1), lam)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        lam = self.lam
+        if other.lam != lam:
+            raise _mixed(lam, other.lam)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        e0, e1, f0, f1, g0, g1, h0, h1 = other.flat
+        # Entry (i, j) is the `GC` sum (p) + (q) of the two products of row i
+        # and column j.
+        return _mat((
+            (a0 * e0 - lam * a1 * e1) + (b0 * g0 - lam * b1 * g1),
+            (a0 * e1 + e0 * a1) + (b0 * g1 + g0 * b1),
+            (a0 * f0 - lam * a1 * f1) + (b0 * h0 - lam * b1 * h1),
+            (a0 * f1 + f0 * a1) + (b0 * h1 + h0 * b1),
+            (c0 * e0 - lam * c1 * e1) + (d0 * g0 - lam * d1 * g1),
+            (c0 * e1 + e0 * c1) + (d0 * g1 + g0 * d1),
+            (c0 * f0 - lam * c1 * f1) + (d0 * h0 - lam * d1 * h1),
+            (c0 * f1 + f0 * c1) + (d0 * h1 + h0 * d1),
+        ), lam)
 
     def det(self) -> GC:
-        return self.a * self.d - self.b * self.c
+        return GC(*_det(self.flat, self.lam), self.lam)
 
     def tr(self) -> GC:
-        return self.a + self.d
+        f = self.flat
+        return GC(f[0] + f[6], f[1] + f[7], self.lam)
 
     def conj(self) -> "Mat2":
-        return Mat2(self.a.conj(), self.b.conj(), self.c.conj(), self.d.conj())
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        return _mat((a0, -a1, b0, -b1, c0, -c1, d0, -d1), self.lam)
 
     def circ(self) -> "Mat2":
         """Involution swapping the diagonal with conjugation and negating
         the conjugated off-diagonal."""
-        return Mat2(self.d.conj(), -self.b.conj(), -self.c.conj(), self.a.conj())
+        # -conj(b) = -b.re + l b.im: the double negation of b.im is exact.
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        return _mat((d0, -d1, -b0, b1, -c0, c1, a0, -a1), self.lam)
 
     def dag(self) -> "Mat2":
         """Conjugate transpose."""
-        return Mat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        return _mat((a0, -a1, c0, -c1, b0, -b1, d0, -d1), self.lam)
 
     def adj(self) -> "Mat2":
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        return _mat((d0, d1, -b0, -b1, -c0, -c1, a0, a1), self.lam)
 
     def inv(self) -> "Mat2":
         return self.adj() * self.det().inv()
 
     def traceless(self) -> "Mat2":
-        h = self.tr() * 0.5
-        return Mat2(self.a - h, self.b, self.c, self.d - h)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        h0, h1 = (a0 + d0) * 0.5, (a1 + d1) * 0.5
+        return _mat((a0 - h0, a1 - h1, b0, b1, c0, c1, d0 - h0, d1 - h1), self.lam)
 
     def re_rows(self) -> list[list[float]]:
-        return [[self.a.re, self.b.re], [self.c.re, self.d.re]]
+        f = self.flat
+        return [[f[0], f[2]], [f[4], f[6]]]
 
     def im_rows(self) -> list[list[float]]:
-        return [[self.a.im, self.b.im], [self.c.im, self.d.im]]
+        f = self.flat
+        return [[f[1], f[3]], [f[5], f[7]]]
 
     def det_im(self) -> float:
         """Determinant of the matrix of imaginary parts."""
-        return self.a.im * self.d.im - self.b.im * self.c.im
+        f = self.flat
+        return f[1] * f[7] - f[3] * f[5]
 
     def frob_sq(self) -> float:
-        return sum(e.re * e.re + e.im * e.im for e in self.entries)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
+        # `sum`, not `+`: it rounds as the old sum over entries did on every
+        # Python version (3.12 made `sum` of floats compensated).
+        return sum((a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, c0 * c0 + c1 * c1, d0 * d0 + d1 * d1))
 
     def isclose(self, other: "Mat2", tol: float = 1e-12) -> bool:
         scale = max(1.0, math.sqrt(self.frob_sq()), math.sqrt(other.frob_sq()))
-        return all(
-            abs(x.re - y.re) <= tol * scale and abs(x.im - y.im) <= tol * scale
-            for x, y in zip(self.entries, other.entries)
-        )
+        for x, y in zip(self.flat, other.flat):
+            if not abs(x - y) <= tol * scale:
+                return False
+        return True
 
     def __repr__(self):
-        def fmt(z):
-            return f"{z.re:.6g}{z.im:+.6g}l"
+        f = self.flat
+        a, b, c, d = (f"{f[k]:.6g}{f[k + 1]:+.6g}l" for k in range(0, 8, 2))
+        return f"Mat2[[{a}, {b}], [{c}, {d}]; lam={self.lam}]"
 
-        return (f"Mat2[[{fmt(self.a)}, {fmt(self.b)}], "
-                f"[{fmt(self.c)}, {fmt(self.d)}]; lam={self.lam}]")
+
+_new = object.__new__
+_set_flat = Mat2.flat.__set__
+_set_lam = Mat2.lam.__set__
 
 
 def involution(m: Mat2, space: str) -> Mat2:
@@ -170,30 +295,25 @@ def embed(v, space: str, lam: int) -> Mat2:
     check_lambda(lam)
     v1, v2, v3, v4 = (float(x) for x in v)
     if space == SPACE_X:
-        return Mat2(
-            GC(v2, v4, lam), GC(0.0, v3 - v1, lam),
-            GC(0.0, v3 + v1, lam), GC(v2, -v4, lam),
-        )
-    return Mat2(
-        GC(v1 + v3, 0.0, lam), GC(v4, v2, lam),
-        GC(v4, -v2, lam), GC(v1 - v3, 0.0, lam),
-    )
+        return _mat((v2, v4, 0.0, v3 - v1, 0.0, v3 + v1, v2, -v4), lam)
+    return _mat((v1 + v3, 0.0, v4, v2, v4, -v2, v1 - v3, 0.0), lam)
 
 
 def unembed(m: Mat2, space: str) -> np.ndarray:
     """Inverse of `embed` on hermitian matrices (non-hermitian parts are
     discarded by symmetrization)."""
     check_space(space)
+    a0, a1, b0, b1, c0, c1, d0, d1 = m.flat
     if space == SPACE_X:
-        x2 = 0.5 * (m.a.re + m.d.re)
-        x4 = 0.5 * (m.a.im - m.d.im)
-        x3 = 0.5 * (m.b.im + m.c.im)
-        x1 = 0.5 * (m.c.im - m.b.im)
+        x2 = 0.5 * (a0 + d0)
+        x4 = 0.5 * (a1 - d1)
+        x3 = 0.5 * (b1 + c1)
+        x1 = 0.5 * (c1 - b1)
         return np.array([x1, x2, x3, x4])
-    y1 = 0.5 * (m.a.re + m.d.re)
-    y3 = 0.5 * (m.a.re - m.d.re)
-    y4 = 0.5 * (m.b.re + m.c.re)
-    y2 = 0.5 * (m.b.im - m.c.im)
+    y1 = 0.5 * (a0 + d0)
+    y3 = 0.5 * (a0 - d0)
+    y4 = 0.5 * (b0 + c0)
+    y2 = 0.5 * (b1 - c1)
     return np.array([y1, y2, y3, y4])
 
 
@@ -220,15 +340,16 @@ class Isometry:
     rep: Mat2
 
     def __post_init__(self):
-        d = self.rep.det()
-        m = d.mod_sq()
-        if m <= 1e-24 * max(1.0, self.rep.frob_sq() ** 2):
+        rep, lam = self.rep, self.rep.lam
+        d_re, d_im = _det(rep.flat, lam)
+        m = d_re * d_re + lam * d_im * d_im  # det * conj(det), as `GC.mod_sq`
+        if m <= 1e-24 * max(1.0, rep.frob_sq() ** 2):
             raise NormalizationFailure(f"|det|^2 = {m} is not positive: not an isometry")
         # Scale so |det|^2 = 1; a real positive factor keeps the class.
         # Skipped when already normalized so reloading a representative is
         # bit-stable.
         if abs(m - 1.0) > 1e-12:
-            object.__setattr__(self, "rep", self.rep * (m ** -0.25))
+            object.__setattr__(self, "rep", rep * (m ** -0.25))
 
     @property
     def lam(self) -> int:
@@ -265,14 +386,14 @@ def _canonical_point_rep(m: Mat2, space: str) -> Mat2:
     sign by tr >= 0, breaking tr = 0 ties by the first nonzero coordinate."""
     if not is_hermitian(m, space, 1e-7):
         raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
-    d = m.det()
+    d_re, d_im = _det(m.flat, m.lam)
     scale = max(m.frob_sq(), 1e-300)
-    if abs(d.im) > 1e-7 * scale:
+    if abs(d_im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
-    if d.re <= 1e-14 * scale:
-        raise NormalizationFailure(f"representative has non-positive determinant {d.re}")
-    m = m * (1.0 / math.sqrt(d.re))
-    t = m.tr().re
+    if d_re <= 1e-14 * scale:
+        raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
+    m = m * (1.0 / math.sqrt(d_re))
+    t = m.flat[0] + m.flat[6]
     if t < 0:
         m = -m
     elif abs(t) <= 1e-12:
@@ -328,12 +449,12 @@ class Point:
 def _model_inner(space: str, m1: Mat2, m2: Mat2) -> float:
     """Invariant bilinear form on the model tangent space at the identity,
     obtained by polarizing -det(Im .) for X and -det(.) for Y."""
+    f1, f2 = m1.flat, m2.flat
     if space == SPACE_X:
         # X = l*M with M real traceless: <X1, X2> = m1 n1 + (m2 n3 + m3 n2)/2
-        return (m1.a.im * m2.a.im
-                + 0.5 * (m1.b.im * m2.c.im + m1.c.im * m2.b.im))
-    a1, b1, c1 = m1.a.re, m1.b.re, m1.b.im
-    a2, b2, c2 = m2.a.re, m2.b.re, m2.b.im
+        return f1[1] * f2[1] + 0.5 * (f1[3] * f2[5] + f1[5] * f2[3])
+    a1, b1, c1 = f1[0], f1[2], f1[3]
+    a2, b2, c2 = f2[0], f2[2], f2[3]
     return a1 * a2 + b1 * b2 + m1.lam * c1 * c2
 
 

@@ -652,10 +652,10 @@ def _contains_lightlike(t: Tetrahedron, p: Point, tol: float) -> bool:
     if math.sqrt(s_part.frob_sq()) <= tol * scale:
         return True  # the vertex at the origin
     # Orient the representative so the radial sine coefficient is positive.
-    if s_part.a.im < 0:
+    if s_part.flat[1] < 0:
         m, s_part = -m, -s_part
-    c = 0.5 * m.tr().re
-    m1, m2, m3 = s_part.a.im, s_part.b.im, s_part.c.im
+    c = 0.5 * (m.flat[0] + m.flat[6])
+    m1, m2, m3 = s_part.flat[1], s_part.flat[3], s_part.flat[5]
     if m1 <= tol * scale:
         return False
     a = -m2 / (2.0 * m1)
@@ -694,11 +694,12 @@ def _contains_ideal(t: Tetrahedron, p: Point, tol: float) -> bool:
         raise DomainError("point lives in the wrong space")
     lam = t.lam
     q = act(t.pose.inv(), p)
-    m = q.rep if q.rep.d.re > 0 else -q.rep
-    if abs(m.d.re) <= 1e-12 * math.sqrt(m.frob_sq()) or abs(m.d.im) > 1e-9 * math.sqrt(m.frob_sq()):
+    m = q.rep if q.rep.flat[6] > 0 else -q.rep
+    _a_re, _a_im, b_re, b_im, _c_re, _c_im, d_re, d_im = m.flat
+    if abs(d_re) <= 1e-12 * math.sqrt(m.frob_sq()) or abs(d_im) > 1e-9 * math.sqrt(m.frob_sq()):
         raise ChartInversionFailure("horospherical chart breaks down at this point")
-    tval = 1.0 / m.d.re
-    z = GC(m.b.re * tval, m.b.im * tval, lam)
+    tval = 1.0 / d_re
+    z = GC(b_re * tval, b_im * tval, lam)
     w = z + exp_ell(lam, t.gamma) * (gsin(lam, t.beta) / gsin(lam, t.alpha))
     wnorm = math.hypot(w.re, w.im)
     if wnorm <= tol:

@@ -169,6 +169,21 @@ def test_plot_row_count(capsys):
         assert all(x < y for x, y in zip(seq, seq[1:]))
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--seed", "-1"), "--seed"),
+    (("plot", "--lambda", "1", "--grid", "0"), "--grid"),
+    (("plot", "--lambda", "1", "--grid", "-2"), "--grid"),
+    (("mesh", "--lambda", "0", "--alpha", "1", "--beta", "1", "--density", "-3"), "--density"),
+    (("mesh", "--lambda", "0", "--alpha", "1", "--beta", "1", "--density", "0"), "--density"),
+])
+def test_out_of_range_counts_and_seeds_exit_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: must be an integer >=" in captured.err
+
+
 def test_missing_file_exit_4(capsys):
     code, _, err = run_cli(capsys, "info", "--in", "/nonexistent/path.json")
     assert code == 4

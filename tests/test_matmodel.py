@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from dualtet import (
     tangent_metric,
     unembed,
 )
-from dualtet.errors import BaseMismatch, NormalizationFailure
+from dualtet.errors import BaseMismatch, LambdaMismatch, NormalizationFailure, ZeroDivisor
 from dualtet.geometry import geodesic_from_tangent, stabilizer_element
 from dualtet.matmodel import _model_inner
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent, taylor_exp
@@ -334,3 +337,177 @@ def test_mat_exp_traceless_lightlike_is_affine():
         n = Mat2(gc(0, 0, lam), gc(0, 0, lam), gc(0, 1, lam), gc(0, 0, lam))
         e = mat_exp_traceless(n * 1.7)
         assert e.isclose(Mat2.identity(lam) + n * 1.7, 1e-12)
+
+
+# -- flat storage against GC entries ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _GCMat2:
+    """Reference for `Mat2`: the matrix as four `GC` entries, each operation
+    written with `GC` arithmetic.  The flat storage must match it bit for bit."""
+
+    a: GC
+    b: GC
+    c: GC
+    d: GC
+
+    def __post_init__(self):
+        if any(e.lam != self.a.lam for e in (self.b, self.c, self.d)):
+            raise LambdaMismatch("matrix entries carry mixed curvature tags")
+
+    @property
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def __add__(self, other):
+        return _GCMat2(*(x + y for x, y in zip(self.entries, other.entries)))
+
+    def __sub__(self, other):
+        return _GCMat2(*(x - y for x, y in zip(self.entries, other.entries)))
+
+    def __neg__(self):
+        return _GCMat2(*(-x for x in self.entries))
+
+    def __mul__(self, s):
+        return _GCMat2(*(x * s for x in self.entries))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        return _GCMat2(self.a * other.a + self.b * other.c, self.a * other.b + self.b * other.d,
+                       self.c * other.a + self.d * other.c, self.c * other.b + self.d * other.d)
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def tr(self):
+        return self.a + self.d
+
+    def conj(self):
+        return _GCMat2(*(x.conj() for x in self.entries))
+
+    def circ(self):
+        return _GCMat2(self.d.conj(), -self.b.conj(), -self.c.conj(), self.a.conj())
+
+    def dag(self):
+        return _GCMat2(self.a.conj(), self.c.conj(), self.b.conj(), self.d.conj())
+
+    def adj(self):
+        return _GCMat2(self.d, -self.b, -self.c, self.a)
+
+    def inv(self):
+        return self.adj() * self.det().inv()
+
+    def traceless(self):
+        h = self.tr() * 0.5
+        return _GCMat2(self.a - h, self.b, self.c, self.d - h)
+
+    def re_rows(self):
+        return [[self.a.re, self.b.re], [self.c.re, self.d.re]]
+
+    def im_rows(self):
+        return [[self.a.im, self.b.im], [self.c.im, self.d.im]]
+
+    def det_im(self):
+        return self.a.im * self.d.im - self.b.im * self.c.im
+
+    def frob_sq(self):
+        return sum(e.re * e.re + e.im * e.im for e in self.entries)
+
+    def isclose(self, other, tol=1e-12):
+        scale = max(1.0, math.sqrt(self.frob_sq()), math.sqrt(other.frob_sq()))
+        return all(abs(x.re - y.re) <= tol * scale and abs(x.im - y.im) <= tol * scale
+                   for x, y in zip(self.entries, other.entries))
+
+
+def _bits(value):
+    """Every number in a result as (type name, float.hex), so ints, signed
+    zeros and last bits all count."""
+    if isinstance(value, (Mat2, _GCMat2)):
+        return [_bits(e) for e in value.entries]
+    if isinstance(value, GC):
+        return [_bits(value.re), _bits(value.im), value.lam]
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    return (type(value).__name__, float(value).hex())
+
+
+def _outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except ZeroDivisor as exc:
+        return ("raises", str(exc))
+
+
+def _draw_number(rng):
+    """An int, a signed zero, or a float of either sign from 1e-8 to 1e8."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return int(rng.integers(-3, 4))
+    if kind == 1:
+        return float(rng.choice([0.0, -0.0]))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8))
+
+
+_MAT2_OPS = {
+    "add": lambda m, n, s, z: m + n,
+    "sub": lambda m, n, s, z: m - n,
+    "neg": lambda m, n, s, z: -m,
+    "mul_real": lambda m, n, s, z: m * s,
+    "rmul_real": lambda m, n, s, z: s * m,
+    "mul_gc": lambda m, n, s, z: m * z,
+    "matmul": lambda m, n, s, z: m @ n,
+    "det": lambda m, n, s, z: m.det(),
+    "tr": lambda m, n, s, z: m.tr(),
+    "conj": lambda m, n, s, z: m.conj(),
+    "circ": lambda m, n, s, z: m.circ(),
+    "dag": lambda m, n, s, z: m.dag(),
+    "adj": lambda m, n, s, z: m.adj(),
+    "inv": lambda m, n, s, z: m.inv(),
+    "traceless": lambda m, n, s, z: m.traceless(),
+    "frob_sq": lambda m, n, s, z: m.frob_sq(),
+    "isclose": lambda m, n, s, z: m.isclose(n),
+    "isclose_self": lambda m, n, s, z: m.isclose(m + n * 1e-14),
+    "re_rows": lambda m, n, s, z: m.re_rows(),
+    "im_rows": lambda m, n, s, z: m.im_rows(),
+    "det_im": lambda m, n, s, z: m.det_im(),
+}
+
+
+def test_flat_mat2_matches_gc_entries_bit_for_bit():
+    rng = np.random.default_rng(1111)
+    for lam in LAMBDAS:
+        for _ in range(300):
+            nums = [_draw_number(rng) for _ in range(18)]
+            m_gc = [GC(nums[2 * k], nums[2 * k + 1], lam) for k in range(4)]
+            n_gc = [GC(nums[2 * k + 8], nums[2 * k + 9], lam) for k in range(4)]
+            s, z = nums[16], GC(nums[17], _draw_number(rng), lam)
+            flat = (Mat2(*m_gc), Mat2(*n_gc), s, z)
+            ref = (_GCMat2(*m_gc), _GCMat2(*n_gc), s, z)
+            for name, op in _MAT2_OPS.items():
+                assert _outcome(op, *flat) == _outcome(op, *ref), (name, lam, nums)
+
+
+def test_flat_mat2_keeps_tags_immutability_and_hashing():
+    m = rand_mat(np.random.default_rng(5), 1)
+    other = Mat2.identity(-1)
+    for op in (lambda: m + other, lambda: m - other, lambda: m @ other,
+               lambda: other @ m, lambda: m * gc(2, 1, 0)):
+        with pytest.raises(LambdaMismatch):
+            op()
+    with pytest.raises(LambdaMismatch):
+        Mat2(gc(1, 0, 1), gc(0, 0, 1), gc(0, 0, 0), gc(1, 0, 1))
+    for name in ("flat", "lam", "a"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
+    twin = Mat2(*m.entries)
+    assert twin == m and hash(twin) == hash(m) and twin is not m
+    ints = Mat2(GC(0, 1, 0), GC(2, -0.0, 0), GC(0, 0, 0), GC(1, 0, 0))
+    floats = Mat2.from_flat((0.0, 1.0, 2.0, 0.0, -0.0, 0.0, 1.0, 0.0), 0)
+    assert ints == floats and hash(ints) == hash(floats)
+    assert m != Mat2(*m.entries[:3], m.d + 1.0)
+    assert Mat2.from_flat(m.flat, 1) == m
+    assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
