@@ -54,16 +54,23 @@ class GC:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return GC(self.re + other.re, self.im + other.im, self.lam)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return GC(self.re - other.re, self.im - other.im, self.lam)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __neg__(self):
         return GC(-self.re, -self.im, self.lam)
@@ -72,6 +79,8 @@ class GC:
         if isinstance(other, (int, float)):
             return GC(self.re * other, self.im * other, self.lam)
         other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         # (x1 + l y1)(x2 + l y2) = (x1 x2 - lam y1 y2) + l (x1 y2 + x2 y1)
         return GC(
             self.re * other.re - self.lam * self.im * other.im,
@@ -84,15 +93,21 @@ class GC:
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
             return GC(self.re / other, self.im / other, self.lam)
-        return self * self._coerce(other).inv()
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inv()
 
-    def _coerce(self, other) -> "GC":
+    def _coerce(self, other) -> "GC | None":
+        """`other` as an element of this algebra, or None for a type the
+        algebra does not know, on which the operators return
+        `NotImplemented` so that Python asks the other operand."""
         if isinstance(other, GC):
             check_same_lambda(self, other)
             return other
         if isinstance(other, (int, float)):
             return GC(float(other), 0.0, self.lam)
-        raise TypeError(f"cannot combine GC with {type(other)!r}")
+        return None
 
     # -- conjugation, modulus, inverse --------------------------------------
 

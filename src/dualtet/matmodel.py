@@ -16,6 +16,9 @@ A `Mat2` stores its four entries as eight numbers and one curvature tag,
 and does its arithmetic on those numbers in the order `GC` would, so its
 results are those of entrywise `GC` arithmetic bit for bit.  Scalar `GC`s
 are built only where a caller reads an entry, a determinant or a trace.
+The same arithmetic is written once on bare tuples of eight numbers
+(`_matmul`, `_push`, `_canonical`, `_exp_traceless`, ...); `Mat2`, `push`,
+`Point` and the per-point chart loops of `tetrahedra` all go through it.
 """
 
 from __future__ import annotations
@@ -53,11 +56,77 @@ def _mat(flat: tuple, lam: int) -> "Mat2":
     return m
 
 
+# -- arithmetic on the eight numbers ---------------------------------------------
+#
+# `Mat2` and the per-point loops of `tetrahedra` share these, so a matrix and a
+# bare tuple round alike.
+
+
 def _det(flat: tuple, lam: int) -> tuple:
     """(re, im) of a*d - b*c, evaluated as `GC` evaluates it."""
     a0, a1, b0, b1, c0, c1, d0, d1 = flat
     return ((a0 * d0 - lam * a1 * d1) - (b0 * c0 - lam * b1 * c1),
             (a0 * d1 + d0 * a1) - (b0 * c1 + c0 * b1))
+
+
+def _matmul(p: tuple, q: tuple, lam: int) -> tuple:
+    """The product p q; entry (i, j) is the `GC` sum (p) + (q) of the two
+    products of row i and column j."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = p
+    e0, e1, f0, f1, g0, g1, h0, h1 = q
+    return (
+        (a0 * e0 - lam * a1 * e1) + (b0 * g0 - lam * b1 * g1),
+        (a0 * e1 + e0 * a1) + (b0 * g1 + g0 * b1),
+        (a0 * f0 - lam * a1 * f1) + (b0 * h0 - lam * b1 * h1),
+        (a0 * f1 + f0 * a1) + (b0 * h1 + h0 * b1),
+        (c0 * e0 - lam * c1 * e1) + (d0 * g0 - lam * d1 * g1),
+        (c0 * e1 + e0 * c1) + (d0 * g1 + g0 * d1),
+        (c0 * f0 - lam * c1 * f1) + (d0 * h0 - lam * d1 * h1),
+        (c0 * f1 + f0 * c1) + (d0 * h1 + h0 * d1),
+    )
+
+
+def _scaled(flat: tuple, s) -> tuple:
+    """Every number times the real s."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (a0 * s, a1 * s, b0 * s, b1 * s, c0 * s, c1 * s, d0 * s, d1 * s)
+
+
+def _neg(flat: tuple) -> tuple:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (-a0, -a1, -b0, -b1, -c0, -c1, -d0, -d1)
+
+
+def _circ(flat: tuple) -> tuple:
+    # -conj(b) = -b.re + l b.im: the double negation of b.im is exact.
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (d0, -d1, -b0, b1, -c0, c1, a0, -a1)
+
+
+def _dag(flat: tuple) -> tuple:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (a0, -a1, c0, -c1, b0, -b1, d0, -d1)
+
+
+def _traceless(flat: tuple) -> tuple:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    h0, h1 = (a0 + d0) * 0.5, (a1 + d1) * 0.5
+    return (a0 - h0, a1 - h1, b0, b1, c0, c1, d0 - h0, d1 - h1)
+
+
+def _frob_sq(flat: tuple) -> float:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    # `sum`, not `+`: it rounds as the old sum over entries did on every
+    # Python version (3.12 made `sum` of floats compensated).
+    return sum((a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, c0 * c0 + c1 * c1, d0 * d0 + d1 * d1))
+
+
+def _isclose(p: tuple, q: tuple, tol: float) -> bool:
+    bound = tol * max(1.0, math.sqrt(_frob_sq(p)), math.sqrt(_frob_sq(q)))
+    for x, y in zip(p, q):
+        if not abs(x - y) <= bound:
+            return False
+    return True
 
 
 def _mixed(lam1: int, lam2: int) -> LambdaMismatch:
@@ -164,18 +233,17 @@ class Mat2:
                      c0 - g0, c1 - g1, d0 - h0, d1 - h1), lam)
 
     def __neg__(self) -> "Mat2":
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        return _mat((-a0, -a1, -b0, -b1, -c0, -c1, -d0, -d1), self.lam)
+        return _mat(_neg(self.flat), self.lam)
 
     def __mul__(self, s) -> "Mat2":
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
         lam = self.lam
         if isinstance(s, (int, float)):
-            return _mat((a0 * s, a1 * s, b0 * s, b1 * s, c0 * s, c1 * s, d0 * s, d1 * s), lam)
+            return _mat(_scaled(self.flat, s), lam)
         if not isinstance(s, GC):
             raise TypeError(f"cannot scale Mat2 by {type(s)!r}")
         if s.lam != lam:
             raise _mixed(lam, s.lam)
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
         # (x + l y)(sr + l si) = (x sr - lam y si) + l (x si + sr y)
         sr, si = s.re, s.im
         return _mat((a0 * sr - lam * a1 * si, a0 * si + sr * a1,
@@ -189,20 +257,7 @@ class Mat2:
         lam = self.lam
         if other.lam != lam:
             raise _mixed(lam, other.lam)
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        e0, e1, f0, f1, g0, g1, h0, h1 = other.flat
-        # Entry (i, j) is the `GC` sum (p) + (q) of the two products of row i
-        # and column j.
-        return _mat((
-            (a0 * e0 - lam * a1 * e1) + (b0 * g0 - lam * b1 * g1),
-            (a0 * e1 + e0 * a1) + (b0 * g1 + g0 * b1),
-            (a0 * f0 - lam * a1 * f1) + (b0 * h0 - lam * b1 * h1),
-            (a0 * f1 + f0 * a1) + (b0 * h1 + h0 * b1),
-            (c0 * e0 - lam * c1 * e1) + (d0 * g0 - lam * d1 * g1),
-            (c0 * e1 + e0 * c1) + (d0 * g1 + g0 * d1),
-            (c0 * f0 - lam * c1 * f1) + (d0 * h0 - lam * d1 * h1),
-            (c0 * f1 + f0 * c1) + (d0 * h1 + h0 * d1),
-        ), lam)
+        return _mat(_matmul(self.flat, other.flat, lam), lam)
 
     def det(self) -> GC:
         return GC(*_det(self.flat, self.lam), self.lam)
@@ -218,14 +273,11 @@ class Mat2:
     def circ(self) -> "Mat2":
         """Involution swapping the diagonal with conjugation and negating
         the conjugated off-diagonal."""
-        # -conj(b) = -b.re + l b.im: the double negation of b.im is exact.
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        return _mat((d0, -d1, -b0, b1, -c0, c1, a0, -a1), self.lam)
+        return _mat(_circ(self.flat), self.lam)
 
     def dag(self) -> "Mat2":
         """Conjugate transpose."""
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        return _mat((a0, -a1, c0, -c1, b0, -b1, d0, -d1), self.lam)
+        return _mat(_dag(self.flat), self.lam)
 
     def adj(self) -> "Mat2":
         a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
@@ -235,9 +287,7 @@ class Mat2:
         return self.adj() * self.det().inv()
 
     def traceless(self) -> "Mat2":
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        h0, h1 = (a0 + d0) * 0.5, (a1 + d1) * 0.5
-        return _mat((a0 - h0, a1 - h1, b0, b1, c0, c1, d0 - h0, d1 - h1), self.lam)
+        return _mat(_traceless(self.flat), self.lam)
 
     def re_rows(self) -> list[list[float]]:
         f = self.flat
@@ -253,17 +303,10 @@ class Mat2:
         return f[1] * f[7] - f[3] * f[5]
 
     def frob_sq(self) -> float:
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        # `sum`, not `+`: it rounds as the old sum over entries did on every
-        # Python version (3.12 made `sum` of floats compensated).
-        return sum((a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, c0 * c0 + c1 * c1, d0 * d0 + d1 * d1))
+        return _frob_sq(self.flat)
 
     def isclose(self, other: "Mat2", tol: float = 1e-12) -> bool:
-        scale = max(1.0, math.sqrt(self.frob_sq()), math.sqrt(other.frob_sq()))
-        for x, y in zip(self.flat, other.flat):
-            if not abs(x - y) <= tol * scale:
-                return False
-        return True
+        return _isclose(self.flat, other.flat, tol)
 
     def __repr__(self):
         f = self.flat
@@ -282,8 +325,13 @@ def involution(m: Mat2, space: str) -> Mat2:
     return m.circ() if check_space(space) == SPACE_X else m.dag()
 
 
+def _is_hermitian(flat: tuple, space: str, tol: float) -> bool:
+    star = _circ(flat) if space == SPACE_X else _dag(flat)
+    return _isclose(star, flat, tol)
+
+
 def is_hermitian(m: Mat2, space: str, tol: float = 1e-9) -> bool:
-    return involution(m, space).isclose(m, tol)
+    return _is_hermitian(m.flat, check_space(space), tol)
 
 
 # -- embeddings of R^4 --------------------------------------------------------
@@ -302,19 +350,22 @@ def embed(v, space: str, lam: int) -> Mat2:
 def unembed(m: Mat2, space: str) -> np.ndarray:
     """Inverse of `embed` on hermitian matrices (non-hermitian parts are
     discarded by symmetrization)."""
-    check_space(space)
-    a0, a1, b0, b1, c0, c1, d0, d1 = m.flat
+    return np.array(_unembed(m.flat, check_space(space)))
+
+
+def _unembed(flat: tuple, space: str) -> tuple:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
     if space == SPACE_X:
         x2 = 0.5 * (a0 + d0)
         x4 = 0.5 * (a1 - d1)
         x3 = 0.5 * (b1 + c1)
         x1 = 0.5 * (c1 - b1)
-        return np.array([x1, x2, x3, x4])
+        return (x1, x2, x3, x4)
     y1 = 0.5 * (a0 + d0)
     y3 = 0.5 * (a0 - d0)
     y4 = 0.5 * (b0 + c0)
     y2 = 0.5 * (b1 - c1)
-    return np.array([y1, y2, y3, y4])
+    return (y1, y2, y3, y4)
 
 
 def quadric_diagonal(space: str, lam: int) -> np.ndarray:
@@ -381,29 +432,32 @@ class Isometry:
 # -- points -------------------------------------------------------------------
 
 
-def _canonical_point_rep(m: Mat2, space: str) -> Mat2:
+def _canonical(flat: tuple, lam: int, space: str) -> tuple:
     """Scale a hermitian positive-determinant matrix to det = 1 and fix the
     sign by tr >= 0, breaking tr = 0 ties by the first nonzero coordinate."""
-    if not is_hermitian(m, space, 1e-7):
+    if not _is_hermitian(flat, space, 1e-7):
         raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
-    d_re, d_im = _det(m.flat, m.lam)
-    scale = max(m.frob_sq(), 1e-300)
+    d_re, d_im = _det(flat, lam)
+    scale = max(_frob_sq(flat), 1e-300)
     if abs(d_im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
     if d_re <= 1e-14 * scale:
         raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
-    m = m * (1.0 / math.sqrt(d_re))
-    t = m.flat[0] + m.flat[6]
+    flat = _scaled(flat, 1.0 / math.sqrt(d_re))
+    t = flat[0] + flat[6]
     if t < 0:
-        m = -m
+        flat = _neg(flat)
     elif abs(t) <= 1e-12:
-        vec = unembed(m, space)
-        for comp in vec:
+        for comp in _unembed(flat, space):
             if abs(comp) > 1e-12:
                 if comp < 0:
-                    m = -m
+                    flat = _neg(flat)
                 break
-    return m
+    return flat
+
+
+def _canonical_point_rep(m: Mat2, space: str) -> Mat2:
+    return _mat(_canonical(m.flat, m.lam, space), m.lam)
 
 
 @dataclass(frozen=True)
@@ -537,11 +591,19 @@ def _project_model(m: Mat2, space: str) -> Mat2:
 # -- group action -------------------------------------------------------------
 
 
+def _push(a: tuple, m: tuple, lam: int, space: str) -> tuple:
+    """A m A^* on the eight numbers of A and m."""
+    return _matmul(_matmul(a, m, lam), _circ(a) if space == SPACE_X else _dag(a), lam)
+
+
 def push(a: Isometry, m: Mat2, space: str) -> Mat2:
     """Twisted conjugation A m A^* with the involution of `space`: the
     action of an isometry on the matrices of X (A^* = A^circ) or Y
     (A^* = A^dag)."""
-    return a.rep @ m @ involution(a.rep, space)
+    lam = a.rep.lam
+    if m.lam != lam:
+        raise _mixed(lam, m.lam)
+    return _mat(_push(a.rep.flat, m.flat, lam, check_space(space)), lam)
 
 
 def act(a: Isometry, obj):
@@ -570,13 +632,22 @@ def _cs_scalar(q: float) -> tuple[float, float]:
     return 1.0 - q * 0.5 + q * q / 24.0, 1.0 - q / 6.0 + q * q / 120.0
 
 
+def _exp_traceless(flat: tuple, lam: int) -> tuple:
+    q_re, q_im = _det(flat, lam)
+    if abs(q_im) > 1e-9 * max(1.0, _frob_sq(flat)):
+        raise DomainError("matrix exponential needs a real determinant here")
+    cc, ss = _cs_scalar(q_re)
+    # identity * cc + m * ss, entry for entry: the zeros of the identity
+    # scale to a signed zero.
+    z = 0.0 * cc
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (cc + a0 * ss, z + a1 * ss, z + b0 * ss, z + b1 * ss,
+            z + c0 * ss, z + c1 * ss, cc + d0 * ss, z + d1 * ss)
+
+
 def mat_exp_traceless(m: Mat2) -> Mat2:
     """Exponential of a traceless matrix whose determinant is real."""
-    q = m.det()
-    if abs(q.im) > 1e-9 * max(1.0, m.frob_sq()):
-        raise DomainError("matrix exponential needs a real determinant here")
-    cc, ss = _cs_scalar(q.re)
-    return Mat2.identity(m.lam) * cc + m * ss
+    return _mat(_exp_traceless(m.flat, m.lam), m.lam)
 
 
 def point_sqrt(p: Point) -> Isometry:

@@ -11,14 +11,17 @@ shearing distance (ideal kind).
 
 A tetrahedron is stored as (kind, lam, alpha, beta, pose): `pose` is the
 isometry carrying the standard-position configuration to the actual one,
-and the four vertices are cached on construction.
+and the four vertices are cached on construction.  The constants of the
+membership and sampling charts (the inverse pose and the trigonometric
+values of alpha, beta and gamma) are cached on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +53,14 @@ from .matmodel import (
     Tangent,
     SPACE_X,
     SPACE_Y,
+    _canonical,
+    _exp_traceless,
+    _frob_sq,
+    _mat,
+    _neg,
+    _push,
+    _scaled,
+    _traceless,
     act,
     mat_exp_traceless,
     quadric_value,
@@ -212,6 +223,25 @@ class Tetrahedron:
     def vertex(self, i: int):
         return self.vertices[i - 1]
 
+    # Chart constants of `sample` and `contains`, computed on first use.
+
+    @cached_property
+    def _inv_pose_flat(self) -> tuple:
+        return self.pose.inv().rep.flat
+
+    @cached_property
+    def _light_tans(self) -> tuple[float, float, float]:
+        """gtan of alpha, beta and gamma."""
+        lam = self.lam
+        return gtan(lam, self.alpha), gtan(lam, self.beta), gtan(lam, self.gamma)
+
+    @cached_property
+    def _ideal_chart(self) -> "_IdealChart":
+        lam = self.lam
+        s_gamma = gsin(lam, self.gamma)
+        k = gsin(lam, self.beta) / gsin(lam, self.alpha)
+        return _IdealChart(gsin(lam, self.alpha), s_gamma, k, gcos(lam, self.gamma) * k, s_gamma * k)
+
     def moved(self, a: Isometry) -> "Tetrahedron":
         return Tetrahedron(self.kind, self.lam, self.alpha, self.beta, a @ self.pose)
 
@@ -240,6 +270,17 @@ class Tetrahedron:
         direction = frame.x_dir(i, j)
         base = self.pose @ frame.a_iso(i)
         return Geodesic(SPACE_X, base, direction, 1)
+
+
+class _IdealChart(NamedTuple):
+    """Constants of the ideal membership chart: s(alpha), s(gamma), the
+    ratio k = s(beta)/s(alpha), and exp_ell(gamma) * k as (re, im)."""
+
+    s_alpha: float
+    s_gamma: float
+    k: float
+    shift_re: float
+    shift_im: float
 
 
 def _normalize_light(m: Mat2) -> Mat2:
@@ -619,8 +660,8 @@ def _light_chart_r(t: Tetrahedron, a: float, b: float) -> float:
     """Boundary radius r(a, b) of the lightlike membership chart."""
     lam = t.lam
     norm = max(math.sqrt(max(1.0 - 4.0 * a * b, 0.0)), 1e-15)
-    num = (a / gtan(lam, t.alpha) + b / gtan(lam, t.beta)
-           + (a + b - 1.0) / gtan(lam, t.gamma))
+    tan_a, tan_b, tan_g = t._light_tans
+    num = a / tan_a + b / tan_b + (a + b - 1.0) / tan_g
     try:
         return gacot(lam, num / norm)
     except DomainError as exc:
@@ -628,34 +669,47 @@ def _light_chart_r(t: Tetrahedron, a: float, b: float) -> float:
 
 
 def _light_chart_point(t: Tetrahedron, r: float, a: float, b: float) -> Point:
+    """The pose applied to exp(r * xhat), xhat the unit chart direction
+    model_from_coords(X, (1, -2a, 2b)) / sqrt(1 - 4ab)."""
     lam = t.lam
     norm = math.sqrt(max(1.0 - 4.0 * a * b, 1e-300))
-    xhat = model_from_coords(SPACE_X, (1.0, -2.0 * a, 2.0 * b), lam) * (1.0 / norm)
-    return act(t.pose, Point(SPACE_X, mat_exp_traceless(xhat * r)))
+    # model_from_coords(SPACE_X, (1, -2a, 2b), lam) on its eight numbers
+    xhat = _scaled((0.0, 1.0, 0.0, -2.0 * a, 0.0, 2.0 * b, 0.0, -1.0), 1.0 / norm)
+    std = _canonical(_exp_traceless(_scaled(xhat, r), lam), lam, SPACE_X)
+    return Point(SPACE_X, _mat(_push(t.pose.rep.flat, std, lam, SPACE_X), lam))
 
 
 def contains(t: Tetrahedron, p: Point, tol: float = 1e-9) -> bool:
-    """Membership test via inversion of the global parametrization chart."""
+    """Membership test via inversion of the global parametrization chart.
+
+    The point is pulled back by the inverse pose and the chart inverted on
+    its eight numbers; the inverse pose and the chart's trigonometric
+    constants are computed once per tetrahedron, on first use.
+    """
     if t.kind == KIND_LIGHTLIKE:
         return _contains_lightlike(t, p, tol)
     return _contains_ideal(t, p, tol)
 
 
-def _contains_lightlike(t: Tetrahedron, p: Point, tol: float) -> bool:
-    if p.space != SPACE_X or p.lam != t.lam:
+def _pulled_back(t: Tetrahedron, p: Point, space: str) -> tuple:
+    """Canonical representative of the pose's inverse applied to p."""
+    if p.space != space or p.lam != t.lam:
         raise DomainError("point lives in the wrong space")
-    q = act(t.pose.inv(), p)
-    m = q.rep
+    return _canonical(_push(t._inv_pose_flat, p.rep.flat, t.lam, space), t.lam, space)
+
+
+def _contains_lightlike(t: Tetrahedron, p: Point, tol: float) -> bool:
+    m = _pulled_back(t, p, SPACE_X)
     lam = t.lam
-    scale = math.sqrt(m.frob_sq())
-    s_part = m.traceless()
-    if math.sqrt(s_part.frob_sq()) <= tol * scale:
+    scale = math.sqrt(_frob_sq(m))
+    s_part = _traceless(m)
+    if math.sqrt(_frob_sq(s_part)) <= tol * scale:
         return True  # the vertex at the origin
     # Orient the representative so the radial sine coefficient is positive.
-    if s_part.flat[1] < 0:
-        m, s_part = -m, -s_part
-    c = 0.5 * (m.flat[0] + m.flat[6])
-    m1, m2, m3 = s_part.flat[1], s_part.flat[3], s_part.flat[5]
+    if s_part[1] < 0:
+        m, s_part = _neg(m), _neg(s_part)
+    c = 0.5 * (m[0] + m[6])
+    m1, m2, m3 = s_part[1], s_part[3], s_part[5]
     if m1 <= tol * scale:
         return False
     a = -m2 / (2.0 * m1)
@@ -674,44 +728,43 @@ def _contains_lightlike(t: Tetrahedron, p: Point, tol: float) -> bool:
     if r < -tol:
         return False
     rmax = _light_chart_r(t, min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
-    return r <= rmax + tol * (1.0 + abs(rmax))
+    return bool(r <= rmax + tol * (1.0 + abs(rmax)))
 
 
 def _ideal_chart_limits(t: Tetrahedron, theta: float) -> float:
-    lam = t.lam
-    return (gsin(lam, t.beta) / gsin(lam, t.alpha)) * (gsin(lam, t.gamma)
-                                                       / gsin(lam, theta - t.beta))
+    chart = t._ideal_chart
+    return chart.k * (chart.s_gamma / gsin(t.lam, theta - t.beta))
 
 
 def _ideal_chart_tmin(t: Tetrahedron, r: float, theta: float) -> float:
-    lam = t.lam
-    val = gsin(lam, theta - t.gamma) / gsin(lam, t.alpha) * r - r * r
+    val = gsin(t.lam, theta - t.gamma) / t._ideal_chart.s_alpha * r - r * r
     return math.sqrt(max(val, 0.0))
 
 
 def _contains_ideal(t: Tetrahedron, p: Point, tol: float) -> bool:
-    if p.space != SPACE_Y or p.lam != t.lam:
-        raise DomainError("point lives in the wrong space")
+    m = _pulled_back(t, p, SPACE_Y)
     lam = t.lam
-    q = act(t.pose.inv(), p)
-    m = q.rep if q.rep.flat[6] > 0 else -q.rep
-    _a_re, _a_im, b_re, b_im, _c_re, _c_im, d_re, d_im = m.flat
-    if abs(d_re) <= 1e-12 * math.sqrt(m.frob_sq()) or abs(d_im) > 1e-9 * math.sqrt(m.frob_sq()):
+    if not m[6] > 0:
+        m = _neg(m)
+    _a_re, _a_im, b_re, b_im, _c_re, _c_im, d_re, d_im = m
+    size = math.sqrt(_frob_sq(m))
+    if abs(d_re) <= 1e-12 * size or abs(d_im) > 1e-9 * size:
         raise ChartInversionFailure("horospherical chart breaks down at this point")
     tval = 1.0 / d_re
-    z = GC(b_re * tval, b_im * tval, lam)
-    w = z + exp_ell(lam, t.gamma) * (gsin(lam, t.beta) / gsin(lam, t.alpha))
-    wnorm = math.hypot(w.re, w.im)
+    chart = t._ideal_chart
+    # w = z + exp_ell(gamma) * k, with z = b / d
+    w_re, w_im = b_re * tval + chart.shift_re, b_im * tval + chart.shift_im
+    wnorm = math.hypot(w_re, w_im)
     if wnorm <= tol:
         # On the edge toward the fourth vertex; theta is free.
-        return tval >= -tol
+        return bool(tval >= -tol)
     if lam == 1:
         r = wnorm
-        theta = math.atan2(w.im, w.re) + t.beta
+        theta = math.atan2(w_im, w_re) + t.beta
         theta = math.remainder(theta, 2.0 * math.pi)
     else:
         try:
-            r, phi = polar(w)
+            r, phi = polar(GC(w_re, w_im, lam))
         except Exception:
             return False
         if r < 0:
@@ -722,35 +775,47 @@ def _contains_ideal(t: Tetrahedron, p: Point, tol: float) -> bool:
     rmax = _ideal_chart_limits(t, theta)
     if r > rmax + tol * max(1.0, rmax):
         return False
-    return tval >= _ideal_chart_tmin(t, r, theta) - tol
+    return bool(tval >= _ideal_chart_tmin(t, r, theta) - tol)
+
+
+def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> Point:
+    """The pose applied to the horospherical chart point (theta, r, tval)."""
+    lam = t.lam
+    chart = t._ideal_chart
+    # z = exp_ell(theta - beta) * r - exp_ell(gamma) * k
+    z_re = gcos(lam, theta - t.beta) * r - chart.shift_re
+    z_im = gsin(lam, theta - t.beta) * r - chart.shift_im
+    s = 1.0 / tval
+    # [[(t^2 + |z|^2) / t, z / t], [conj(z) / t, 1 / t]]
+    std = _canonical(((tval * tval + (z_re * z_re + lam * z_im * z_im)) / tval, 0.0,
+                      z_re * s, z_im * s, z_re * s, -z_im * s, s, 0.0), lam, SPACE_Y)
+    return Point(SPACE_Y, _mat(_push(t.pose.rep.flat, std, lam, SPACE_Y), lam))
 
 
 def sample(t: Tetrahedron, n: int, seed: int):
-    """Deterministic interior samples drawn uniformly in chart coordinates."""
-    rng = np.random.default_rng(seed)
+    """Deterministic interior samples drawn uniformly in chart coordinates.
+
+    Draws 3n uniforms at once, three per point, and maps each point
+    through the chart and the pose on its eight numbers; the chart's
+    trigonometric constants are computed once per tetrahedron, on first
+    use.
+    """
+    if type(n) is not int or n < 0:
+        raise DomainError(f"the number of samples must be an int >= 0, got {n!r}")
+    draws = iter(np.random.default_rng(seed).random(3 * n).tolist())
     out = []
     if t.kind == KIND_LIGHTLIKE:
-        while len(out) < n:
-            a, b = rng.random(2)
+        for a, b, u in zip(draws, draws, draws):
             if a + b > 1.0:
                 a, b = 1.0 - a, 1.0 - b
-            r = rng.random() * _light_chart_r(t, a, b)
+            r = u * _light_chart_r(t, a, b)
             out.append(_light_chart_point(t, r, a, b))
         return out
-    while len(out) < n:
-        theta = -t.alpha * rng.random()
-        r = rng.random() * _ideal_chart_limits(t, theta)
-        u = rng.random()
+    for v, w, u in zip(draws, draws, draws):
+        theta = -t.alpha * v
+        r = w * _ideal_chart_limits(t, theta)
         tval = (_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)
-        z = exp_ell(t.lam, theta - t.beta) * r - exp_ell(t.lam, t.gamma) * (
-            gsin(t.lam, t.beta) / gsin(t.lam, t.alpha))
-        mat = Mat2(
-            GC((tval * tval + z.mod_sq()) / tval, 0, t.lam),
-            z * (1.0 / tval),
-            z.conj() * (1.0 / tval),
-            GC(1.0 / tval, 0, t.lam),
-        )
-        out.append(act(t.pose, Point(SPACE_Y, mat)))
+        out.append(_ideal_chart_point(t, theta, r, tval))
     return out
 
 

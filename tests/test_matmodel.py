@@ -30,8 +30,8 @@ from dualtet import (
     unembed,
 )
 from dualtet.errors import BaseMismatch, LambdaMismatch, NormalizationFailure, ZeroDivisor
-from dualtet.geometry import geodesic_from_tangent, stabilizer_element
-from dualtet.matmodel import _model_inner
+from dualtet.geometry import geodesic_from_tangent, model_from_coords, stabilizer_element
+from dualtet.matmodel import _model_inner, is_hermitian, push
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent, taylor_exp
 
 
@@ -511,3 +511,100 @@ def test_flat_mat2_keeps_tags_immutability_and_hashing():
     assert m != Mat2(*m.entries[:3], m.d + 1.0)
     assert Mat2.from_flat(m.flat, 1) == m
     assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
+
+
+def test_gc_times_mat2_defers_to_mat2():
+    rng = np.random.default_rng(17)
+    assert gc(2, 0, 1) * Mat2.identity(1) == Mat2.identity(1) * gc(2, 0, 1)
+    for lam in LAMBDAS:
+        m, z = rand_mat(rng, lam), gc(0.5, -1.5, lam)
+        assert z * m == m * z
+    for left, right in ((gc(2, 0, 0), Mat2.identity(1)), (Mat2.identity(1), gc(2, 0, 0))):
+        with pytest.raises(LambdaMismatch):
+            left * right
+    for op in (lambda z: z + "x", lambda z: "x" + z, lambda z: z - "x", lambda z: "x" - z,
+               lambda z: z * "x", lambda z: z / "x", lambda z: z + Mat2.identity(1)):
+        with pytest.raises(TypeError):
+            op(gc(1, 0, 1))
+
+
+def _ref_canonical_point_rep(m, space):
+    """Canonical point representative written on `Mat2` operations, the
+    reference for the version on the eight numbers."""
+    if not involution(m, space).isclose(m, 1e-7):
+        raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
+    d = m.det()
+    scale = max(m.frob_sq(), 1e-300)
+    if abs(d.im) > 1e-7 * scale:
+        raise NormalizationFailure("determinant is not real")
+    if d.re <= 1e-14 * scale:
+        raise NormalizationFailure(f"representative has non-positive determinant {d.re}")
+    m = m * (1.0 / math.sqrt(d.re))
+    t = m.flat[0] + m.flat[6]
+    if t < 0:
+        m = -m
+    elif abs(t) <= 1e-12:
+        for comp in unembed(m, space):
+            if abs(comp) > 1e-12:
+                if comp < 0:
+                    m = -m
+                break
+    return m
+
+
+def _ref_mat_exp_traceless(m):
+    q = m.det()
+    if abs(q.im) > 1e-9 * max(1.0, m.frob_sq()):
+        raise DomainError("matrix exponential needs a real determinant here")
+    r = math.sqrt(abs(q.re))
+    if q.re > 1e-12:
+        cc, ss = math.cos(r), math.sin(r) / r
+    elif q.re < -1e-12:
+        cc, ss = math.cosh(r), math.sinh(r) / r
+    else:
+        cc, ss = 1.0 - q.re * 0.5 + q.re * q.re / 24.0, 1.0 - q.re / 6.0 + q.re * q.re / 120.0
+    return Mat2.identity(m.lam) * cc + m * ss
+
+
+def _bits_or_error(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (DomainError, LambdaMismatch, NormalizationFailure) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_flat_push_canonical_and_exp_match_mat2_route():
+    """`push`, point canonicalisation, `is_hermitian` and the exponential run
+    on the eight numbers; each matches its `Mat2` composition bit for bit."""
+    rng = np.random.default_rng(2222)
+    num = lambda: _draw_number(rng)  # noqa: E731
+    for lam in LAMBDAS:
+        for _ in range(200):
+            a = random_isometry(rng, lam)
+            m = Mat2.from_flat([num() for _ in range(8)], lam)
+            for space in ("X", "Y"):
+                assert _bits(push(a, m, space)) == _bits(a.rep @ m @ involution(a.rep, space))
+                p, q, r, s = num(), num(), num(), num()
+                # hermitian for the space, ints and signed zeros kept, at times
+                # pushed off by a relative 1e-6 or given a complex determinant
+                herm = ((p, q, 0, r, 0, s, p, -q) if space == "X"
+                        else (p, 0, r, s, r, -s, q, 0))
+                kick = rng.integers(3)
+                if kick == 1:
+                    herm = tuple(x * (1.0 + 1e-6 * rng.normal()) for x in herm)
+                elif kick == 2:
+                    herm = herm[:1] + (num(),) + herm[2:]
+                h = Mat2.from_flat(herm, lam)
+                for tol in (1e-7, 1e-9):
+                    assert is_hermitian(h, space, tol) == involution(h, space).isclose(h, tol)
+                assert (_bits_or_error(lambda: Point(space, h).rep)
+                        == _bits_or_error(_ref_canonical_point_rep, h, space))
+                # an exponent small enough for cosh: ints, signed zeros, floats
+                small = [x if abs(x) <= 4 else math.copysign(4.0 * rng.random(), x)
+                         for x in (num(), num(), num())]
+                t = model_from_coords(space, small, lam) * small[0]
+                for x in (t, t + rand_mat(rng, lam).traceless() * (1e-3 * kick)):
+                    assert _bits_or_error(mat_exp_traceless, x) == _bits_or_error(
+                        _ref_mat_exp_traceless, x)
+    with pytest.raises(LambdaMismatch):
+        push(Isometry.identity(1), Mat2.identity(0), "X")

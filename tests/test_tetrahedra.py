@@ -7,7 +7,9 @@ import pytest
 
 from dualtet import (
     BoundaryPoint,
+    ChartInversionFailure,
     DomainError,
+    DualtetError,
     GC,
     Mat2,
     NoIntersection,
@@ -24,17 +26,22 @@ from dualtet import (
     edge_symmetry_mapping,
     exp_ell,
     from_descriptor,
+    gacot,
     gc,
     gsin,
+    gtan,
     ideal_from_angles,
     lightlike_from_angles,
+    mat_exp_traceless,
     null_projection,
     opposite_edge_distance,
+    polar,
     recover_parameters,
     sample,
     standard_vertices,
     to_descriptor,
 )
+from dualtet.geometry import model_from_coords
 from conftest import LAMBDAS, random_isometry, random_point
 
 V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -555,3 +562,224 @@ def test_sample_is_deterministic_per_seed(rng):
         assert all(p.isclose(q, 1e-15) for p, q in zip(one, two))
         other = sample(t, 10, seed=8)
         assert not all(p.isclose(q, 1e-9) for p, q in zip(one, other))
+
+
+# -- sampling and membership against the per-point chart route -----------------------
+
+
+def _ref_light_chart_r(t, a, b):
+    lam = t.lam
+    norm = max(math.sqrt(max(1.0 - 4.0 * a * b, 0.0)), 1e-15)
+    num = (a / gtan(lam, t.alpha) + b / gtan(lam, t.beta)
+           + (a + b - 1.0) / gtan(lam, t.gamma))
+    try:
+        return gacot(lam, num / norm)
+    except DomainError as exc:
+        raise ChartInversionFailure(f"chart radius undefined at ({a}, {b}): {exc}") from exc
+
+
+def _ref_light_chart_point(t, r, a, b):
+    norm = math.sqrt(max(1.0 - 4.0 * a * b, 1e-300))
+    xhat = model_from_coords("X", (1.0, -2.0 * a, 2.0 * b), t.lam) * (1.0 / norm)
+    return act(t.pose, Point("X", mat_exp_traceless(xhat * r)))
+
+
+def _ref_ideal_chart_limits(t, theta):
+    lam = t.lam
+    return (gsin(lam, t.beta) / gsin(lam, t.alpha)) * (gsin(lam, t.gamma)
+                                                       / gsin(lam, theta - t.beta))
+
+
+def _ref_ideal_chart_tmin(t, r, theta):
+    lam = t.lam
+    val = gsin(lam, theta - t.gamma) / gsin(lam, t.alpha) * r - r * r
+    return math.sqrt(max(val, 0.0))
+
+
+def _ref_ideal_chart_point(t, theta, r, tval):
+    z = exp_ell(t.lam, theta - t.beta) * r - exp_ell(t.lam, t.gamma) * (
+        gsin(t.lam, t.beta) / gsin(t.lam, t.alpha))
+    mat = Mat2(
+        GC((tval * tval + z.mod_sq()) / tval, 0, t.lam),
+        z * (1.0 / tval),
+        z.conj() * (1.0 / tval),
+        GC(1.0 / tval, 0, t.lam),
+    )
+    return act(t.pose, Point("Y", mat))
+
+
+def _ref_sample(t, n, seed):
+    """`sample` as it was written before the chart constants were cached:
+    one draw call and one chain of `Mat2`s and `Point`s per point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    if t.kind == "lightlike":
+        while len(out) < n:
+            a, b = rng.random(2)
+            if a + b > 1.0:
+                a, b = 1.0 - a, 1.0 - b
+            r = rng.random() * _ref_light_chart_r(t, a, b)
+            out.append(_ref_light_chart_point(t, r, a, b))
+        return out
+    while len(out) < n:
+        theta = -t.alpha * rng.random()
+        r = rng.random() * _ref_ideal_chart_limits(t, theta)
+        u = rng.random()
+        tval = (_ref_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)
+        out.append(_ref_ideal_chart_point(t, theta, r, tval))
+    return out
+
+
+def _ref_contains(t, p, tol=1e-9):
+    """`contains` as it was written before the chart constants were cached."""
+    lam = t.lam
+    if t.kind == "lightlike":
+        if p.space != "X" or p.lam != lam:
+            raise DomainError("point lives in the wrong space")
+        m = act(t.pose.inv(), p).rep
+        scale = math.sqrt(m.frob_sq())
+        s_part = m.traceless()
+        if math.sqrt(s_part.frob_sq()) <= tol * scale:
+            return True
+        if s_part.flat[1] < 0:
+            m, s_part = -m, -s_part
+        c = 0.5 * (m.flat[0] + m.flat[6])
+        m1, m2, m3 = s_part.flat[1], s_part.flat[3], s_part.flat[5]
+        if m1 <= tol * scale:
+            return False
+        a, b = -m2 / (2.0 * m1), m3 / (2.0 * m1)
+        if a < -tol or b < -tol or a + b > 1.0 + tol:
+            return False
+        s_val = m1 * math.sqrt(max(1.0 - 4.0 * a * b, 0.0))
+        if lam == 1:
+            r = math.atan2(s_val, c)
+        else:
+            if c < 0:
+                return False
+            r = math.asinh(s_val) if lam == -1 else s_val
+        if r < -tol:
+            return False
+        rmax = _ref_light_chart_r(t, min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
+        return r <= rmax + tol * (1.0 + abs(rmax))
+    if p.space != "Y" or p.lam != lam:
+        raise DomainError("point lives in the wrong space")
+    q = act(t.pose.inv(), p)
+    m = q.rep if q.rep.flat[6] > 0 else -q.rep
+    _a_re, _a_im, b_re, b_im, _c_re, _c_im, d_re, d_im = m.flat
+    if abs(d_re) <= 1e-12 * math.sqrt(m.frob_sq()) or abs(d_im) > 1e-9 * math.sqrt(m.frob_sq()):
+        raise ChartInversionFailure("horospherical chart breaks down at this point")
+    tval = 1.0 / d_re
+    z = GC(b_re * tval, b_im * tval, lam)
+    w = z + exp_ell(lam, t.gamma) * (gsin(lam, t.beta) / gsin(lam, t.alpha))
+    wnorm = math.hypot(w.re, w.im)
+    if wnorm <= tol:
+        return tval >= -tol
+    if lam == 1:
+        r = wnorm
+        theta = math.remainder(math.atan2(w.im, w.re) + t.beta, 2.0 * math.pi)
+    else:
+        try:
+            r, phi = polar(w)
+        except Exception:
+            return False
+        if r < 0:
+            return False
+        theta = phi + t.beta
+    if not (-t.alpha - tol <= theta <= tol):
+        return False
+    rmax = _ref_ideal_chart_limits(t, theta)
+    if r > rmax + tol * max(1.0, rmax):
+        return False
+    return tval >= _ref_ideal_chart_tmin(t, r, theta) - tol
+
+
+def _hex_or_error(fn, *args):
+    """The result with every number as float.hex, or the error class raised."""
+    try:
+        out = fn(*args)
+    except DualtetError as exc:
+        return type(exc)
+    if isinstance(out, list):
+        return [[p.space] + [float.hex(float(x)) for x in p.rep.flat] for p in out]
+    return bool(out)
+
+
+def _chart_probes(t, rng):
+    """Chart points just inside and just outside the tetrahedron, built by
+    the reference chart; a draw on which the chart breaks down is skipped."""
+    points = []
+    for _ in range(6):
+        try:
+            if t.kind == "lightlike":
+                a, b = rng.uniform(0.0, 0.5, 2)
+                rmax = _ref_light_chart_r(t, a, b)
+                points += [_ref_light_chart_point(t, f * rmax, a, b) for f in (0.5, 0.999, 1.02)]
+            else:
+                theta = -t.alpha * rng.uniform(0.05, 0.95)
+                rmax = _ref_ideal_chart_limits(t, theta)
+                tmin = _ref_ideal_chart_tmin(t, 0.5 * rmax, theta)
+                points += [_ref_ideal_chart_point(t, th, r, tv) for th, r, tv in (
+                    (theta, 0.5 * rmax, 2.0 * tmin + 0.1), (theta, 1.05 * rmax, 1.0),
+                    (theta, 0.5 * rmax, 0.5 * tmin), (0.1, 0.5 * rmax, 1.0),
+                    (-t.alpha - 0.1, 0.5 * rmax, 1.0), (theta, 0.0, 1.0))]
+        except DualtetError:
+            continue
+    return points
+
+
+def test_sample_and_contains_match_per_point_reference():
+    rng = np.random.default_rng(4242)
+    seen = {True: 0, False: 0, "raises": 0}
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            space, other = ("X", "Y") if kind == "lightlike" else ("Y", "X")
+            for _ in range(6):
+                while True:
+                    alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(6.0), 2))
+                    if lam != 1 or alpha + beta < math.pi:
+                        break
+                t = Tetrahedron(kind, lam, float(alpha), float(beta), random_isometry(rng, lam))
+                seed = int(rng.integers(2**31 - 1))
+                want = _hex_or_error(_ref_sample, t, 20, seed)
+                assert _hex_or_error(sample, t, 20, seed) == want, (lam, kind, alpha, beta)
+                points = [] if isinstance(want, type) else _ref_sample(t, 20, seed)
+                points += _chart_probes(t, rng)
+                points += [random_point(rng, space, lam) for _ in range(20)]
+                points += [random_point(rng, other, lam)]
+                if lam == -1 and kind == "ideal":
+                    points.append(Point("Y", Mat2(gc(1, 0, -1), gc(0, 1, -1),
+                                                  gc(0, -1, -1), gc(0, 0, -1))))
+                for p in points:
+                    got = _hex_or_error(contains, t, p)
+                    assert got == _hex_or_error(_ref_contains, t, p), (lam, kind, alpha, beta)
+                    seen[got if isinstance(got, bool) else "raises"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_sample_and_contains_give_python_types(rng):
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            t = Tetrahedron(kind, lam, 0.8, 0.6, random_isometry(rng, lam))
+            points = sample(t, 10, seed=5)
+            assert all(type(x) is float for p in points for x in p.rep.flat), (lam, kind)
+            probes = points + [random_point(rng, t.space, lam) for _ in range(30)]
+            if kind == "lightlike":
+                probes += list(t.vertices)
+            else:
+                probes.append(_ref_ideal_chart_point(t, -0.3, 0.0, 2.0))  # the edge to vertex 4
+            # the same points again with numpy scalars for numbers
+            probes += [Point(t.space, Mat2.from_flat([np.float64(x) for x in p.rep.flat], lam))
+                       for p in probes]
+            answers = [contains(t, p) for p in probes]
+            assert all(type(x) is bool for x in answers), (lam, kind)
+            assert True in answers and False in answers
+
+
+def test_sample_count_must_be_an_exact_nonnegative_int():
+    for kind in ("lightlike", "ideal"):
+        t = Tetrahedron(kind, 1, 0.8, 0.6)
+        for bad in (-2, 2.5, 3.0, "3", True, None, np.int64(3)):
+            with pytest.raises(DomainError):
+                sample(t, bad, seed=1)
+        assert sample(t, 0, seed=1) == []
+        assert len(sample(t, 3, seed=1)) == 3
