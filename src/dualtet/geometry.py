@@ -3,7 +3,10 @@
 Geodesics are stored as (base isometry, unit or lightlike model direction);
 planes as projective dual vectors in R^4 only.  Points of the ideal
 boundary of the dual family are projective classes [v] of 2-vectors over
-the algebra with v v^dag nonzero.
+the algebra with v v^dag nonzero.  Like a `Mat2`, a `BoundaryPoint` stores
+the four numbers (v1.re, v1.im, v2.re, v2.im) of its canonical
+representative and one curvature tag, does its arithmetic on them in the
+order `GC` would, and builds `GC`s only when `v1` or `v2` is read.
 
 The duality pairing used throughout is
 
@@ -16,10 +19,10 @@ three curvatures.
 
 Each convention has one home.  Isometries act on matrices only through
 `matmodel.push` (twisted conjugation by the involution of the space), and
-the pairing's kernels are taken only in `_dual_kernel`.  The spacelike
-geodesic cut out by two dual vectors, whether the intersection of two
-lightlike planes or the dual of a geodesic, is built only in
-`_spacelike_geodesic_dual_to`.
+the pairing's kernels are taken only in `_dual_kernel`, which also takes a
+stack of kernels in one SVD call.  The spacelike geodesic cut out by two
+dual vectors, whether the intersection of two lightlike planes or the dual
+of a geodesic, is built only in `_spacelike_geodesic_dual_to`.
 
 Planes are handled through the duality alone.  The duality turns the
 action of A on one family into the action of S A S on the other, with
@@ -32,7 +35,7 @@ normal at the origin is read off the dual vector in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .errors import (
     DegenerateNormal,
     DomainError,
     Inadmissible,
+    LambdaMismatch,
     NoCommonPoint,
     NoIntersection,
     NotComparable,
@@ -49,7 +53,7 @@ from .errors import (
     NotSpacelikeConnected,
     WrongCausalClass,
 )
-from .gcnum import GC, check_lambda, gacot, gc
+from .gcnum import EPS_UNIT, GC, check_lambda, gacot
 from .matmodel import (
     Isometry,
     Mat2,
@@ -59,6 +63,7 @@ from .matmodel import (
     SPACE_Y,
     PROJ_TOL,
     _canonical_point_rep,
+    _mat,
     _model_inner,
     _project_model,
     check_space,
@@ -80,19 +85,28 @@ _DUAL_SPACE = {SPACE_X: SPACE_Y, SPACE_Y: SPACE_X}
 _PAIR_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
-def _nullspace(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
-    """Columns spanning the kernel of a."""
+def _nullspace(a: np.ndarray, rtol: float = 1e-9):
+    """Columns spanning the kernel of a.  For a stack of matrices (shape
+    (n, k, m)), a list with one such array per matrix, from one SVD call;
+    it gives each matrix the factors a call of its own would."""
     a = np.atleast_2d(np.asarray(a, float))
-    u, s, vh = np.linalg.svd(a)
+    _u, s, vh = np.linalg.svd(a)
+    if a.ndim == 3:
+        return [_kernel_columns(s_k, vh_k, rtol) for s_k, vh_k in zip(s, vh)]
+    return _kernel_columns(s, vh, rtol)
+
+
+def _kernel_columns(s: np.ndarray, vh: np.ndarray, rtol: float) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
-        return np.eye(a.shape[1])
+        return np.eye(vh.shape[-1])
     rank = int(np.sum(s > rtol * s[0]))
     return vh[rank:].T
 
 
-def _dual_kernel(vectors) -> np.ndarray:
+def _dual_kernel(vectors):
     """Columns spanning the vectors that pair to zero with each of
-    `vectors`."""
+    `vectors`; given a stack of such lists, one array per list (see
+    `_nullspace`)."""
     return _nullspace(np.asarray(vectors, dtype=float) * _PAIR_SIGNS)
 
 
@@ -233,103 +247,186 @@ def arc_length(p: Point, q: Point) -> tuple[int, float]:
 # -- ideal boundary ------------------------------------------------------------
 
 
-def _null_branch(z: GC) -> int:
-    """+1 / -1 when z is a real multiple of (1 + l) / (1 - l); 0 otherwise."""
-    if z.lam != -1:
+def _null_branch(re, im, lam: int) -> int:
+    """+1 / -1 when re + l*im is a real multiple of (1 + l) / (1 - l); 0
+    otherwise."""
+    if lam != -1:
         return 0
-    scale = max(abs(z.re), abs(z.im), 1e-300)
-    if abs(z.re - z.im) <= 1e-12 * scale:
+    scale = max(abs(re), abs(im), 1e-300)
+    if abs(re - im) <= 1e-12 * scale:
         return 1
-    if abs(z.re + z.im) <= 1e-12 * scale:
+    if abs(re + im) <= 1e-12 * scale:
         return -1
     return 0
 
 
-@dataclass(frozen=True)
+# Arithmetic of the algebra on (re, im) numbers, written as `GC` writes it.
+
+
+def _is_unit(re, im, lam: int) -> bool:
+    return abs(re * re + lam * im * im) > EPS_UNIT * (re * re + im * im)
+
+
+def _inv(re, im, lam: int) -> tuple:
+    """(re, im) of the inverse of a unit."""
+    m = re * re + lam * im * im
+    return re / m, -im / m
+
+
+def _mul(x0, x1, y0, y1, lam: int) -> tuple:
+    """(re, im) of (x0 + l*x1) * (y0 + l*y1)."""
+    return x0 * y0 - lam * x1 * y1, x0 * y1 + y0 * x1
+
+
+def _normalized(r1, i1, r2, i2, lam: int) -> tuple:
+    """The canonical representative of [v1 : v2] on its four numbers; see
+    `BoundaryPoint`."""
+    # Entries negligible against the vector scale are noise from matrix
+    # arithmetic; snap them so the unit tests below see exact zeros.
+    scale = max(abs(r1), abs(i1), abs(r2), abs(i2))
+    if scale == 0.0:
+        raise Degenerate("zero boundary vector")
+    if math.hypot(r1, i1) <= 1e-11 * scale:
+        r1 = i1 = 0.0
+    if math.hypot(r2, i2) <= 1e-11 * scale:
+        r2 = i2 = 0.0
+    if _is_unit(r2, i2, lam):
+        return (*_mul(r1, i1, *_inv(r2, i2, lam), lam), 1.0, 0.0)
+    if _is_unit(r1, i1, lam):
+        return (1.0, 0.0, *_mul(r2, i2, *_inv(r1, i1, lam), lam))
+    b1, b2 = _null_branch(r1, i1, lam), _null_branch(r2, i2, lam)
+    if b1 == 0 or b2 == 0 or b1 == b2:
+        raise Degenerate("v v^dag = 0: not a boundary point")
+    # v ~ (a(1+e*l), b(1-e*l)); unit rescaling (including by l) always
+    # reaches ((1+e*l), (1-e*l)).
+    return 1.0, float(b1), 1.0, -float(b1)
+
+
+def _boundary(flat: tuple, lam: int) -> "BoundaryPoint":
+    """Boundary point on four normalized numbers whose tag is checked."""
+    p = _new(BoundaryPoint)
+    _set_bp_flat(p, flat)
+    _set_bp_lam(p, lam)
+    return p
+
+
 class BoundaryPoint:
     """Projective class [v] in the boundary of the dual family.
 
     The canonical representative scales the second entry to 1 when it is a
     unit, otherwise the first; the remaining split-complex case with two
     zero-divisor entries is normalized onto the pair (1 + l, +-(1 - l)).
+
+    Like a `Mat2`, a boundary point stores its entries as numbers, `flat =
+    (v1.re, v1.im, v2.re, v2.im)`, beside one curvature tag `lam`, and does
+    its arithmetic on them as `GC` would, term for term.  `v1` and `v2`
+    build `GC`s only when read.  `BoundaryPoint(v1, v2)` takes two `GC`s of
+    one tag.  A boundary point is immutable, and equal ones hash equal.
     """
 
-    v1: GC
-    v2: GC
+    __slots__ = ("flat", "lam")
 
-    def __post_init__(self):
-        v1, v2 = self.v1, self.v2
-        if v1.lam != v2.lam:
+    def __init__(self, v1: GC, v2: GC):
+        lam = v1.lam
+        if v2.lam != lam:
             raise DomainError("boundary vector entries carry mixed curvature tags")
-        # Entries negligible against the vector scale are noise from matrix
-        # arithmetic; snap them so the unit tests below see exact zeros.
-        scale = max(abs(v1.re), abs(v1.im), abs(v2.re), abs(v2.im))
-        if scale == 0.0:
-            raise Degenerate("zero boundary vector")
-        if math.hypot(v1.re, v1.im) <= 1e-11 * scale:
-            v1 = gc(0, 0, v1.lam)
-        if math.hypot(v2.re, v2.im) <= 1e-11 * scale:
-            v2 = gc(0, 0, v2.lam)
-        if v2.is_unit():
-            v1, v2 = v1 * v2.inv(), gc(1, 0, v2.lam)
-        elif v1.is_unit():
-            v1, v2 = gc(1, 0, v1.lam), v2 * v1.inv()
-        else:
-            b1, b2 = _null_branch(v1), _null_branch(v2)
-            if b1 == 0 or b2 == 0 or b1 == b2:
-                raise Degenerate("v v^dag = 0: not a boundary point")
-            # v ~ (a(1+e*l), b(1-e*l)); unit rescaling (including by l)
-            # always reaches ((1+e*l), (1-e*l)).
-            v1 = GC(1.0, float(b1), v1.lam)
-            v2 = GC(1.0, -float(b1), v2.lam)
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
+        _set_bp_flat(self, _normalized(v1.re, v1.im, v2.re, v2.im, lam))
+        _set_bp_lam(self, lam)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _boundary, (self.flat, self.lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lam == other.lam and self.flat == other.flat
+
+    def __hash__(self):
+        # The hash of the pair of `GC`s (v1, v2).
+        r1, i1, r2, i2 = self.flat
+        return hash(((r1, i1, self.lam), (r2, i2, self.lam)))
+
+    def __repr__(self):
+        r1, i1, r2, i2 = self.flat
+        lam = self.lam
+        return (f"BoundaryPoint(v1=GC({r1!r}, {i1!r}, lam={lam}), "
+                f"v2=GC({r2!r}, {i2!r}, lam={lam}))")
 
     @property
-    def lam(self) -> int:
-        return self.v1.lam
+    def v1(self) -> GC:
+        return GC(self.flat[0], self.flat[1], self.lam)
+
+    @property
+    def v2(self) -> GC:
+        return GC(self.flat[2], self.flat[3], self.lam)
 
     @classmethod
     def infinity(cls, lam: int) -> "BoundaryPoint":
-        return cls(gc(1, 0, lam), gc(0, 0, lam))
+        return _boundary(_normalized(1.0, 0.0, 0.0, 0.0, check_lambda(lam)), lam)
 
     @classmethod
     def zero(cls, lam: int) -> "BoundaryPoint":
-        return cls(gc(0, 0, lam), gc(1, 0, lam))
+        return _boundary(_normalized(0.0, 0.0, 1.0, 0.0, check_lambda(lam)), lam)
 
     @classmethod
     def one(cls, lam: int) -> "BoundaryPoint":
-        return cls(gc(1, 0, lam), gc(1, 0, lam))
+        return _boundary(_normalized(1.0, 0.0, 1.0, 0.0, check_lambda(lam)), lam)
 
     @classmethod
     def from_value(cls, z: GC) -> "BoundaryPoint":
-        return cls(z, gc(1, 0, z.lam))
+        return _boundary(_normalized(z.re, z.im, 1.0, 0.0, z.lam), z.lam)
 
     def value(self) -> GC:
         """Affine coordinate z with [v] = [z : 1]."""
-        if not self.v2.is_unit():
+        r1, i1, r2, i2 = self.flat
+        lam = self.lam
+        if not _is_unit(r2, i2, lam):
             raise Degenerate("no affine coordinate: second entry is not a unit")
-        return self.v1 * self.v2.inv()
+        return GC(*_mul(r1, i1, *_inv(r2, i2, lam), lam), lam)
 
     def matrix(self) -> Mat2:
-        v1, v2 = self.v1, self.v2
-        return Mat2(v1 * v1.conj(), v1 * v2.conj(), v2 * v1.conj(), v2 * v2.conj())
+        """v v^dag: entry (i, j) is v_i * conj(v_j)."""
+        r1, i1, r2, i2 = self.flat
+        lam = self.lam
+        n1, n2 = -i1, -i2
+        return _mat((r1 * r1 - lam * i1 * n1, r1 * n1 + r1 * i1,
+                     r1 * r2 - lam * i1 * n2, r1 * n2 + r2 * i1,
+                     r2 * r1 - lam * i2 * n1, r2 * n1 + r1 * i2,
+                     r2 * r2 - lam * i2 * n2, r2 * n2 + r2 * i2), lam)
 
     def vec4(self) -> np.ndarray:
         return unembed(self.matrix(), SPACE_Y)
 
     def moved(self, b: Isometry) -> "BoundaryPoint":
-        w1 = b.rep.a * self.v1 + b.rep.b * self.v2
-        w2 = b.rep.c * self.v1 + b.rep.d * self.v2
-        return BoundaryPoint(w1, w2)
+        """[A v] for A the representative of b."""
+        lam = self.lam
+        if b.rep.lam != lam:
+            raise LambdaMismatch(f"mixed curvature tags {b.rep.lam} and {lam}")
+        a0, a1, b0, b1, c0, c1, d0, d1 = b.rep.flat
+        x0, x1, y0, y1 = self.flat
+        return _boundary(_normalized(
+            (a0 * x0 - lam * a1 * x1) + (b0 * y0 - lam * b1 * y1),
+            (a0 * x1 + x0 * a1) + (b0 * y1 + y0 * b1),
+            (c0 * x0 - lam * c1 * x1) + (d0 * y0 - lam * d1 * y1),
+            (c0 * x1 + x0 * c1) + (d0 * y1 + y0 * d1), lam), lam)
 
     def isclose(self, other: "BoundaryPoint", tol: float = PROJ_TOL) -> bool:
         if self.lam != other.lam:
             return False
-        cross = self.v1 * other.v2 - self.v2 * other.v1
-        norm = max(1.0, *(abs(u) for z in (self.v1, self.v2, other.v1, other.v2)
-                          for u in (z.re, z.im)))
-        return math.hypot(cross.re, cross.im) <= tol * norm * norm
+        c_re, c_im = _det2(self, other)
+        norm = max(1.0, *(abs(u) for u in self.flat), *(abs(u) for u in other.flat))
+        return math.hypot(c_re, c_im) <= tol * norm * norm
+
+
+_new = object.__new__
+_set_bp_flat = BoundaryPoint.flat.__set__
+_set_bp_lam = BoundaryPoint.lam.__set__
 
 
 def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
@@ -338,70 +435,90 @@ def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
     scale = math.sqrt(m.frob_sq())
     if scale == 0.0:
         raise Degenerate("zero matrix is not a boundary point")
-
-    def snapped(z: GC) -> GC:
-        return gc(0, 0, lam) if math.hypot(z.re, z.im) <= 1e-11 * scale else z
-
-    a, b, c, d = (snapped(e) for e in m.entries)
+    cut = 1e-11 * scale
+    a0, a1, b0, b1, c0, c1, d0, d1 = m.flat
+    if math.hypot(a0, a1) <= cut:
+        a0 = a1 = 0.0
+    if math.hypot(b0, b1) <= cut:
+        b0 = b1 = 0.0
+    if math.hypot(c0, c1) <= cut:
+        c0 = c1 = 0.0
+    if math.hypot(d0, d1) <= cut:
+        d0 = d1 = 0.0
     # Columns of v v^dag are conj(v1)*v and conj(v2)*v; use the column with
-    # the larger diagonal unit.
-    cols = []
-    if a.is_unit():
-        cols.append((abs(a.mod_sq()), (a, c)))
-    if d.is_unit():
-        cols.append((abs(d.mod_sq()), (b, d)))
-    if cols:
-        _best, (v1, v2) = max(cols, key=lambda item: item[0])
-        return BoundaryPoint(v1, v2)
+    # the larger diagonal unit, the first on a tie.
+    a_unit, d_unit = _is_unit(a0, a1, lam), _is_unit(d0, d1, lam)
+    if d_unit and (not a_unit or abs(d0 * d0 + lam * d1 * d1) > abs(a0 * a0 + lam * a1 * a1)):
+        return _boundary(_normalized(b0, b1, d0, d1, lam), lam)
+    if a_unit:
+        return _boundary(_normalized(a0, a1, c0, c1, lam), lam)
     # Split-complex double-null class: m ~ [[0, c(1+el)], [c(1-el), 0]].
-    br = _null_branch(b)
-    if lam == -1 and br != 0 and math.hypot(b.re, b.im) > 1e-11 * scale:
-        return BoundaryPoint(GC(1.0, float(br), lam), GC(1.0, -float(br), lam))
+    br = _null_branch(b0, b1, lam)
+    if lam == -1 and br != 0 and math.hypot(b0, b1) > cut:
+        return _boundary(_normalized(1.0, float(br), 1.0, -float(br), lam), lam)
     raise Degenerate("matrix is not a nonzero rank-1 hermitian class")
 
 
-def _det2(u: BoundaryPoint, w: BoundaryPoint) -> GC:
-    return u.v1 * w.v2 - u.v2 * w.v1
+def _det2(u: BoundaryPoint, w: BoundaryPoint) -> tuple:
+    """(re, im) of the minor u.v1 * w.v2 - u.v2 * w.v1."""
+    lam = u.lam
+    if w.lam != lam:
+        raise LambdaMismatch(f"mixed curvature tags {lam} and {w.lam}")
+    p0, p1, p2, p3 = u.flat
+    q0, q1, q2, q3 = w.flat
+    return ((p0 * q2 - lam * p1 * q3) - (p2 * q0 - lam * p3 * q1),
+            (p0 * q3 + q2 * p1) - (p2 * q1 + q0 * p3))
 
 
 def is_spacelike_connected(b1: BoundaryPoint, b2: BoundaryPoint) -> bool:
     """Two ideal points bound a spacelike geodesic exactly when the minor
     of their representatives is a unit."""
-    return _det2(b1, b2).is_unit()
+    return _is_unit(*_det2(b1, b2), b1.lam)
 
 
 def boundary_normalize(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint) -> Isometry:
     """Unique isometry sending (y1, y2, y3) to (infinity, 0, 1)."""
+    lam = y1.lam
     d12 = _det2(y1, y2)
     d32 = _det2(y3, y2)
     d13 = _det2(y1, y3)
     for d in (d12, d32, d13):
-        if not d.is_unit():
+        if not _is_unit(*d, lam):
             raise NotSpacelikeConnected("a pair of the triple is not joined by a spacelike geodesic")
-    lam_inv = d12.inv()
-    lmb = d32 * lam_inv
-    mu = d13 * lam_inv
-    binv = Mat2(lmb * y1.v1, mu * y2.v1, lmb * y1.v2, mu * y2.v2)
-    return Isometry(binv).inv()
+    d12_inv = _inv(*d12, lam)
+    lmb = _mul(*d32, *d12_inv, lam)
+    mu = _mul(*d13, *d12_inv, lam)
+    x0, x1, x2, x3 = y1.flat
+    z0, z1, z2, z3 = y2.flat
+    # [[lmb * y1.v1, mu * y2.v1], [lmb * y1.v2, mu * y2.v2]]
+    binv = (*_mul(*lmb, x0, x1, lam), *_mul(*mu, z0, z1, lam),
+            *_mul(*lmb, x2, x3, lam), *_mul(*mu, z2, z3, lam))
+    return Isometry(_mat(binv, lam)).inv()
 
 
 def cross_ratio(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint,
                 y4: BoundaryPoint) -> GC:
     """Cross-ratio z with (y1, y2, y3, y4) ~ (infinity, 0, 1, [z : 1])."""
-    b = boundary_normalize(y1, y2, y3)
-    w = y4.moved(b)
-    w1, w2 = w.v1, w.v2
-    if not w2.is_unit():
+    return _cross_ratio_from(boundary_normalize(y1, y2, y3), y4)
+
+
+def _cross_ratio_from(b: Isometry, y4: BoundaryPoint) -> GC:
+    """The cross-ratio of y4 against a triple, given the isometry `b` that
+    `boundary_normalize` returned for that triple."""
+    lam = y4.lam
+    w1r, w1i, w2r, w2i = y4.moved(b).flat
+    if not _is_unit(w2r, w2i, lam):
         raise NotSpacelikeConnected("fourth point is not spacelike-connected to the first")
-    if not w1.is_unit():
+    if not _is_unit(w1r, w1i, lam):
         raise NotSpacelikeConnected("fourth point is not spacelike-connected to the second")
-    if not (w1 - w2).is_unit():
+    if not _is_unit(w1r - w2r, w1i - w2i, lam):
         raise NotSpacelikeConnected("fourth point is not spacelike-connected to the third")
-    z = w1 * w2.inv()
-    scale = max(1.0, abs(z.re), abs(z.im))
-    if math.hypot(z.re, z.im) <= 1e-12 * scale or math.hypot(z.re - 1.0, z.im) <= 1e-12 * scale:
-        raise Degenerate(f"degenerate cross-ratio {z}")
-    return z
+    z_re, z_im = _mul(w1r, w1i, *_inv(w2r, w2i, lam), lam)
+    scale = max(1.0, abs(z_re), abs(z_im))
+    if (math.hypot(z_re, z_im) <= 1e-12 * scale
+            or math.hypot(z_re - 1.0, z_im) <= 1e-12 * scale):
+        raise Degenerate(f"degenerate cross-ratio {GC(z_re, z_im, lam)}")
+    return GC(z_re, z_im, lam)
 
 
 # -- planes --------------------------------------------------------------------
@@ -429,8 +546,8 @@ BOUNDARY_TOL = 1e-10
 def _dual_action(a: Isometry) -> Isometry:
     """The action of `a` on one family, seen on the other through the
     duality: S a S with S = [[0, 1], [1, 0]]."""
-    r = a.rep
-    return Isometry(Mat2(r.d, r.c, r.b, r.a))
+    a0, a1, b0, b1, c0, c1, d0, d1 = a.rep.flat
+    return Isometry(_mat((d0, d1, c0, c1, b0, b1, a0, a1), a.lam))
 
 
 @dataclass(frozen=True)
@@ -456,8 +573,13 @@ class Plane:
         return self.contains_vector(p.vector(), tol)
 
     def moved(self, a: Isometry) -> "Plane":
+        return self._pushed(_dual_action(a))
+
+    def _pushed(self, sas: Isometry) -> "Plane":
+        """The plane moved by the isometry whose `_dual_action` is `sas`;
+        callers moving several planes by one isometry compute it once."""
         other = _DUAL_SPACE[self.space]
-        w = push(_dual_action(a), embed(self.dual_vec, other, self.lam), other)
+        w = push(sas, embed(self.dual_vec, other, self.lam), other)
         return Plane(self.space, self.lam, unembed(w, other))
 
     def is_lightlike(self) -> bool:
@@ -621,9 +743,9 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
     position (unique up to the order-6 permutation group)."""
     planes = (p1, p2, p3)
     lam = p1.lam
-    for pl in planes:
+    for k, pl in enumerate(planes, start=1):
         if not pl.is_lightlike():
-            raise NotLightlike("all three planes must be lightlike")
+            raise NotLightlike(f"plane {k} of the three is not lightlike")
     kern = _dual_kernel([pl.dual_vec for pl in planes])
     if kern.shape[1] != 1:
         raise NoCommonPoint("planes do not meet in a single projective point")
@@ -632,9 +754,10 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
         raise NoCommonPoint("projective intersection misses the space")
     pt = Point.from_vector(v, SPACE_X, lam)
     a0 = point_sqrt(pt).inv()
+    sas = _dual_action(a0)
     labels = []
     for pl in planes:
-        rep = pl.moved(a0)._normal_rep_at_origin()
+        rep = pl._pushed(sas)._normal_rep_at_origin()
         labels.append(_light_ray_label(SPACE_X, rep))
     u = _real_mobius_to(labels, STANDARD_LIGHT_NORMAL_LABELS, lam)
     return pt, u @ a0

@@ -434,11 +434,34 @@ class Isometry:
 
 def _canonical(flat: tuple, lam: int, space: str) -> tuple:
     """Scale a hermitian positive-determinant matrix to det = 1 and fix the
-    sign by tr >= 0, breaking tr = 0 ties by the first nonzero coordinate."""
-    if not _is_hermitian(flat, space, 1e-7):
+    sign by tr >= 0, breaking tr = 0 ties by the first nonzero coordinate.
+
+    The hermitian test is `_is_hermitian(flat, space, 1e-7)` written out on
+    the four squared entry moduli, computed once: the involution permutes
+    them, and each Frobenius sum keeps the order of its own matrix."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    sq_a, sq_b = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1
+    sq_c, sq_d = c0 * c0 + c1 * c1, d0 * d0 + d1 * d1
+    frob = sum((sq_a, sq_b, sq_c, sq_d))
+    if space == SPACE_X:
+        # flat^circ = (d0, -d1, -b0, b1, -c0, c1, a0, -a1)
+        bound = 1e-7 * max(1.0, math.sqrt(sum((sq_d, sq_b, sq_c, sq_a))), math.sqrt(frob))
+        hermitian = (abs(d0 - a0) <= bound and abs(-d1 - a1) <= bound
+                     and abs(-b0 - b0) <= bound and abs(b1 - b1) <= bound
+                     and abs(-c0 - c0) <= bound and abs(c1 - c1) <= bound
+                     and abs(a0 - d0) <= bound and abs(-a1 - d1) <= bound)
+    else:
+        # flat^dag = (a0, -a1, c0, -c1, b0, -b1, d0, -d1)
+        bound = 1e-7 * max(1.0, math.sqrt(sum((sq_a, sq_c, sq_b, sq_d))), math.sqrt(frob))
+        hermitian = (abs(a0 - a0) <= bound and abs(-a1 - a1) <= bound
+                     and abs(c0 - b0) <= bound and abs(-c1 - b1) <= bound
+                     and abs(b0 - c0) <= bound and abs(-b1 - c1) <= bound
+                     and abs(d0 - d0) <= bound and abs(-d1 - d1) <= bound)
+    if not hermitian:
         raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
-    d_re, d_im = _det(flat, lam)
-    scale = max(_frob_sq(flat), 1e-300)
+    d_re = (a0 * d0 - lam * a1 * d1) - (b0 * c0 - lam * b1 * c1)
+    d_im = (a0 * d1 + d0 * a1) - (b0 * c1 + c0 * b1)
+    scale = max(frob, 1e-300)
     if abs(d_im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
     if d_re <= 1e-14 * scale:
@@ -628,7 +651,10 @@ def _cs_scalar(q: float) -> tuple[float, float]:
         return math.cos(r), math.sin(r) / r
     if q < -1e-12:
         r = math.sqrt(-q)
-        return math.cosh(r), math.sinh(r) / r
+        try:
+            return math.cosh(r), math.sinh(r) / r
+        except OverflowError:
+            raise DomainError(f"the exponential overflows: cosh({r!r}) is out of range") from None
     return 1.0 - q * 0.5 + q * q / 24.0, 1.0 - q / 6.0 + q * q / 120.0
 
 

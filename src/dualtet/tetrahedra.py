@@ -31,7 +31,9 @@ from .errors import (
     DomainError,
     NoIntersection,
     NotATetrahedron,
+    NotLightlike,
     NotSpacelikeConnected,
+    PoleAt,
 )
 from .gcnum import GC, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
@@ -41,9 +43,10 @@ from .geometry import (
     Plane,
     boundary_from_matrix,
     boundary_normalize,
-    cross_ratio,
     model_from_coords,
     plane_from_normal,
+    _cross_ratio_from,
+    _dual_action,
     _dual_kernel,
 )
 from .matmodel import (
@@ -231,9 +234,10 @@ class Tetrahedron:
 
     @cached_property
     def _light_tans(self) -> tuple[float, float, float]:
-        """gtan of alpha, beta and gamma."""
+        """gtan of alpha, beta and gamma; inf at a pole of gtan (an angle of
+        pi/2 at lam = 1), where the chart's cotangent term is 0."""
         lam = self.lam
-        return gtan(lam, self.alpha), gtan(lam, self.beta), gtan(lam, self.gamma)
+        return tuple(_tan_or_inf(lam, x) for x in (self.alpha, self.beta, self.gamma))
 
     @cached_property
     def _ideal_chart(self) -> "_IdealChart":
@@ -253,13 +257,15 @@ class Tetrahedron:
         frame = self.frame()
         out = []
         origin = Point.origin(SPACE_X, self.lam)
+        # Every face moves by the pose: its dual action once for all four.
+        sas = _dual_action(self.pose)
         for j in (1, 2, 3):
             n = Tangent(SPACE_X, _normalize_light(frame.n_dir(4, j)), Isometry.identity(self.lam))
-            out.append(plane_from_normal(origin, n).moved(self.pose))
+            out.append(plane_from_normal(origin, n)._pushed(sas))
         a1 = frame.a_iso(1)
         base1 = act(a1, origin)
         n14 = Tangent(SPACE_X, _normalize_light(frame.n_dir(1, 4)), a1)
-        out.append(plane_from_normal(base1, n14).moved(self.pose))
+        out.append(plane_from_normal(base1, n14)._pushed(sas))
         return out[0], out[1], out[2], out[3]
 
     def edge_geodesic(self, i: int, j: int) -> Geodesic:
@@ -270,6 +276,13 @@ class Tetrahedron:
         direction = frame.x_dir(i, j)
         base = self.pose @ frame.a_iso(i)
         return Geodesic(SPACE_X, base, direction, 1)
+
+
+def _tan_or_inf(lam: int, x: float) -> float:
+    try:
+        return gtan(lam, x)
+    except PoleAt:
+        return math.inf
 
 
 class _IdealChart(NamedTuple):
@@ -417,9 +430,10 @@ def _edge_symmetry_ideal(t: Tetrahedron, i: int, j: int) -> tuple[Isometry, int,
     k, l = sorted(set((1, 2, 3, 4)) - {i, j})
     yi, yj = t.vertex(i), t.vertex(j)
     for kk, ll in ((k, l), (l, k)):
-        z = cross_ratio(yi, yj, t.vertex(kk), t.vertex(ll))
+        b = boundary_normalize(yi, yj, t.vertex(kk))
+        z = _cross_ratio_from(b, t.vertex(ll))
         if z.isclose(z_target, 1e-7):
-            b = boundary_normalize(yi, yj, t.vertex(kk)).inv()
+            b = b.inv()
             zero = gc(0, 0, t.lam)
             core = Mat2(z, zero, zero, gc(1, 0, t.lam))
             return b @ Isometry(core) @ b.inv(), kk, ll
@@ -521,13 +535,12 @@ def _recover_lightlike_raw(vertices, lam: int):
             raise NotATetrahedron("lightlike vertices must be points of the spacetime family")
     x = list(vertices)
     try:
-        faces = {j: plane_through_points(*(x[i] for i in range(4) if i != j)) for j in range(3)}
-        for j, f in faces.items():
-            if not f.is_lightlike():
-                raise NotATetrahedron(f"face opposite vertex {j + 1} is not lightlike")
-        _pt, a = common_point_three_planes(faces[0], faces[1], faces[2])
-    except NotATetrahedron:
-        raise
+        # The faces opposite vertices 1, 2 and 3; the common-point step
+        # tests that each is lightlike.
+        faces = [plane_through_points(*(x[i] for i in range(4) if i != j)) for j in range(3)]
+        _pt, a = common_point_three_planes(*faces)
+    except NotLightlike as exc:
+        raise NotATetrahedron(f"faces opposite vertices 1, 2, 3: {exc}") from exc
     except Exception as exc:  # noqa: BLE001
         raise NotATetrahedron(f"vertex set is degenerate: {exc}") from exc
     angles = []
@@ -606,7 +619,7 @@ def _recover_ideal_raw(vertices, lam: int):
             raise NotATetrahedron("ideal vertices must be boundary points")
     try:
         b = boundary_normalize(vertices[0], vertices[1], vertices[2])
-        z = cross_ratio(vertices[0], vertices[1], vertices[2], vertices[3])
+        z = _cross_ratio_from(b, vertices[3])
     except (NotSpacelikeConnected, Degenerate) as exc:
         raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
     for cand in _cross_ratio_orbit(z):
@@ -619,11 +632,15 @@ def _recover_ideal_raw(vertices, lam: int):
 # -- duality --------------------------------------------------------------------
 
 
-def _triple_kernel(vs) -> np.ndarray:
-    kern = _dual_kernel(vs)
-    if kern.shape[1] != 1:
-        raise NotATetrahedron("dual planes do not meet in a single projective point")
-    return kern[:, 0]
+def _triple_kernels(vecs):
+    """For each i, the kernel of the pairing with the three vectors other
+    than vecs[i]: four 3-point kernels from one stacked SVD.  Each is
+    checked to be one projective point as it is taken."""
+    stack = [[vecs[j] for j in range(4) if j != i] for i in range(4)]
+    for kern in _dual_kernel(stack):
+        if kern.shape[1] != 1:
+            raise NotATetrahedron("dual planes do not meet in a single projective point")
+        yield kern[:, 0]
 
 
 def dualize_tet(t: Tetrahedron) -> Tetrahedron:
@@ -632,20 +649,16 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     parameters (alpha, beta) are preserved and the kinds swap."""
     lam = t.lam
     if t.kind == KIND_LIGHTLIKE:
-        vecs = [v.vector() for v in t.vertices]
         new_vertices = []
-        for i in range(4):
-            y = _triple_kernel([vecs[j] for j in range(4) if j != i])
+        for i, y in enumerate(_triple_kernels([v.vector() for v in t.vertices])):
             try:
                 new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
             except Degenerate as exc:
                 raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
         pose, alpha, beta = recover_parameters(new_vertices, KIND_IDEAL, lam)
         return Tetrahedron(KIND_IDEAL, lam, alpha, beta, pose)
-    vecs = [v.vec4() for v in t.vertices]
     new_points = []
-    for i in range(4):
-        xv = _triple_kernel([vecs[j] for j in range(4) if j != i])
+    for i, xv in enumerate(_triple_kernels([v.vec4() for v in t.vertices])):
         if quadric_value(xv, SPACE_X, lam) <= 0:
             raise NotATetrahedron(f"dual vertex {i + 1} misses the spacetime family")
         new_points.append(Point.from_vector(xv, SPACE_X, lam))

@@ -39,6 +39,15 @@ def test_build_domain_error_exit_2(capsys):
     assert "DomainError" in err
 
 
+def test_build_overflowing_exponential_exit_2(capsys):
+    # The third vertex is the exponential of an edge of length 721, whose
+    # cosh overflows at lam = -1.
+    code, out, err = run_cli(capsys, "build", "--lambda", "-1", "--alpha", "720",
+                             "--beta", "1", "--kind", "lightlike")
+    assert code == 2 and out == ""
+    assert err.startswith("DomainError:") and "overflows" in err
+
+
 def test_descriptor_round_trip_is_byte_identical(tmp_path, capsys):
     p1 = tmp_path / "t1.json"
     p2 = tmp_path / "t2.json"

@@ -1,5 +1,8 @@
+import copy
 import itertools
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,15 +11,18 @@ from dualtet import (
     BoundaryPoint,
     Degenerate,
     DegenerateNormal,
+    DomainError,
     GC,
     Geodesic,
     Isometry,
+    LambdaMismatch,
     Mat2,
     NotSpacelikeConnected,
     Point,
     Tangent,
     act,
     arc_length,
+    boundary_from_matrix,
     boundary_normalize,
     common_point_three_planes,
     lightlike_from_angles,
@@ -33,6 +39,7 @@ from dualtet import (
     stabilizer_angle,
     stabilizer_element,
     standard_light_normals,
+    unembed,
 )
 from dualtet.geometry import Plane, model_from_coords
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent
@@ -563,3 +570,302 @@ def test_endpoints_fixed_by_translations(rng):
         e1, e2 = g.endpoints()
         assert act(trans, e1).isclose(e1, 1e-8)
         assert act(trans, e2).isclose(e2, 1e-8)
+
+
+# -- the ideal boundary on four numbers against the GC-entry reference ---------------
+
+
+@dataclass(frozen=True)
+class _GCBoundaryPoint:
+    """`BoundaryPoint` as it was written on two `GC` entries, the reference
+    for the version on four numbers."""
+
+    v1: GC
+    v2: GC
+
+    def __post_init__(self):
+        v1, v2 = self.v1, self.v2
+        if v1.lam != v2.lam:
+            raise DomainError("boundary vector entries carry mixed curvature tags")
+        scale = max(abs(v1.re), abs(v1.im), abs(v2.re), abs(v2.im))
+        if scale == 0.0:
+            raise Degenerate("zero boundary vector")
+        if math.hypot(v1.re, v1.im) <= 1e-11 * scale:
+            v1 = gc(0, 0, v1.lam)
+        if math.hypot(v2.re, v2.im) <= 1e-11 * scale:
+            v2 = gc(0, 0, v2.lam)
+        if v2.is_unit():
+            v1, v2 = v1 * v2.inv(), gc(1, 0, v2.lam)
+        elif v1.is_unit():
+            v1, v2 = gc(1, 0, v1.lam), v2 * v1.inv()
+        else:
+            b1, b2 = _ref_null_branch(v1), _ref_null_branch(v2)
+            if b1 == 0 or b2 == 0 or b1 == b2:
+                raise Degenerate("v v^dag = 0: not a boundary point")
+            v1 = GC(1.0, float(b1), v1.lam)
+            v2 = GC(1.0, -float(b1), v2.lam)
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
+
+    @property
+    def lam(self):
+        return self.v1.lam
+
+    def value(self):
+        if not self.v2.is_unit():
+            raise Degenerate("no affine coordinate: second entry is not a unit")
+        return self.v1 * self.v2.inv()
+
+    def matrix(self):
+        v1, v2 = self.v1, self.v2
+        return Mat2(v1 * v1.conj(), v1 * v2.conj(), v2 * v1.conj(), v2 * v2.conj())
+
+    def vec4(self):
+        return unembed(self.matrix(), "Y")
+
+    def moved(self, b):
+        w1 = b.rep.a * self.v1 + b.rep.b * self.v2
+        w2 = b.rep.c * self.v1 + b.rep.d * self.v2
+        return _GCBoundaryPoint(w1, w2)
+
+    def isclose(self, other, tol=1e-9):
+        if self.lam != other.lam:
+            return False
+        cross = self.v1 * other.v2 - self.v2 * other.v1
+        norm = max(1.0, *(abs(u) for z in (self.v1, self.v2, other.v1, other.v2)
+                          for u in (z.re, z.im)))
+        return math.hypot(cross.re, cross.im) <= tol * norm * norm
+
+
+def _ref_null_branch(z):
+    if z.lam != -1:
+        return 0
+    scale = max(abs(z.re), abs(z.im), 1e-300)
+    if abs(z.re - z.im) <= 1e-12 * scale:
+        return 1
+    if abs(z.re + z.im) <= 1e-12 * scale:
+        return -1
+    return 0
+
+
+def _ref_boundary_from_matrix(m):
+    lam = m.lam
+    scale = math.sqrt(m.frob_sq())
+    if scale == 0.0:
+        raise Degenerate("zero matrix is not a boundary point")
+
+    def snapped(z):
+        return gc(0, 0, lam) if math.hypot(z.re, z.im) <= 1e-11 * scale else z
+
+    a, b, c, d = (snapped(e) for e in m.entries)
+    cols = []
+    if a.is_unit():
+        cols.append((abs(a.mod_sq()), (a, c)))
+    if d.is_unit():
+        cols.append((abs(d.mod_sq()), (b, d)))
+    if cols:
+        _best, (v1, v2) = max(cols, key=lambda item: item[0])
+        return _GCBoundaryPoint(v1, v2)
+    br = _ref_null_branch(b)
+    if lam == -1 and br != 0 and math.hypot(b.re, b.im) > 1e-11 * scale:
+        return _GCBoundaryPoint(GC(1.0, float(br), lam), GC(1.0, -float(br), lam))
+    raise Degenerate("matrix is not a nonzero rank-1 hermitian class")
+
+
+def _ref_det2(u, w):
+    return u.v1 * w.v2 - u.v2 * w.v1
+
+
+def _ref_boundary_normalize(y1, y2, y3):
+    d12, d32, d13 = _ref_det2(y1, y2), _ref_det2(y3, y2), _ref_det2(y1, y3)
+    for d in (d12, d32, d13):
+        if not d.is_unit():
+            raise NotSpacelikeConnected("a pair of the triple is not spacelike-connected")
+    lam_inv = d12.inv()
+    lmb, mu = d32 * lam_inv, d13 * lam_inv
+    return Isometry(Mat2(lmb * y1.v1, mu * y2.v1, lmb * y1.v2, mu * y2.v2)).inv()
+
+
+def _ref_cross_ratio(y1, y2, y3, y4):
+    w = y4.moved(_ref_boundary_normalize(y1, y2, y3))
+    w1, w2 = w.v1, w.v2
+    if not w2.is_unit():
+        raise NotSpacelikeConnected("fourth point is not spacelike-connected to the first")
+    if not w1.is_unit():
+        raise NotSpacelikeConnected("fourth point is not spacelike-connected to the second")
+    if not (w1 - w2).is_unit():
+        raise NotSpacelikeConnected("fourth point is not spacelike-connected to the third")
+    z = w1 * w2.inv()
+    scale = max(1.0, abs(z.re), abs(z.im))
+    if math.hypot(z.re, z.im) <= 1e-12 * scale or math.hypot(z.re - 1.0, z.im) <= 1e-12 * scale:
+        raise Degenerate(f"degenerate cross-ratio {z}")
+    return z
+
+
+def _hexed(value):
+    """Every number of a result as (type name, float.hex), so ints, signed
+    zeros, NaNs and last bits all count."""
+    if isinstance(value, (BoundaryPoint, _GCBoundaryPoint)):
+        return ("boundary", _hexed([value.v1, value.v2]))
+    if isinstance(value, GC):
+        return [_hexed(value.re), _hexed(value.im), value.lam]
+    if isinstance(value, Isometry):
+        return _hexed(value.rep)
+    if isinstance(value, Mat2):
+        return [_hexed(x) for x in value.flat] + [value.lam]
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_hexed(v) for v in value]
+    if isinstance(value, bool):
+        return value
+    return (type(value).__name__, float(value).hex())
+
+
+def _hexed_or_error(fn, *args):
+    try:
+        return _hexed(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+
+
+def _draw_entry(rng):
+    """An int, a signed zero, a NaN or an infinity now and then, or a float
+    of either sign from 1e-8 to 1e8 (entries far below the others snap)."""
+    kind = rng.integers(16)
+    if kind == 0:
+        return int(rng.integers(-3, 4))
+    if kind == 1:
+        return float(rng.choice([0.0, -0.0]))
+    if kind == 2:
+        return float(rng.choice([math.nan, math.inf, -math.inf]))
+    return float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 8))
+
+
+def _boundary_entry_pairs(rng, lam):
+    """(v1, v2) entry pairs: random draws, both null branches and zero
+    divisors at lam = -1, nilpotents at lam = 0, entries at the 1e-11 snap
+    cut, the zero vector and int entries."""
+    pairs = []
+    for _ in range(120):
+        nums = [_draw_entry(rng) for _ in range(4)]
+        pairs.append((GC(nums[0], nums[1], lam), GC(nums[2], nums[3], lam)))
+    for _ in range(20):
+        x, y = (float(v) for v in rng.uniform(0.5, 2.0, 2))
+        e1, e2 = (float(v) for v in rng.choice([-1.0, 1.0], 2))
+        pairs.append((GC(x, e1 * x, lam), GC(y, e2 * y, lam)))  # null branches at lam = -1
+        pairs.append((GC(x, e1 * x, lam), GC(y, -e1 * y * (1.0 + 1e-13), lam)))
+        pairs.append((GC(0.0, x, lam), GC(y, e2 * x, lam)))  # nilpotent first entry at lam = 0
+        for f in (0.9e-11, 1.1e-11):
+            pairs.append((GC(f * x, -f * y, lam), GC(y, e2 * x, lam)))
+            pairs.append((GC(x, e1 * y, lam), GC(-f * y, f * x, lam)))
+    pairs += [(GC(0, 0, lam), GC(0.0, -0.0, lam)), (GC(1, 0, lam), GC(0, 0, lam)),
+              (GC(0, -0.0, lam), GC(2, 1, lam)), (GC(3, 1, lam), GC(-2, 5, lam))]
+    # signed zeros and int zeros against each other, where only the sign of
+    # a zero product tells two evaluation orders apart
+    zeros = (0, 0.0, -0.0)
+    for re1, im1, re2, im2 in itertools.product((-3.0, 2, 0.0), zeros, (-2, 1.5), zeros):
+        pairs += [(GC(re1, im1, lam), GC(re2, im2, lam)), (GC(re2, im2, lam), GC(re1, im1, lam))]
+    return pairs
+
+
+def _boundary_test_matrices(rng, lam):
+    """Matrices of small ints, where the two diagonal units tie often, and
+    matrices whose entries spread over 16 decades, where an entry falls
+    below the snap cut of the matrix but not of its column."""
+    out = []
+    for _ in range(60):
+        out.append(Mat2.from_flat([int(x) for x in rng.integers(-2, 3, 8)], lam))
+        spread = rng.normal(size=8) * 10.0 ** rng.uniform(-13, 3, 8)
+        out.append(Mat2.from_flat([float(x) for x in spread], lam))
+    return out
+
+
+def test_flat_boundary_point_matches_gc_entry_reference():
+    """`BoundaryPoint` and every function of the ideal boundary, written on
+    four numbers, match the `GC`-entry reference bit for bit and raise the
+    same error classes."""
+    rng = np.random.default_rng(1313)
+    seen = {"built": 0, "raises": 0, "normalize": 0, "cross_ratio": 0}
+    for lam in LAMBDAS:
+        built = []
+        for v1, v2 in _boundary_entry_pairs(rng, lam):
+            got = _hexed_or_error(BoundaryPoint, v1, v2)
+            assert got == _hexed_or_error(_GCBoundaryPoint, v1, v2), (lam, v1, v2)
+            if isinstance(got, type):
+                seen["raises"] += 1
+                continue
+            seen["built"] += 1
+            built.append((BoundaryPoint(v1, v2), _GCBoundaryPoint(v1, v2)))
+        a = random_isometry(rng, lam)
+        built += [(bp.moved(a), ref.moved(a)) for bp, ref in (
+            (BoundaryPoint.infinity(lam), _GCBoundaryPoint(gc(1, 0, lam), gc(0, 0, lam))),
+            (BoundaryPoint.zero(lam), _GCBoundaryPoint(gc(0, 0, lam), gc(1, 0, lam))),
+            (BoundaryPoint.one(lam), _GCBoundaryPoint(gc(1, 0, lam), gc(1, 0, lam))))]
+        for bp, ref in built:
+            for name in ("value", "matrix", "vec4"):
+                assert (_hexed_or_error(getattr(bp, name))
+                        == _hexed_or_error(getattr(ref, name))), (name, lam, ref)
+            b = random_isometry(rng, lam)
+            assert _hexed_or_error(bp.moved, b) == _hexed_or_error(ref.moved, b), (lam, ref)
+            m = ref.matrix()
+            for mat in (m, m + Mat2.from_flat([_draw_entry(rng) * 1e-9 for _ in range(8)], lam)):
+                assert (_hexed_or_error(boundary_from_matrix, mat)
+                        == _hexed_or_error(_ref_boundary_from_matrix, mat)), (lam, mat)
+        for _ in range(200):
+            picks = [built[k] for k in rng.integers(len(built), size=4)]
+            new, ref = [p[0] for p in picks], [p[1] for p in picks]
+            assert (_hexed_or_error(new[0].isclose, new[1])
+                    == _hexed_or_error(ref[0].isclose, ref[1]))
+            assert new[0].isclose(new[0]) == ref[0].isclose(ref[0])
+            assert (_hexed_or_error(is_spacelike_connected, new[0], new[1])
+                    == _hexed_or_error(lambda u, w: _ref_det2(u, w).is_unit(), ref[0], ref[1]))
+            got = _hexed_or_error(boundary_normalize, *new[:3])
+            assert got == _hexed_or_error(_ref_boundary_normalize, *ref[:3]), (lam, ref)
+            seen["normalize"] += not isinstance(got, type)
+            got = _hexed_or_error(cross_ratio, *new)
+            assert got == _hexed_or_error(_ref_cross_ratio, *ref), (lam, ref)
+            seen["cross_ratio"] += not isinstance(got, type)
+        for m in _boundary_test_matrices(rng, lam) + [
+                Mat2.from_flat([_draw_entry(rng) for _ in range(8)], lam) for _ in range(40)]:
+            assert (_hexed_or_error(boundary_from_matrix, m)
+                    == _hexed_or_error(_ref_boundary_from_matrix, m)), (lam, m)
+    assert min(seen.values()) > 20, seen
+
+
+def test_flat_boundary_point_keeps_equality_hash_repr_and_errors():
+    rng = np.random.default_rng(1414)
+    for lam in LAMBDAS:
+        for v1, v2 in ((gc(0.3, -1.2, lam), gc(2, 0.5, lam)), (GC(1, 0, lam), GC(0, 0, lam)),
+                       (GC(2.0, 2.0, lam), GC(3.0, -3.0, lam))):
+            try:
+                ref = _GCBoundaryPoint(v1, v2)
+            except Degenerate:
+                continue
+            bp = BoundaryPoint(v1, v2)
+            assert repr(bp) == repr(ref).removeprefix("_GC")
+            assert hash(bp) == hash(ref)
+            assert (bp.v1, bp.v2, bp.lam) == (ref.v1, ref.v2, ref.lam)
+            twin = BoundaryPoint(bp.v1, bp.v2)
+            assert twin == bp and hash(twin) == hash(bp) and twin is not bp
+            assert bp != BoundaryPoint(bp.v1, bp.v2 + 1.0) and bp != ref
+            assert copy.deepcopy(bp) == bp and pickle.loads(pickle.dumps(bp)) == bp
+            for name in ("v1", "flat", "lam"):
+                with pytest.raises(AttributeError):
+                    setattr(bp, name, 0)
+    # signed zeros and ints compare and hash as numbers, as `GC`s do
+    ints = BoundaryPoint(GC(0, 1, 1), GC(1, 0, 1))
+    floats = BoundaryPoint(GC(0.0, 1.0, 1), GC(1.0, -0.0, 1))
+    assert ints == floats and hash(ints) == hash(floats)
+    with pytest.raises(DomainError):
+        BoundaryPoint(gc(1, 0, 1), gc(1, 0, 0))
+    with pytest.raises(DomainError):
+        BoundaryPoint.infinity(2)
+    far = [BoundaryPoint.infinity(0), BoundaryPoint.zero(0), BoundaryPoint.one(0)]
+    near = BoundaryPoint.from_value(gc(0.5, 0.2, 1))
+    for call in (lambda: near.moved(random_isometry(rng, 0)),
+                 lambda: boundary_normalize(near, *far[1:]),
+                 lambda: boundary_normalize(*far[:2], near),
+                 lambda: cross_ratio(*far, near),
+                 lambda: is_spacelike_connected(near, far[0])):
+        with pytest.raises(LambdaMismatch):
+            call()
+    assert not near.isclose(far[0])

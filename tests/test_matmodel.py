@@ -31,7 +31,18 @@ from dualtet import (
 )
 from dualtet.errors import BaseMismatch, LambdaMismatch, NormalizationFailure, ZeroDivisor
 from dualtet.geometry import geodesic_from_tangent, model_from_coords, stabilizer_element
-from dualtet.matmodel import _model_inner, is_hermitian, push
+from dualtet.matmodel import (
+    _canonical,
+    _det,
+    _frob_sq,
+    _is_hermitian,
+    _model_inner,
+    _neg,
+    _scaled,
+    _unembed,
+    is_hermitian,
+    push,
+)
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent, taylor_exp
 
 
@@ -263,6 +274,20 @@ def test_exp_point_domain_errors(rng):
         exp_point(2 * math.pi, t)
     with pytest.raises(DomainError):
         exp_point(1.0, Tangent("X", t.rep * 2.0))  # not normalized
+
+
+def test_exp_point_overflow_is_a_domain_error():
+    """theta is unbounded along a spacelike direction of X at lam = -1, and
+    cosh overflows past about 710."""
+    t = Tangent("X", model_from_coords("X", (1.0, 0.0, 0.0), -1))
+    assert causal_type(t) == 1 and t.norm_sq() == 1.0
+    with pytest.raises(DomainError, match="overflows"):
+        exp_point(800.0, t)
+    with pytest.raises(DomainError, match="overflows"):
+        mat_exp_traceless(t.rep * 711.0)
+    # below the overflow the exponential is the plain cosh / sinh pair
+    m = mat_exp_traceless(t.rep * 700.0)
+    assert m.flat[0] == math.cosh(700.0) and m.flat[1] == 0.0 + 700.0 * (math.sinh(700.0) / 700.0)
 
 
 # -- tangent metric ------------------------------------------------------------------
@@ -608,3 +633,94 @@ def test_flat_push_canonical_and_exp_match_mat2_route():
                         _ref_mat_exp_traceless, x)
     with pytest.raises(LambdaMismatch):
         push(Isometry.identity(1), Mat2.identity(0), "X")
+
+
+def _ref_canonical_two_pass(flat, lam, space):
+    """The canonical point representative as written before the squared
+    entry moduli were shared: the hermitian test sums them for the matrix
+    and for its image under the involution, and the scale sums them again."""
+    if not _is_hermitian(flat, space, 1e-7):
+        raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
+    d_re, d_im = _det(flat, lam)
+    scale = max(_frob_sq(flat), 1e-300)
+    if abs(d_im) > 1e-7 * scale:
+        raise NormalizationFailure("determinant is not real")
+    if d_re <= 1e-14 * scale:
+        raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
+    flat = _scaled(flat, 1.0 / math.sqrt(d_re))
+    t = flat[0] + flat[6]
+    if t < 0:
+        flat = _neg(flat)
+    elif abs(t) <= 1e-12:
+        for comp in _unembed(flat, space):
+            if abs(comp) > 1e-12:
+                if comp < 0:
+                    flat = _neg(flat)
+                break
+    return flat
+
+
+def _kicked_between_the_bounds(rng, space):
+    """A hermitian matrix with a zero diagonal (X) or off-diagonal (Y) entry
+    kicked to k, where the Frobenius sums of the matrix and of its image
+    under the involution round apart and k lies between the two 1e-7 bounds
+    they give: only the order of each sum decides the hermitian test.  None
+    when the sums of the draw round alike."""
+    big = 10.0 ** rng.uniform(1, 6)
+    u, v, w, x = (float(y) * big for y in rng.normal(size=4))
+
+    def kicked(k):
+        return (0.0, u, 0.0, v, 0.0, w, k, -u) if space == "X" else (x, 0.0, 0.0, v, k, -v, w, 0.0)
+
+    k = 1e-7 * big
+    for _ in range(4):  # the bounds hardly move with k: a step or two settles
+        flat = kicked(k)
+        sq = [re * re + im * im for re, im in zip(flat[::2], flat[1::2])]
+        star = (sq[3], sq[1], sq[2], sq[0]) if space == "X" else (sq[0], sq[2], sq[1], sq[3])
+        low, high = sorted(1e-7 * math.sqrt(sum(s)) for s in (sq, star))
+        if low < k <= high:
+            return flat
+        k = math.nextafter(low, math.inf)
+    return None
+
+
+def test_fused_canonical_matches_two_pass_reference():
+    """`_canonical` computes the four squared entry moduli once; over ints,
+    signed zeros, NaNs, infinities and matrices just inside and just outside
+    the 1e-7 hermitian bound it matches the two-pass version bit for bit."""
+    rng = np.random.default_rng(3333)
+
+    def num():
+        if rng.integers(12) == 0:
+            return float(rng.choice([math.nan, math.inf, -math.inf]))
+        return _draw_number(rng)
+
+    sides = {"inside": 0, "outside": 0}
+    for lam in LAMBDAS:
+        for space in ("X", "Y"):
+            for _ in range(300):
+                p, q, r, s = num(), num(), num(), num()
+                herm = ((p, q, 0, r, 0, s, p, -q) if space == "X"
+                        else (p, 0, r, s, r, -s, q, 0))
+                cases = [herm, tuple(num() for _ in range(8))]
+                # one entry pushed off the hermitian form by (1 -+ 1e-5) times
+                # the bound: just inside and just outside it
+                bound = 1e-7 * max(1.0, math.sqrt(_frob_sq(herm)))
+                for f in (1.0 - 1e-5, 1.0 + 1e-5):
+                    kicked = list(herm)
+                    kicked[6 if space == "X" else 4] += f * bound
+                    cases.append(tuple(kicked))
+                for flat in cases:
+                    got = _bits_or_error(_canonical, flat, lam, space)
+                    assert got == _bits_or_error(_ref_canonical_two_pass, flat, lam, space), (
+                        lam, space, flat)
+                    if flat in cases[2:] and math.isfinite(bound):
+                        hermitian = _is_hermitian(flat, space, 1e-7)
+                        sides["inside" if hermitian else "outside"] += 1
+            between = [_kicked_between_the_bounds(rng, space) for _ in range(1500)]
+            between = [flat for flat in between if flat is not None]
+            assert len(between) >= 30, (lam, space, len(between))
+            for flat in between:
+                assert (_bits_or_error(_canonical, flat, lam, space)
+                        == _bits_or_error(_ref_canonical_two_pass, flat, lam, space)), flat
+    assert min(sides.values()) > 100, sides

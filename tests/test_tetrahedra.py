@@ -8,6 +8,7 @@ import pytest
 from dualtet import (
     BoundaryPoint,
     ChartInversionFailure,
+    Degenerate,
     DomainError,
     DualtetError,
     GC,
@@ -41,7 +42,25 @@ from dualtet import (
     standard_vertices,
     to_descriptor,
 )
-from dualtet.geometry import model_from_coords
+from dualtet.errors import NotSpacelikeConnected
+from dualtet.geometry import (
+    _dual_kernel,
+    boundary_from_matrix,
+    boundary_normalize,
+    common_point_three_planes,
+    model_from_coords,
+    plane_through_points,
+)
+from dualtet.gcnum import gc_angle
+from dualtet.matmodel import embed, quadric_value
+from dualtet.tetrahedra import (
+    _canonical_from_triple,
+    _canonical_triple_from_shape,
+    _cross_ratio_orbit,
+    _match_sets,
+    _orbit_triples,
+    _perm_isometries,
+)
 from conftest import LAMBDAS, random_isometry, random_point
 
 V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
@@ -783,3 +802,229 @@ def test_sample_count_must_be_an_exact_nonnegative_int():
                 sample(t, bad, seed=1)
         assert sample(t, 0, seed=1) == []
         assert len(sample(t, 3, seed=1)) == 3
+
+
+# -- recovery and duality against the route that repeated its work ------------------
+
+
+def _ref_recover_lightlike_raw(vertices, lam):
+    """The lightlike normalizer as written before each face was tested for
+    lightlike-ness once: here the faces are tested, then tested again inside
+    `common_point_three_planes`."""
+    x = list(vertices)
+    try:
+        faces = {j: plane_through_points(*(x[i] for i in range(4) if i != j)) for j in range(3)}
+        for j, f in faces.items():
+            if not f.is_lightlike():
+                raise NotATetrahedron(f"face opposite vertex {j + 1} is not lightlike")
+        _pt, a = common_point_three_planes(faces[0], faces[1], faces[2])
+    except NotATetrahedron:
+        raise
+    except Exception as exc:  # noqa: BLE001
+        raise NotATetrahedron(f"vertex set is degenerate: {exc}") from exc
+    angles = []
+    for idx, flip in ((0, 1.0), (1, 1.0), (2, -1.0)):
+        m = act(a, x[idx]).rep
+        try:
+            angles.append(flip * 0.5 * gc_angle(m.a * m.d.inv(), tol=1e-6))
+        except DomainError as exc:
+            raise NotATetrahedron(f"vertex {idx + 1} is not in standard form: {exc}") from exc
+    al, be, ga = angles
+    if lam == 1:
+        reps = [v % math.pi for v in (al, be, ga)]
+        total = sum(reps)
+        candidates = []
+        if abs(total - math.pi) < 1e-7:
+            for drop in (2, 0, 1):
+                candidates.append(tuple(r - (math.pi if k == drop else 0.0)
+                                        for k, r in enumerate(reps)))
+        elif abs(total - 2.0 * math.pi) < 1e-7:
+            for keep in (0, 1, 2):
+                candidates.append(tuple(r - (0.0 if k == keep else math.pi)
+                                        for k, r in enumerate(reps)))
+        if not candidates:
+            raise NotATetrahedron(f"edge angles do not close up modulo pi: {reps}")
+        return a, candidates
+    if abs(al + be + ga) > 1e-7 * max(1.0, abs(al), abs(be)):
+        raise NotATetrahedron(f"edge angles do not close up: {(al, be, ga)}")
+    return a, [(al, be, ga)]
+
+
+def _ref_recover_ideal_raw(vertices, lam):
+    """The ideal normalizer as written before the triple was normalized once:
+    `cross_ratio` normalizes it a second time."""
+    try:
+        b = boundary_normalize(vertices[0], vertices[1], vertices[2])
+        z = cross_ratio(vertices[0], vertices[1], vertices[2], vertices[3])
+    except (NotSpacelikeConnected, Degenerate) as exc:
+        raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
+    for cand in _cross_ratio_orbit(z):
+        triple = _canonical_triple_from_shape(cand, lam)
+        if triple is not None:
+            return b, [triple]
+    raise NotATetrahedron(f"cross-ratio {z} admits no positive parameter choice")
+
+
+def _ref_recover_parameters(vertices, kind, lam):
+    raw = _ref_recover_lightlike_raw if kind == "lightlike" else _ref_recover_ideal_raw
+    normalizer, triples = raw(vertices, lam)
+    seen = []
+    for triple in triples:
+        canon = _canonical_from_triple(lam, _orbit_triples(*triple))
+        if canon is None or any(abs(canon[0] - c[0]) + abs(canon[1] - c[1]) < 1e-12 for c in seen):
+            continue
+        seen.append(canon)
+        std = standard_vertices(kind, lam, *canon)
+        for w in _perm_isometries(lam):
+            pose = (w @ normalizer).inv()
+            if _match_sets([act(pose, v) for v in std], list(vertices)):
+                return pose, canon[0], canon[1]
+    raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
+
+
+def _ref_dualize_tet(t):
+    """`dualize_tet` with one `_dual_kernel` call per 3-point kernel and the
+    reference recovery."""
+    lam = t.lam
+
+    def kernel(vs):
+        kern = _dual_kernel(vs)
+        if kern.shape[1] != 1:
+            raise NotATetrahedron("dual planes do not meet in a single projective point")
+        return kern[:, 0]
+
+    if t.kind == "lightlike":
+        vecs = [v.vector() for v in t.vertices]
+        new_vertices = []
+        for i in range(4):
+            y = kernel([vecs[j] for j in range(4) if j != i])
+            try:
+                new_vertices.append(boundary_from_matrix(embed(y, "Y", lam)))
+            except Degenerate as exc:
+                raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
+        pose, alpha, beta = _ref_recover_parameters(new_vertices, "ideal", lam)
+        return Tetrahedron("ideal", lam, alpha, beta, pose)
+    vecs = [v.vec4() for v in t.vertices]
+    new_points = []
+    for i in range(4):
+        xv = kernel([vecs[j] for j in range(4) if j != i])
+        if quadric_value(xv, "X", lam) <= 0:
+            raise NotATetrahedron(f"dual vertex {i + 1} misses the spacetime family")
+        new_points.append(Point.from_vector(xv, "X", lam))
+    pose, alpha, beta = _ref_recover_parameters(new_points, "lightlike", lam)
+    return Tetrahedron("lightlike", lam, alpha, beta, pose)
+
+
+def _vertex_hex(v):
+    numbers = v.rep.flat if isinstance(v, Point) else v.flat
+    return [type(v).__name__] + [float(x).hex() for x in numbers]
+
+
+def _recovered_hex(fn, *args):
+    """Pose, parameters and vertices of a result by float.hex, or the error
+    class raised."""
+    try:
+        out = fn(*args)
+    except DualtetError as exc:
+        return type(exc)
+    if isinstance(out, Tetrahedron):
+        return ([out.kind, out.alpha.hex(), out.beta.hex()]
+                + [float(x).hex() for x in out.pose.rep.flat]
+                + [_vertex_hex(v) for v in out.vertices])
+    pose, alpha, beta = out
+    return [alpha.hex(), beta.hex()] + [float(x).hex() for x in pose.rep.flat]
+
+
+def test_recovery_and_duality_match_the_route_that_repeated_work():
+    """One lightlike test per face, one normalization per ideal triple and the
+    stacked kernels give the pose, parameters and vertices of the route that
+    did each twice, bit for bit, and fail with the same error classes."""
+    rng = np.random.default_rng(5151)
+    ok = fails = 0
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            for _ in range(6):
+                while True:
+                    alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(6.0), 2))
+                    if lam != 1 or alpha + beta < math.pi:
+                        break
+                t = Tetrahedron(kind, lam, float(alpha), float(beta), random_isometry(rng, lam))
+                perm = [int(k) for k in rng.permutation(4)]
+                shuffled = [t.vertices[k] for k in perm]
+                for verts in (t.vertices, shuffled):
+                    got = _recovered_hex(recover_parameters, verts, kind, lam)
+                    assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam), (
+                        lam, kind, alpha, beta, perm)
+                got = _recovered_hex(dualize_tet, t)
+                assert got == _recovered_hex(_ref_dualize_tet, t), (lam, kind, alpha, beta)
+                if isinstance(got, type):
+                    fails += 1
+                    continue
+                ok += 1
+                d = dualize_tet(t)
+                assert _recovered_hex(dualize_tet, d) == _recovered_hex(_ref_dualize_tet, d), (
+                    lam, kind, alpha, beta)
+        # vertex sets that are no tetrahedron fail alike
+        garbage = [[random_point(rng, "X", lam) for _ in range(4)],
+                   [BoundaryPoint.from_value(GC(*rng.normal(size=2), lam)) for _ in range(4)]]
+        for verts, kind in zip(garbage, ("lightlike", "ideal")):
+            got = _recovered_hex(recover_parameters, verts, kind, lam)
+            assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam)
+    assert ok > 20 and fails < ok, (ok, fails)
+
+
+def test_stacked_dual_kernels_match_separate_calls():
+    """One SVD call for a stack of 3-point kernels gives each kernel the bits
+    of a call of its own, on tetrahedra of both kinds and on random,
+    repeated and zero vectors."""
+    rng = np.random.default_rng(5252)
+    stacks = []
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            for _ in range(10):
+                a, b = rng.uniform(0.05, 1.4, 2)
+                t = Tetrahedron(kind, lam, float(a), float(b), random_isometry(rng, lam))
+                vecs = [v.vector() if kind == "lightlike" else v.vec4() for v in t.vertices]
+                stacks.append([[vecs[j] for j in range(4) if j != i] for i in range(4)])
+    for _ in range(30):
+        vecs = list(rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-6, 6))
+        vecs[3] = vecs[int(rng.integers(3))] * rng.choice([1.0, -2.0])  # rank falls by one
+        if rng.integers(4) == 0:
+            vecs[2] = np.zeros(4)
+        stacks.append([[vecs[j] for j in range(4) if j != i] for i in range(4)])
+    for stack in stacks:
+        stacked = _dual_kernel(stack)
+        assert len(stacked) == 4
+        for got, triple in zip(stacked, stack):
+            want = _dual_kernel(triple)
+            assert got.shape == want.shape
+            hexed = [[x.hex() for x in k.ravel().tolist()] for k in (got, want)]
+            assert hexed[0] == hexed[1]
+
+
+def test_lightlike_chart_at_a_pole_of_gtan():
+    """At lam = 1 an angle of pi/2 is a pole of gtan.  The chart's term for
+    that angle is its cotangent, 0, so the tetrahedron samples and contains
+    its points, and its samples are the limits of those of its neighbours
+    with the angle moved by 1e-9 either way."""
+    from dualtet.tetrahedra import _light_chart_r
+
+    rng = np.random.default_rng(3)
+    half = math.pi / 2
+    for alpha, beta, moved in ((half, 0.7, 0), (0.7, half, 1), (0.7, half - 0.7, 1)):
+        pose = random_isometry(rng, 1)
+        t = lightlike_from_angles(1, alpha, beta, pose)
+        assert math.inf in t._light_tans
+        points = sample(t, 30, seed=4)
+        assert len(points) == 30
+        assert all(contains(t, p) for p in points), (alpha, beta)
+        assert all(contains(t, v) for v in t.vertices), (alpha, beta)
+        for eps in (-1e-9, 1e-9):
+            params = [alpha, beta]
+            params[moved] += eps
+            near = sample(lightlike_from_angles(1, *params, pose), 30, seed=4)
+            assert all(p.isclose(q, 1e-7) for p, q in zip(points, near)), (alpha, beta, eps)
+        a, b = 0.2, 0.3
+        rmax = _light_chart_r(t, a, b)
+        assert contains(t, _ref_light_chart_point(t, 0.999 * rmax, a, b))
+        assert not contains(t, _ref_light_chart_point(t, 1.02 * rmax, a, b))
