@@ -7,13 +7,13 @@ values give four tensor rules, KK, KG, GK and GG (the first letter names
 the rule in x), and the estimate is max(|KK - GG|, |KK - GK| + |KK - KG|):
 the per-axis differences catch an axis that is under-resolved while the
 other hides it in GG, as DCUHRE's per-axis differences do (Berntsen,
-Espelid & Genz, ACM TOMS 17, 1991).  The 2d root panel is always split
-once, since its rules can agree by chance on an integrand they do not
-resolve.  When the panel budget runs out first they raise
-ToleranceNotReached carrying the best estimate; when the integrand is not
-finite at a node they raise it at once, with value nan and error inf.
-Subdivision order is a deterministic function of the inputs, so results
-are bit-reproducible.
+Espelid & Genz, ACM TOMS 17, 1991).  Both run one refinement loop, and
+both always split the root panel once, since its rules can agree by chance
+on an integrand they do not resolve.  When the panel budget runs out first
+they raise ToleranceNotReached carrying the best estimate; when the
+integrand is not finite at a node they raise it at once, with value nan
+and error inf.  Subdivision order is a deterministic function of the
+inputs, so results are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call: the
 children of a split (two in 1d, four in 2d) share one call.  In 1d, f gets
@@ -85,6 +85,36 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
 
 
+def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, float]:
+    """The refinement loop of both integrators: `panels(f, cells, held)`
+    gives the values and error estimates of a list of cells, and
+    `split(cell)` a cell's children.  The root is always split once (see
+    above)."""
+    (val,), (err,) = panels(f, [root], 1)
+    heap = [(-err, 0, root, val, err)]
+    counter = 1
+    total_val, total_err = val, err
+    while total_err > tol or counter == 1:
+        if len(heap) >= limit:
+            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
+        _, _, cell, pval, perr = heapq.heappop(heap)
+        total_val -= pval
+        total_err -= perr
+        subs = split(cell)
+        for sub, v, e in zip(subs, *panels(f, subs, len(heap) + len(subs))):
+            heapq.heappush(heap, (-e, counter, sub, v, e))
+            counter += 1
+            total_val += v
+            total_err += e
+    return total_val, total_err
+
+
+def _halves(seg) -> tuple:
+    lo, hi = seg
+    mid = 0.5 * (lo + hi)
+    return (lo, mid), (mid, hi)
+
+
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
                   limit: int = 2000) -> tuple[float, float]:
     """Integrate a vectorized scalar function over [a, b] to absolute
@@ -96,25 +126,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     """
     if a == b:
         return 0.0, 0.0
-    seg = (float(a), float(b))
-    (val,), (err,) = _panels_1d(f, [seg], 1)
-    heap = [(-err, 0, seg, val, err)]
-    counter = 1
-    total_val, total_err = val, err
-    while total_err > tol:
-        if len(heap) >= limit:
-            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
-        _, _, (lo, hi), pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        mid = 0.5 * (lo + hi)
-        subs = ((lo, mid), (mid, hi))
-        for sub, v, e in zip(subs, *_panels_1d(f, subs, len(heap) + 2)):
-            heapq.heappush(heap, (-e, counter, sub, v, e))
-            counter += 1
-            total_val += v
-            total_err += e
-    return total_val, total_err
+    return _refine(_panels_1d, f, (float(a), float(b)), _halves, tol, limit)
 
 
 def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
@@ -135,6 +147,12 @@ def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
     return kron.tolist(), err.tolist()
 
 
+def _quarters(rect) -> tuple:
+    x0, x1, y0, y1 = rect
+    xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    return (x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)
+
+
 def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
                      max_panels: int = 20000) -> tuple[float, float]:
     """Integrate a vectorized f(x, y) over a rectangle to absolute
@@ -149,23 +167,4 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
     integrand is not finite at a node.
     """
     rect = (float(xspan[0]), float(xspan[1]), float(yspan[0]), float(yspan[1]))
-    (val,), (err,) = _panels_2d(f, [rect], 1)
-    heap = [(-err, 0, rect, val, err)]
-    counter = 1
-    total_val, total_err = val, err
-    # The root's rules can agree by chance on an integrand they do not
-    # resolve, so the root is always split once.
-    while total_err > tol or counter == 1:
-        if len(heap) >= max_panels or not heap:
-            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
-        _, _, (x0, x1, y0, y1), pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        subs = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
-        for sub, v, e in zip(subs, *_panels_2d(f, subs, len(heap) + 4)):
-            heapq.heappush(heap, (-e, counter, sub, v, e))
-            counter += 1
-            total_val += v
-            total_err += e
-    return total_val, total_err
+    return _refine(_panels_2d, f, rect, _quarters, tol, max_panels)

@@ -39,6 +39,30 @@ def check_same_lambda(a: "GC", b: "GC") -> int:
     return a.lam
 
 
+# Arithmetic of the algebra on (re, im) numbers: `GC`, `Mat2` and the
+# boundary and chart code all use these, so results agree bit for bit.
+
+
+def _mod_sq(re, im, lam: int):
+    """(re + l*im) * (re - l*im); real, possibly negative for lam = -1."""
+    return re * re + lam * im * im
+
+
+def _is_unit(re, im, lam: int) -> bool:
+    return abs(_mod_sq(re, im, lam)) > EPS_UNIT * (re * re + im * im)
+
+
+def _inv(re, im, lam: int) -> tuple:
+    """(re, im) of the inverse of a unit."""
+    m = _mod_sq(re, im, lam)
+    return re / m, -im / m
+
+
+def _mul(x0, x1, y0, y1, lam: int) -> tuple:
+    """(re, im) of (x0 + l*x1) * (y0 + l*y1)."""
+    return x0 * y0 - lam * x1 * y1, x0 * y1 + y0 * x1
+
+
 @dataclass(frozen=True)
 class GC:
     """Element re + l*im of the algebra with l^2 = -lam."""
@@ -81,12 +105,7 @@ class GC:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # (x1 + l y1)(x2 + l y2) = (x1 x2 - lam y1 y2) + l (x1 y2 + x2 y1)
-        return GC(
-            self.re * other.re - self.lam * self.im * other.im,
-            self.re * other.im + other.re * self.im,
-            self.lam,
-        )
+        return GC(*_mul(self.re, self.im, other.re, other.im, self.lam), self.lam)
 
     __rmul__ = __mul__
 
@@ -116,16 +135,15 @@ class GC:
 
     def mod_sq(self) -> float:
         """z * conj(z); real, possibly negative for lam = -1."""
-        return self.re * self.re + self.lam * self.im * self.im
+        return _mod_sq(self.re, self.im, self.lam)
 
     def is_unit(self) -> bool:
-        return abs(self.mod_sq()) > EPS_UNIT * (self.re * self.re + self.im * self.im)
+        return _is_unit(self.re, self.im, self.lam)
 
     def inv(self) -> "GC":
-        m = self.mod_sq()
         if not self.is_unit():
-            raise ZeroDivisor(f"{self} is not a unit (|z|^2 = {m})")
-        return GC(self.re / m, -self.im / m, self.lam)
+            raise ZeroDivisor(f"{self} is not a unit (|z|^2 = {self.mod_sq()})")
+        return GC(*_inv(self.re, self.im, self.lam), self.lam)
 
     # -- misc ---------------------------------------------------------------
 

@@ -53,7 +53,7 @@ from .errors import (
     NotSpacelikeConnected,
     WrongCausalClass,
 )
-from .gcnum import EPS_UNIT, GC, check_lambda, gacot
+from .gcnum import GC, _inv, _is_unit, _mod_sq, _mul, check_lambda, gacot
 from .matmodel import (
     Isometry,
     Mat2,
@@ -260,24 +260,6 @@ def _null_branch(re, im, lam: int) -> int:
     return 0
 
 
-# Arithmetic of the algebra on (re, im) numbers, written as `GC` writes it.
-
-
-def _is_unit(re, im, lam: int) -> bool:
-    return abs(re * re + lam * im * im) > EPS_UNIT * (re * re + im * im)
-
-
-def _inv(re, im, lam: int) -> tuple:
-    """(re, im) of the inverse of a unit."""
-    m = re * re + lam * im * im
-    return re / m, -im / m
-
-
-def _mul(x0, x1, y0, y1, lam: int) -> tuple:
-    """(re, im) of (x0 + l*x1) * (y0 + l*y1)."""
-    return x0 * y0 - lam * x1 * y1, x0 * y1 + y0 * x1
-
-
 def _normalized(r1, i1, r2, i2, lam: int) -> tuple:
     """The canonical representative of [v1 : v2] on its four numbers; see
     `BoundaryPoint`."""
@@ -448,7 +430,7 @@ def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
     # Columns of v v^dag are conj(v1)*v and conj(v2)*v; use the column with
     # the larger diagonal unit, the first on a tie.
     a_unit, d_unit = _is_unit(a0, a1, lam), _is_unit(d0, d1, lam)
-    if d_unit and (not a_unit or abs(d0 * d0 + lam * d1 * d1) > abs(a0 * a0 + lam * a1 * a1)):
+    if d_unit and (not a_unit or abs(_mod_sq(d0, d1, lam)) > abs(_mod_sq(a0, a1, lam))):
         return _boundary(_normalized(b0, b1, d0, d1, lam), lam)
     if a_unit:
         return _boundary(_normalized(a0, a1, c0, c1, lam), lam)
@@ -617,11 +599,6 @@ class Plane:
         return (self.space == other.space and self.lam == other.lam
                 and (np.allclose(self.dual_vec, other.dual_vec, atol=tol)
                      or np.allclose(self.dual_vec, -other.dual_vec, atol=tol)))
-
-
-def _orthobasis_of_normal(space: str, lam: int, n_coords: np.ndarray) -> np.ndarray:
-    g = model_gram(space, lam)
-    return _nullspace((g @ n_coords)[None, :])
 
 
 def plane_from_normal(base: Point, n: Tangent) -> Plane:

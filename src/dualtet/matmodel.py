@@ -34,7 +34,7 @@ from .errors import (
     LambdaMismatch,
     NormalizationFailure,
 )
-from .gcnum import GC, check_lambda
+from .gcnum import GC, _mod_sq, _mul, check_lambda
 
 SPACE_X = "X"
 SPACE_Y = "Y"
@@ -244,12 +244,9 @@ class Mat2:
         if s.lam != lam:
             raise _mixed(lam, s.lam)
         a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        # (x + l y)(sr + l si) = (x sr - lam y si) + l (x si + sr y)
         sr, si = s.re, s.im
-        return _mat((a0 * sr - lam * a1 * si, a0 * si + sr * a1,
-                     b0 * sr - lam * b1 * si, b0 * si + sr * b1,
-                     c0 * sr - lam * c1 * si, c0 * si + sr * c1,
-                     d0 * sr - lam * d1 * si, d0 * si + sr * d1), lam)
+        return _mat((*_mul(a0, a1, sr, si, lam), *_mul(b0, b1, sr, si, lam),
+                     *_mul(c0, c1, sr, si, lam), *_mul(d0, d1, sr, si, lam)), lam)
 
     __rmul__ = __mul__
 
@@ -393,7 +390,7 @@ class Isometry:
     def __post_init__(self):
         rep, lam = self.rep, self.rep.lam
         d_re, d_im = _det(rep.flat, lam)
-        m = d_re * d_re + lam * d_im * d_im  # det * conj(det), as `GC.mod_sq`
+        m = _mod_sq(d_re, d_im, lam)
         if m <= 1e-24 * max(1.0, rep.frob_sq() ** 2):
             raise NormalizationFailure(f"|det|^2 = {m} is not positive: not an isometry")
         # Scale so |det|^2 = 1; a real positive factor keeps the class.

@@ -29,13 +29,14 @@ from .errors import (
     ChartInversionFailure,
     Degenerate,
     DomainError,
+    DualtetError,
     NoIntersection,
     NotATetrahedron,
     NotLightlike,
     NotSpacelikeConnected,
     PoleAt,
 )
-from .gcnum import GC, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
+from .gcnum import GC, _mod_sq, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
     STANDARD_LIGHT_NORMAL_COORDS,
     BoundaryPoint,
@@ -778,7 +779,7 @@ def _contains_ideal(t: Tetrahedron, p: Point, tol: float) -> bool:
     else:
         try:
             r, phi = polar(GC(w_re, w_im, lam))
-        except Exception:
+        except DualtetError:  # w has no polar form
             return False
         if r < 0:
             return False
@@ -800,7 +801,7 @@ def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> P
     z_im = gsin(lam, theta - t.beta) * r - chart.shift_im
     s = 1.0 / tval
     # [[(t^2 + |z|^2) / t, z / t], [conj(z) / t, 1 / t]]
-    std = _canonical(((tval * tval + (z_re * z_re + lam * z_im * z_im)) / tval, 0.0,
+    std = _canonical(((tval * tval + _mod_sq(z_re, z_im, lam)) / tval, 0.0,
                       z_re * s, z_im * s, z_re * s, -z_im * s, s, 0.0), lam, SPACE_Y)
     return Point(SPACE_Y, _mat(_push(t.pose.rep.flat, std, lam, SPACE_Y), lam))
 

@@ -17,16 +17,17 @@ the ideal volume plus sine-log terms, divided by the curvature, collapsing
 to a*b*(a+b)/3 in the flat case.
 
 An independent oracle integrates the invariant volume forms over the
-explicit chart parametrizations of both kinds by adaptive cubature; it
-never touches the Clausen evaluations.  The densities have thin layers at
-the chart's edges and corners, whose width shrinks with s(beta)/s(alpha)
-on skewed cells and with e^-(alpha+beta) at lam = -1.  Sidi's sin^2
-substitution phi(u) = u - sin(2 pi u)/(2 pi) (ISNM 112, 1993), whose
-Jacobian 2 sin(pi u)^2 vanishes to second order at both ends, widens them:
-the ideal angle and the lightlike v get it twice, and each half of the
-lightlike t, whose density has a kink at t = 0, gets it once; the ideal w
-follows its layer exactly (see _oracle_integrand).  Both densities are
-sums of terms that are >= 0, so nothing cancels at a singular corner.
+explicit chart parametrizations by adaptive quadrature, never touching the
+Clausen evaluations: in 1-D over the ideal chart's angle, whose w integral
+is done in closed form (see _ideal_oracle), and in 2-D over the lightlike
+chart.  The integrands have thin layers at the chart's edges and corners,
+whose width shrinks with s(beta)/s(alpha) on skewed cells and with
+e^-(alpha+beta) at lam = -1.  Sidi's sin^2 substitution
+phi(u) = u - sin(2 pi u)/(2 pi) (ISNM 112, 1993), whose Jacobian
+2 sin(pi u)^2 vanishes to second order at both ends, widens them: the
+ideal angle and the lightlike v get it twice, and each half of the
+lightlike t, whose density has a kink at t = 0, gets it once.  Both
+integrands are built from terms >= 0, so nothing cancels at a corner.
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubature import adaptive_quad_2d
+from .cubature import adaptive_quad, adaptive_quad_2d
 from .errors import ConvergenceWarning, DomainError
 from .gcnum import check_lambda, gcos, gsin
 from .tetrahedra import KIND_IDEAL, KIND_LIGHTLIKE, check_kind, validate_angles
@@ -187,21 +188,6 @@ def _gsin_np(lam: int, x):
     return x
 
 
-def _ideal_integrand(lam: int, alpha: float, beta: float):
-    """Volume density of the ideal chart in (theta, w), theta in [0, alpha],
-    w in [0, 1].  The density r_edge / (2 (r0 - (1 - w) r_edge)) is written
-    as c / (2 (s(alpha - theta) s(theta) + w c)), c = s(beta) s(alpha + beta),
-    by s(a + b - t) s(t + b) - s(b) s(a + b) = s(a - t) s(t): both terms of
-    the denominator are >= 0, so nothing cancels at the singular corners
-    (0, 0) and (alpha, 0)."""
-    c = gsin(lam, beta) * gsin(lam, alpha + beta)
-
-    def f(theta, w):
-        return (0.5 * c) / (_gsin_np(lam, alpha - theta) * _gsin_np(lam, theta) + w * c)
-
-    return f
-
-
 def _lightlike_integrand(lam: int, alpha: float, beta: float):
     """Volume density of the lightlike chart in (t, v), t in [-pi/4, pi/4],
     v in [0, 1].  It is g(r) width / cos(s)^2 with s = |t| + v width,
@@ -272,39 +258,39 @@ def _sin2_twice(u):
     return q, dq * dp
 
 
-def _oracle_integrand(kind: str, lam: int, alpha: float, beta: float):
-    """The chart density of `kind` as an integrand over the unit square in
-    (xi, eta), with the nodes clustered into the density's layers.
+def _ideal_oracle(lam: int, alpha: float, beta: float):
+    """The ideal volume as an integrand over xi in [0, 1].
 
-    - ideal: the density is symmetric about theta = alpha / 2, so theta runs
-      over [0, alpha / 2], twice weighted, as (alpha / 2) phi(phi(xi)).  In w
-      the density is 1 / (2 (q + w)), q = s(alpha - theta) s(theta) / c,
-      with a layer of width q at w = 0; w = q expm1(eta L), L = log1p(1 / q),
-      spreads it evenly over eta (f dw / deta = L / 2 for every eta), so
-      the cubature refines in theta only.
-    - lightlike: t = (pi/4) sign(r) phi(|r|), r = 2 xi - 1, clusters nodes at
-      t = 0, where the density has a kink and a layer on one side, as well
-      as at t = +-pi/4; v = phi(phi(eta)) runs into the layer at v = 0.
+    The chart density in (theta, w), theta in [0, alpha], w in [0, 1], is
+    r_edge / (2 (r0 - (1 - w) r_edge)) = 1 / (2 (q + w)), with
+    q = s(alpha - theta) s(theta) / c and c = s(beta) s(alpha + beta), by
+    s(a + b - t) s(t + b) - s(b) s(a + b) = s(a - t) s(t).  Its w integral
+    is log1p(1 / q) / 2, which is symmetric about theta = alpha / 2, so
+    theta runs over [0, alpha / 2], twice weighted, as (alpha / 2) phi(phi(xi)).
     """
-    if kind == KIND_IDEAL:
-        f = _ideal_integrand(lam, alpha, beta)
-        c = gsin(lam, beta) * gsin(lam, alpha + beta)
+    c = gsin(lam, beta) * gsin(lam, alpha + beta)
 
-        def g(xi, eta):
-            p, dp = _sin2_twice(xi)
-            theta = (0.5 * alpha) * p
-            q = _gsin_np(lam, alpha - theta) * _gsin_np(lam, theta) / c
-            span = np.log1p(1.0 / q)
-            w = q * np.expm1(span * eta)
-            return f(theta, w) * ((alpha * dp) * (span * (q + w)))
-    else:
-        f = _lightlike_integrand(lam, alpha, beta)
+    def f(xi):
+        p, dp = _sin2_twice(xi)
+        theta = (0.5 * alpha) * p
+        return ((0.5 * alpha) * dp) * np.log1p(c / (_gsin_np(lam, alpha - theta)
+                                                     * _gsin_np(lam, theta)))
 
-        def g(xi, eta):
-            r = 2.0 * xi - 1.0
-            p, dp = _sin2(np.abs(r))
-            v, dv = _sin2_twice(eta)
-            return f((0.25 * math.pi) * np.copysign(p, r), v) * (((0.5 * math.pi) * dp) * dv)
+    return f
+
+
+def _lightlike_oracle(lam: int, alpha: float, beta: float):
+    """The lightlike chart density as an integrand over the unit square in
+    (xi, eta): t = (pi/4) sign(r) phi(|r|), r = 2 xi - 1, clusters nodes at
+    t = 0, where the density has a kink and a layer on one side, as well as
+    at t = +-pi/4; v = phi(phi(eta)) runs into the layer at v = 0."""
+    f = _lightlike_integrand(lam, alpha, beta)
+
+    def g(xi, eta):
+        r = 2.0 * xi - 1.0
+        p, dp = _sin2(np.abs(r))
+        v, dv = _sin2_twice(eta)
+        return f((0.25 * math.pi) * np.copysign(p, r), v) * (((0.5 * math.pi) * dp) * dv)
 
     return g
 
@@ -312,8 +298,8 @@ def _oracle_integrand(kind: str, lam: int, alpha: float, beta: float):
 def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
                       tol: float = 1e-8) -> tuple[float, float]:
     """Numerical volume by integrating the invariant volume form over the
-    chart parametrization, clustered at the chart's edges; independent of
-    the closed forms.
+    chart parametrization (1-D for the ideal kind, 2-D for the lightlike
+    one), clustered at the chart's edges; independent of the closed forms.
 
     Returns (value, error estimate); raises ToleranceNotReached with the
     best estimate attached when the panel budget runs out.
@@ -322,7 +308,9 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     validate_angles(lam, alpha, beta)
     if not tol >= 1e-10:  # also refuses NaN, which would stop the cubature at once
         raise DomainError(f"tolerance must be a number >= 1e-10, got {tol}")
-    return adaptive_quad_2d(_oracle_integrand(kind, lam, alpha, beta), (0.0, 1.0), (0.0, 1.0),
+    if kind == KIND_IDEAL:
+        return adaptive_quad(_ideal_oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
+    return adaptive_quad_2d(_lightlike_oracle(lam, alpha, beta), (0.0, 1.0), (0.0, 1.0),
                             tol=tol)
 
 

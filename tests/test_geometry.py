@@ -149,7 +149,7 @@ def test_standard_lightlike_plane_contains_exponential_curve():
 
 
 def test_plane_membership_matches_exponential_chart(rng):
-    from dualtet.geometry import _orthobasis_of_normal, model_coords
+    from dualtet.geometry import _nullspace, model_coords, model_gram
     from dualtet import mat_exp_traceless
 
     for lam in LAMBDAS:
@@ -157,7 +157,8 @@ def test_plane_membership_matches_exponential_chart(rng):
         a = point_sqrt(p)
         n = act(a, random_tangent(rng, "X", lam))
         pl = plane_from_normal(p, n)
-        basis = _orthobasis_of_normal("X", lam, model_coords("X", n.rep))
+        # The tangent plane at the origin: coordinates orthogonal to the normal's.
+        basis = _nullspace((model_gram("X", lam) @ model_coords("X", n.rep))[None, :])
         for _ in range(10):
             t1, t2 = rng.normal(size=2)
             w = model_from_coords("X", basis @ np.array([t1, t2]), lam)
@@ -167,8 +168,9 @@ def test_plane_membership_matches_exponential_chart(rng):
             except Exception:
                 continue
             assert pl.contains(chart_point, 1e-8)
-        assert not pl.contains(act(random_isometry(rng, lam),
-                                   Point.origin("X", lam)), 1e-6) or True
+        for step in (-0.5, 0.5):  # off the plane along its unit spacelike normal
+            off = Point("X", a.rep @ mat_exp_traceless(n.rep * step) @ a.rep.circ())
+            assert not pl.contains(off, 1e-6), (lam, step)
 
 
 def _moved_by_kernels(pl, a):

@@ -794,6 +794,20 @@ def test_sample_and_contains_give_python_types(rng):
             assert True in answers and False in answers
 
 
+def test_ideal_contains_is_false_where_w_has_no_polar_form():
+    # At lam = -1 the shifted chart coordinate w = z + exp_ell(gamma) k has a
+    # polar form only when |w.im| < |w.re|; `polar` raises ZeroDivisor on the
+    # null lines and DomainError beyond them, and the point lies outside.
+    t = Tetrahedron("ideal", -1, 0.8, 0.6)
+    shift = exp_ell(-1, t.gamma) * (gsin(-1, t.beta) / gsin(-1, t.alpha))
+    tval = 4.0
+    for w in (gc(1.0, 1.0, -1), gc(-0.3, 0.3, -1), gc(0.5, -2.0, -1), gc(0.0, 0.7, -1)):
+        z = w - shift
+        p = Point("Y", Mat2(GC((tval * tval + z.mod_sq()) / tval, 0.0, -1), z * (1.0 / tval),
+                            z.conj() * (1.0 / tval), GC(1.0 / tval, 0.0, -1)))
+        assert contains(t, p) is False, w
+
+
 def test_sample_count_must_be_an_exact_nonnegative_int():
     for kind in ("lightlike", "ideal"):
         t = Tetrahedron(kind, 1, 0.8, 0.6)

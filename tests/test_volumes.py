@@ -364,6 +364,19 @@ def test_quadrature_1d_splits_share_one_call():
     assert shapes[0] == (1, 15) and set(shapes[1:]) == {(2, 15)}
 
 
+def test_quadrature_1d_splits_the_root():
+    from dualtet.cubature import adaptive_quad
+
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return 1.0 + 0 * x
+
+    assert adaptive_quad(f, 0, 1)[0] == pytest.approx(1.0, rel=1e-14)
+    assert calls == [(1, 15), (2, 15)]
+
+
 def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
     """Reference route: the same adaptive (G7, K15) cubature, with one
     panel per integrand call on a 15x15 meshgrid."""
@@ -410,10 +423,10 @@ def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
 
 
 def _oracle_setup(kind, lam, alpha, beta):
-    from dualtet.volumes import _ideal_integrand, _lightlike_integrand
+    from dualtet.volumes import _lightlike_integrand
 
     if kind == "ideal":
-        return _ideal_integrand(lam, alpha, beta), (0.0, alpha)
+        return (lambda theta, u: _old_ideal_density(lam, alpha, beta, theta, u)), (0.0, alpha)
     return _lightlike_integrand(lam, alpha, beta), (-0.25 * math.pi, 0.25 * math.pi)
 
 
@@ -568,15 +581,19 @@ def _gsin(lam, x):
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_rewritten_densities_match_old_formulas(lam):
-    from dualtet.volumes import _ideal_integrand, _lightlike_integrand
+    from dualtet.volumes import _ideal_oracle, _lightlike_integrand, _sin2_twice
 
     frac = np.linspace(0.05, 0.95, 13)
     for alpha, beta in ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4)):
-        theta = alpha * frac[:, None]
-        u = frac[None, :]
-        new = _ideal_integrand(lam, alpha, beta)(theta, 1.0 - u)
-        old = _old_ideal_density(lam, alpha, beta, theta, u)
-        np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
+        # The 1-D ideal integrand is the old chart density integrated over u,
+        # at theta = (alpha / 2) phi(phi(xi)), times the Jacobian alpha phi'.
+        # Below xi = 0.25 theta < 0.003 alpha, where the old density loses
+        # more digits to cancellation at u = 1 than the bound allows.
+        xi = np.linspace(0.25, 0.95, 13)
+        p, dp = _sin2_twice(xi)
+        old = [alpha * d * quad(lambda u: _old_ideal_density(lam, alpha, beta, 0.5 * alpha * th, u),
+                                0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0] for th, d in zip(p, dp)]
+        np.testing.assert_allclose(_ideal_oracle(lam, alpha, beta)(xi), old, rtol=1e-11, atol=0)
         t = (0.25 * math.pi) * np.linspace(-0.95, 0.95, 13)[:, None]
         new = _lightlike_integrand(lam, alpha, beta)(t, frac[None, :])
         old = _old_lightlike_density(lam, alpha, beta, t, frac[None, :])
