@@ -1,5 +1,10 @@
 """Deterministic adaptive Gauss-Kronrod quadrature in one and two dimensions.
 
+Both volume oracles are 1-D integrals on `adaptive_quad`.  The 2-D
+integrator `adaptive_quad_2d` has no caller in the library; it is kept,
+on the same refinement loop, for integrands that have no closed form
+along either axis, and its tests and the benchmark's tracer use it.
+
 Both integrators apply a (G7, K15) rule per panel, split the panel with the
 largest error estimate, and stop when the summed error estimate drops below
 the tolerance.  In 1d a panel's estimate is |K - G|.  In 2d the same 225
@@ -9,11 +14,15 @@ the per-axis differences catch an axis that is under-resolved while the
 other hides it in GG, as DCUHRE's per-axis differences do (Berntsen,
 Espelid & Genz, ACM TOMS 17, 1991).  Both run one refinement loop, and
 both always split the root panel once, since its rules can agree by chance
-on an integrand they do not resolve.  When the panel budget runs out first
-they raise ToleranceNotReached carrying the best estimate; when the
-integrand is not finite at a node they raise it at once, with value nan
-and error inf.  Subdivision order is a deterministic function of the
-inputs, so results are bit-reproducible.
+on an integrand they do not resolve.  For the same reason a split checks
+its children against their parent, as step halving does in adaptive
+Simpson rules: when the parent's value and the sum of theirs differ by
+more than the sum of their estimates, the children share the excess as
+error.  When the panel budget runs out first they raise
+ToleranceNotReached carrying the best estimate; when the integrand is not
+finite at a node they raise it at once, with value nan and error inf.
+Subdivision order is a deterministic function of the inputs, so results
+are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call: the
 children of a split (two in 1d, four in 2d) share one call.  In 1d, f gets
@@ -101,7 +110,12 @@ def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, floa
         total_val -= pval
         total_err -= perr
         subs = split(cell)
-        for sub, v, e in zip(subs, *panels(f, subs, len(heap) + len(subs))):
+        vals, errs = panels(f, subs, len(heap) + len(subs))
+        # Children whose values miss their parent's by more than their
+        # estimates add up to share the excess (see above).
+        excess = max(0.0, (abs(pval - sum(vals)) - sum(errs)) / len(subs))
+        for sub, v, e in zip(subs, vals, errs):
+            e += excess
             heapq.heappush(heap, (-e, counter, sub, v, e))
             counter += 1
             total_val += v

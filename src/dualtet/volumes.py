@@ -17,17 +17,17 @@ the ideal volume plus sine-log terms, divided by the curvature, collapsing
 to a*b*(a+b)/3 in the flat case.
 
 An independent oracle integrates the invariant volume forms over the
-explicit chart parametrizations by adaptive quadrature, never touching the
-Clausen evaluations: in 1-D over the ideal chart's angle, whose w integral
-is done in closed form (see _ideal_oracle), and in 2-D over the lightlike
-chart.  The integrands have thin layers at the chart's edges and corners,
-whose width shrinks with s(beta)/s(alpha) on skewed cells and with
-e^-(alpha+beta) at lam = -1.  Sidi's sin^2 substitution
-phi(u) = u - sin(2 pi u)/(2 pi) (ISNM 112, 1993), whose Jacobian
-2 sin(pi u)^2 vanishes to second order at both ends, widens them: the
-ideal angle and the lightlike v get it twice, and each half of the
-lightlike t, whose density has a kink at t = 0, gets it once.  Both
-integrands are built from terms >= 0, so nothing cancels at a corner.
+explicit chart parametrizations by adaptive 1-D quadrature, never touching
+the Clausen evaluations: each chart density is integrated in closed form
+along one axis, w for the ideal chart (see _ideal_oracle) and v for the
+lightlike one (see _lightlike_v_integral), leaving the ideal angle or the
+lightlike t.  Those integrands have thin layers at their ends, whose width
+shrinks with s(beta)/s(alpha) on skewed cells and with e^-(alpha+beta) at
+lam = -1.  Sidi's sin^2 substitution phi(u) = u - sin(2 pi u)/(2 pi)
+(ISNM 112, 1993), whose Jacobian 2 sin(pi u)^2 vanishes to second order at
+both ends, widens them: the ideal angle gets it twice, and each half of
+the lightlike t, which has a kink at t = 0, gets it once.  Both integrands
+are written so that nothing cancels at a corner.
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubature import adaptive_quad, adaptive_quad_2d
+from .cubature import adaptive_quad
 from .errors import ConvergenceWarning, DomainError
 from .gcnum import check_lambda, gcos, gsin
 from .tetrahedra import KIND_IDEAL, KIND_LIGHTLIKE, check_kind, validate_angles
@@ -172,14 +172,6 @@ def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int)
 # -- quadrature oracle ------------------------------------------------------------
 
 
-def _np_gacot(lam: int, x: np.ndarray) -> np.ndarray:
-    """Inverse cotangent at lam = 1 and reciprocal at lam = 0; the lam = -1
-    oracle works with x - 1 instead (see _lightlike_integrand)."""
-    if lam == 1:
-        return 0.5 * math.pi - np.arctan(x)
-    return 1.0 / x
-
-
 def _gsin_np(lam: int, x):
     if lam == 1:
         return np.sin(x)
@@ -188,54 +180,12 @@ def _gsin_np(lam: int, x):
     return x
 
 
-def _lightlike_integrand(lam: int, alpha: float, beta: float):
-    """Volume density of the lightlike chart in (t, v), t in [-pi/4, pi/4],
-    v in [0, 1].  It is g(r) width / cos(s)^2 with s = |t| + v width,
-    width = pi/2 - 2|t|, r the inverse cotangent of arg = (a sin t + b cos t
-    + c sin s) / (d cos s) and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
-
-    At lam = -1, r = log1p(2 / y) / 2 blows up as y = arg - 1 goes to 0, so
-    y is formed directly as a sum of terms that are >= 0 on the chart,
-    with sigma = alpha + beta, p = s(alpha) / s(beta), h = (s + t) / 2 and
-    d = (s - t) / 2 = ((|t| - t) + v width) / 2:
-
-        y = [p (sin t + sin s) / 2 + cos h sin d / p + e^-sigma (cos t + cos s) / 2
-             + e^sigma sin h sin d] / (sinh sigma cos s),
-
-    and g = (2 (1 + y) / (y (y + 2)) - log1p(2 / y)) / 4."""
-    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
-    p = s_a / s_b
-    sigma = alpha + beta
-    a_c, c_c = 0.5 * (p - 1.0 / p), 0.5 * (p + 1.0 / p)
-    b_c, d_c = gcos(lam, sigma), gsin(lam, sigma)
-    if lam == -1:
-        e_lo, e_hi = math.exp(-sigma), math.exp(sigma)
-
-    def f(t, v):
-        att = np.abs(t)
-        width = 0.5 * math.pi - 2.0 * att
-        s = att + v * width
-        cos_s = np.cos(s)
-        if lam == -1:
-            h = 0.5 * (s + t)
-            sin_d = np.sin(0.5 * ((att - t) + v * width))
-            y = (0.5 * p * (np.sin(t) + np.sin(s)) + sin_d * (np.cos(h) / p + e_hi * np.sin(h))
-                 + 0.5 * e_lo * (np.cos(t) + cos_s)) / (d_c * cos_s)
-            g = 0.25 * (2.0 * (1.0 + y) / (y * (y + 2.0)) - np.log1p(2.0 / y))
-        else:
-            r = _np_gacot(lam, (a_c * np.sin(t) + b_c * np.cos(t) + c_c * np.sin(s))
-                          / (d_c * cos_s))
-            g = r ** 3 / 3.0 if lam == 0 else 0.25 * (2.0 * r - np.sin(2.0 * r))
-        return g * width / cos_s ** 2
-
-    return f
-
-
 # phi(u) = u^3 sum_k c_k u^(2k), c_k = (-1)^k (2 pi)^(2k+2) / (2k+3)!, k = 0..7:
 # the Taylor series of u - sin(2 pi u) / (2 pi), to double precision for u <= 1/8.
 _PHI_SERIES = np.array([(-1) ** k * (2.0 * math.pi) ** (2 * k + 2) / math.factorial(2 * k + 3)
                         for k in range(8)])
 _PHI_POWERS = np.arange(8)
+_TINY = np.finfo(float).tiny
 
 
 def _sin2(u):
@@ -279,18 +229,151 @@ def _ideal_oracle(lam: int, alpha: float, beta: float):
     return f
 
 
-def _lightlike_oracle(lam: int, alpha: float, beta: float):
-    """The lightlike chart density as an integrand over the unit square in
-    (xi, eta): t = (pi/4) sign(r) phi(|r|), r = 2 xi - 1, clusters nodes at
-    t = 0, where the density has a kink and a layer on one side, as well as
-    at t = +-pi/4; v = phi(phi(eta)) runs into the layer at v = 0."""
-    f = _lightlike_integrand(lam, alpha, beta)
+def _over_x(fn, x):
+    """fn(x) / x, and its limit 1 at x = 0 (fn is arctan or log1p)."""
+    return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
 
-    def g(xi, eta):
-        r = 2.0 * xi - 1.0
-        p, dp = _sin2(np.abs(r))
-        v, dv = _sin2_twice(eta)
-        return f((0.25 * math.pi) * np.copysign(p, r), v) * (((0.5 * math.pi) * dp) * dv)
+
+def _lightlike_v_integral(lam: int, alpha: float, beta: float):
+    """The lightlike chart density integrated over v, as a function of t in
+    [-pi/4, pi/4].
+
+    The density in (t, v), v in [0, 1], is g(r) width / cos(s)^2 with
+    s = |t| + v width, width = pi/2 - 2|t|, and cot(r) = x =
+    (A + c sin s) / (d cos s), A = a sin t + b cos t, where p = s(alpha) /
+    s(beta), a, c = (p -+ 1/p) / 2, b, d = c(sigma), s(sigma) with
+    sigma = alpha + beta, and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
+    Everything below is divided by d (so a, b, c, A and the y below are
+    the quotients), which keeps every product in range at lam = -1.
+
+    At lam = 0 the v integral is [(A + c w)^-2] / (6 c) from w = cos|t|
+    down to w = sin|t|.  Otherwise g'(r) dr = -dx / (x^2 + lam)^2, and with
+    w = sin s and Q(w) = cos(s)^2 (x^2 + lam) = q2 w^2 + q1 w + q0,
+    q2 = a^2 + b^2, integration by parts gives
+
+        [tan(s) r] / (2 lam) - A / (2 lam) integral dw / Q
+
+    between s = |t| and s = pi/2 - |t|: the s(2r) half of [tan(s) g]
+    cancels the rational part of the w integral exactly.  With z = Q'(w)
+    and e = 2 |b sin t - a cos t|, z^2 + lam e^2 = 4 q2 Q, and the w
+    integral is
+
+        lam = 1:  (2 / e) atan2(e (z1 - z0), e^2 + z0 z1),
+        lam = -1: [-sign(z) log1p(e (|z| + e) / (2 q2 Q)) / e],
+
+    both tending to [-2 / z] as e goes to 0.  At lam = 1, atan2 picks the
+    arctangent's branch, which moves past pi/2 where e^2 + z0 z1 < 0.  At
+    lam = -1 the end w = sin|t| can sit near a root of Q, so Q = y (y + 2 cos s)
+    is formed from y = (x - 1) cos s, a sum of terms >= 0 (with
+    h = (s + t) / 2, delta = (s - t) / 2):
+
+        y = [p (sin t + sin s) / 2 + sin delta (cos h / p + e^sigma sin h)
+             + e^-sigma (cos t + cos s) / 2] / sinh sigma,
+
+    and r = log1p(2 cos s / y) / 2; at lam = 1, r = atan2(cos s, y).
+
+    The end values are regrouped so that only a real change of sign
+    cancels.  With S = sin t + cos t, D = cos t - sin t (both >= 0, the
+    small one formed as sqrt(2) sin(pi/4 - |t|)) and p+- = p^(+-1) for
+    t >= 0 and t < 0:
+
+        A + c sin|t| = p+- sin|t| + b cos t,
+        A + c cos t  = (p - 1) / (2p) (p S - D) + (1 + b) cos t,
+        z(sin|t|) / 2 = (a p+- +- b^2) sin t + b c cos t,
+        z(cos t) / 2  = a (p S - D / p) / 2 + b (c + b) cos t,
+
+    with 1 + b = 2 c(sigma/2)^2 and c + b = (p - 1)^2 / (2p) + 1 + b.  So
+    they keep their digits on skewed cells, where p or 1/p is large, and
+    as sigma -> pi at lam = 1, where c + b -> 0.  At t = 0, tan(s) r at
+    s = pi/2 is its limit 1 / y, and where e = 0 the w integral is its
+    limit.
+    """
+    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
+    p = s_a / s_b
+    sigma = alpha + beta
+    d = gsin(lam, sigma)
+    a, b, c = 0.5 * (p - 1.0 / p) / d, gcos(lam, sigma) / d, 0.5 * (p + 1.0 / p) / d
+    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / d
+    half_pm = (p - 1.0) / (2.0 * p * d)
+    c_b = (p - 1.0) * half_pm + one_b
+    q2 = a * a + b * b
+    p_pos, p_neg = p / d, 1.0 / (p * d)  # a + c and c - a
+    if lam == -1:
+        k_m = 0.5 * math.exp(-sigma) / d
+        k_e = -2.0 / math.expm1(-2.0 * sigma)  # e^sigma / sinh sigma
+
+    def ads_y(sin_t, cos_t, sin_s, cos_s, h, delta):
+        y = (0.5 * p_pos * (sin_t + sin_s) + np.sin(delta) * (p_neg * np.cos(h) + k_e * np.sin(h))
+             + k_m * (cos_t + cos_s))
+        # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma);
+        # nan there makes the cubature raise ToleranceNotReached instead of
+        # dividing by zero.
+        return np.where(y >= _TINY, y, np.nan)
+
+    def f(t):
+        att = np.abs(t)
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        w0, w1 = np.abs(sin_t), cos_t  # sin|t|, cos|t|
+        dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)  # w1 - w0
+        big_a = a * sin_t + b * cos_t
+        pos_t = t >= 0.0
+        s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
+        if lam != -1:
+            y0 = np.where(pos_t, p_pos, p_neg) * w0 + b * cos_t
+            y1 = half_pm * (p * s_plus - s_minus) + one_b * cos_t
+        if lam == 0:
+            return dw * (y0 + y1) / (6.0 * (y0 * y1) ** 2)
+        # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and
+        # the w integral are written as x -> fn(x) / x at small x, where
+        # fn(x) / x -> 1, so that t = 0 and e = 0 give their limits.
+        if lam == 1:
+            r0 = np.arctan2(w1, y0)
+            pos = y1 > 0.0  # true wherever sin|t| is small
+            y1_pos = np.where(pos, y1, 1.0)
+            r1_w0 = _over_x(np.arctan, w0 / y1_pos) / y1_pos
+            if not pos.all():
+                r1_w0[~pos] = np.arctan2(w0[~pos], y1[~pos]) / w0[~pos]
+        else:
+            y0 = ads_y(sin_t, cos_t, w0, w1, 0.5 * (att + t), 0.5 * (att - t))
+            y1 = ads_y(sin_t, cos_t, w1, w0, 0.5 * (0.5 * math.pi - att + t),
+                       0.5 * (0.5 * math.pi - att - t))
+            r0 = 0.5 * np.log1p(2.0 * w1 / y0)
+            r1_w0 = _over_x(np.log1p, 2.0 * w0 / y1) / y1
+        ends = w1 * r1_w0 - (w0 / w1) * r0
+        e = 2.0 * np.abs(b * sin_t - a * cos_t)
+        z0 = 2.0 * (np.where(pos_t, a * p_pos + b * b, a * p_neg - b * b) * sin_t
+                    + b * c * cos_t)
+        z1 = a * (p_pos * s_plus - p_neg * s_minus) + 2.0 * b * c_b * cos_t
+        if lam == 1:
+            dz, den = 2.0 * q2 * dw, e * e + z0 * z1  # z1 - z0 and atan2's x
+            pos = den > 0.0  # elsewhere the branch moves past pi/2 and e > 0
+            ratio = dz / np.where(pos, den, 1.0)
+            integral = 2.0 * ratio * _over_x(np.arctan, e * ratio)
+            if not pos.all():
+                integral[~pos] = 2.0 * np.arctan2(e[~pos] * dz[~pos], den[~pos]) / e[~pos]
+        else:
+            k0 = (np.abs(z0) + e) / (2.0 * q2 * y0 * (y0 + 2.0 * w1))
+            k1 = (np.abs(z1) + e) / (2.0 * q2 * y1 * (y1 + 2.0 * w0))
+            integral = (np.sign(z0) * k0 * _over_x(np.log1p, e * k0)
+                        - np.sign(z1) * k1 * _over_x(np.log1p, e * k1))
+        return (ends - big_a * integral) / (2.0 * lam)
+
+    return f
+
+
+def _lightlike_oracle(lam: int, alpha: float, beta: float):
+    """The lightlike volume as an integrand over u in [0, 1]: t = +-(pi/4)
+    phi(u), both signs summed at each node.  phi clusters nodes at t = 0,
+    where the v integral has a kink and, on skewed and large lam = -1
+    cells, a layer ~min(p, 1/p) or ~e^-sigma wide, and at t = +-pi/4,
+    where skewed cells have another.  Folding the two halves of t onto one
+    u makes the root split give each half two panels from the start."""
+    f = _lightlike_v_integral(lam, alpha, beta)
+
+    def g(u):
+        p, dp = _sin2(u)
+        t = (0.25 * math.pi) * p
+        return f(np.stack((t, -t))).sum(axis=0) * ((0.25 * math.pi) * dp)
 
     return g
 
@@ -298,20 +381,22 @@ def _lightlike_oracle(lam: int, alpha: float, beta: float):
 def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
                       tol: float = 1e-8) -> tuple[float, float]:
     """Numerical volume by integrating the invariant volume form over the
-    chart parametrization (1-D for the ideal kind, 2-D for the lightlike
-    one), clustered at the chart's edges; independent of the closed forms.
+    chart parametrization, independent of the closed forms: one adaptive
+    1-D integral for either kind, the chart density having been integrated
+    in closed form along one axis (w for the ideal kind, v for the
+    lightlike one), with nodes clustered at the chart's edges.
 
     Returns (value, error estimate); raises ToleranceNotReached with the
-    best estimate attached when the panel budget runs out.
+    best estimate attached when the panel budget runs out, or at once when
+    the integrand is not finite at a node (lightlike cells at lam = -1 past
+    alpha + beta ~ 354, where the chart's y underflows).
     """
     check_kind(kind)
     validate_angles(lam, alpha, beta)
     if not tol >= 1e-10:  # also refuses NaN, which would stop the cubature at once
         raise DomainError(f"tolerance must be a number >= 1e-10, got {tol}")
-    if kind == KIND_IDEAL:
-        return adaptive_quad(_ideal_oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
-    return adaptive_quad_2d(_lightlike_oracle(lam, alpha, beta), (0.0, 1.0), (0.0, 1.0),
-                            tol=tol)
+    oracle = _ideal_oracle if kind == KIND_IDEAL else _lightlike_oracle
+    return adaptive_quad(oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
 
 
 # -- reporting --------------------------------------------------------------------

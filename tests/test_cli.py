@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from dualtet import lightlike_volume
 from dualtet.cli import main
+from dualtet.cubature import adaptive_quad
 
 
 def run_cli(capsys, *argv):
@@ -262,10 +264,14 @@ def test_verify_full_run_exits_clean(capsys):
 
 
 def test_volume_unreachable_tolerance_exit_3(capsys):
-    code, _, err = run_cli(capsys, "volume", "--lambda", "-1", "--kind", "lightlike",
-                           "--alpha", "12", "--beta", "12", "--oracle", "on",
+    # The volume is 2e9/3, so rounding alone keeps the oracle's error
+    # estimate near 2e-6, far above the tolerance; the lightlike oracle is
+    # a 1-D integral and runs until its integrator's panel budget is held.
+    budget = inspect.signature(adaptive_quad).parameters["limit"].default
+    code, _, err = run_cli(capsys, "volume", "--lambda", "0", "--kind", "lightlike",
+                           "--alpha", "1000", "--beta", "1000", "--oracle", "on",
                            "--tol", "1e-10")
     assert code == 3
     assert "ToleranceNotReached" in err
     held = re.search(r"with (\d+) panels", err)
-    assert held and int(held.group(1)) >= 20000
+    assert held and int(held.group(1)) == budget

@@ -20,6 +20,7 @@ from dualtet import (
     volume_quadrature,
     volume_report,
 )
+from dualtet.gcnum import gcos, gsin
 
 LAMBDAS = (-1, 0, 1)
 
@@ -379,7 +380,8 @@ def test_quadrature_1d_splits_the_root():
 
 def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
     """Reference route: the same adaptive (G7, K15) cubature, with one
-    panel per integrand call on a 15x15 meshgrid."""
+    panel per integrand call on a 15x15 meshgrid, and the same check of a
+    split's children against their parent."""
     import heapq
 
     from dualtet.cubature import _GAUSS_WEIGHTS, _KRONROD_NODES, _KRONROD_WEIGHTS
@@ -413,8 +415,12 @@ def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
         total_val -= pval
         total_err -= perr
         xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        for sub in ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)):
-            v, e = panel(sub)
+        subs = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
+        vals, errs = zip(*(panel(sub) for sub in subs))
+        # Children that miss their parent by more than their estimates share the excess.
+        excess = max(0.0, (abs(pval - sum(vals)) - sum(errs)) / 4)
+        for sub, v, e in zip(subs, vals, errs):
+            e += excess
             heapq.heappush(heap, (-e, counter, sub, v, e))
             counter += 1
             total_val += v
@@ -423,8 +429,6 @@ def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
 
 
 def _oracle_setup(kind, lam, alpha, beta):
-    from dualtet.volumes import _lightlike_integrand
-
     if kind == "ideal":
         return (lambda theta, u: _old_ideal_density(lam, alpha, beta, theta, u)), (0.0, alpha)
     return _lightlike_integrand(lam, alpha, beta), (-0.25 * math.pi, 0.25 * math.pi)
@@ -530,6 +534,39 @@ def test_quadrature_error_estimate_bounds_true_error(tol):
     assert not set(raised) & set(_HARD_CELLS), raised
 
 
+def _true_error(cell, val):
+    with mpmath.workdps(30):
+        return float(abs(mpmath.mpf(val) - volume_reference(*cell)))
+
+
+# Strongly skewed cells where the 2-D lightlike oracle, and the ideal one
+# before a split was checked against its parent, under-estimated the error.
+@pytest.mark.parametrize("cell, tol", [
+    (("lightlike", 1, 1.1591715644396432, 0.00016472969492084435), 1e-6),
+    (("lightlike", 0, 3.032501430317681, 0.0004955534301150293), 1e-8),
+    (("ideal", 0, 0.08905398898501914, 4.058052440944872e-07), 1e-6),
+    (("ideal", 0, 0.08905398898501914, 4.058052440944872e-07), 1e-8),
+    (("ideal", 0, 2.1673985899866873e-05, 2.5174406658309835e-09), 1e-8),
+])
+def test_skewed_cells_bound_their_error(cell, tol):
+    val, err = volume_quadrature(*cell, tol=tol)
+    true = _true_error(cell, val)
+    assert true <= err <= tol, (true, err)
+
+
+# Large equal AdS cells: the 2-D oracle exhausted its budget here, and at
+# (20, 20) the estimate its ToleranceNotReached carried was 16x too small.
+@pytest.mark.parametrize("a", [12.0, 15.0, 20.0, 25.0])
+def test_large_ads_lightlike_cells_bound_their_error(a):
+    cell = ("lightlike", -1, a, a)
+    try:
+        val, err = volume_quadrature(*cell, tol=1e-8)
+    except ToleranceNotReached as exc:
+        val, err = exc.value, exc.err_est
+    true = _true_error(cell, val)
+    assert true <= err, (true, err)
+
+
 def test_sin2_map_keeps_its_digits_near_zero():
     # The ideal chart puts theta = (alpha / 2) phi(phi(xi)); a phi that rounds
     # to 0 would put a node on the density's pole.
@@ -552,6 +589,50 @@ def _old_ideal_density(lam, alpha, beta, theta, u):
     r_edge = s_b * s_ab / (s_a * _gsin(lam, theta + beta))
     r0 = _gsin(lam, alpha + beta - theta) / s_a
     return r_edge / (2.0 * (r0 - u * r_edge))
+
+
+def _lightlike_integrand(lam, alpha, beta):
+    """The lightlike chart density in (t, v), t in [-pi/4, pi/4], v in
+    [0, 1], as the 2-D lightlike oracle integrated it.  It is
+    g(r) width / cos(s)^2 with s = |t| + v width, width = pi/2 - 2|t|, r the
+    inverse cotangent of arg = (a sin t + b cos t + c sin s) / (d cos s) and
+    g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
+
+    At lam = -1, r = log1p(2 / y) / 2 blows up as y = arg - 1 goes to 0, so
+    y is formed directly as a sum of terms that are >= 0 on the chart,
+    with sigma = alpha + beta, p = s(alpha) / s(beta), h = (s + t) / 2 and
+    d = (s - t) / 2 = ((|t| - t) + v width) / 2:
+
+        y = [p (sin t + sin s) / 2 + cos h sin d / p + e^-sigma (cos t + cos s) / 2
+             + e^sigma sin h sin d] / (sinh sigma cos s),
+
+    and g = (2 (1 + y) / (y (y + 2)) - log1p(2 / y)) / 4."""
+    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
+    p = s_a / s_b
+    sigma = alpha + beta
+    a_c, c_c = 0.5 * (p - 1.0 / p), 0.5 * (p + 1.0 / p)
+    b_c, d_c = gcos(lam, sigma), gsin(lam, sigma)
+    if lam == -1:
+        e_lo, e_hi = math.exp(-sigma), math.exp(sigma)
+
+    def f(t, v):
+        att = np.abs(t)
+        width = 0.5 * math.pi - 2.0 * att
+        s = att + v * width
+        cos_s = np.cos(s)
+        if lam == -1:
+            h = 0.5 * (s + t)
+            sin_d = np.sin(0.5 * ((att - t) + v * width))
+            y = (0.5 * p * (np.sin(t) + np.sin(s)) + sin_d * (np.cos(h) / p + e_hi * np.sin(h))
+                 + 0.5 * e_lo * (np.cos(t) + cos_s)) / (d_c * cos_s)
+            g = 0.25 * (2.0 * (1.0 + y) / (y * (y + 2.0)) - np.log1p(2.0 / y))
+        else:
+            x = (a_c * np.sin(t) + b_c * np.cos(t) + c_c * np.sin(s)) / (d_c * cos_s)
+            r = 0.5 * math.pi - np.arctan(x) if lam == 1 else 1.0 / x
+            g = r ** 3 / 3.0 if lam == 0 else 0.25 * (2.0 * r - np.sin(2.0 * r))
+        return g * width / cos_s ** 2
+
+    return f
 
 
 def _old_lightlike_density(lam, alpha, beta, t, v):
@@ -579,9 +660,25 @@ def _gsin(lam, x):
     return {1: np.sin, -1: np.sinh}.get(lam, lambda y: y)(x)
 
 
+def _v_integral_reference(lam, alpha, beta, t):
+    """The lightlike chart density integrated over v by scipy quad."""
+    f = _lightlike_integrand(lam, alpha, beta)
+    return quad(lambda v: f(t, v), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+# Per lam: cells with alpha = beta (so e = 0 at t = 0), cells where
+# t = atan(a / b), the zero of e, lies in [-pi/4, pi/4], and at lam = 1
+# cells with alpha + beta > pi/2, where b < 0.
+_V_INTEGRAL_CELLS = {
+    -1: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8), (1.0, 4.0)),
+    0: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8)),
+    1: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8), (0.3, 0.4), (1.2, 1.5), (1.4, 1.4)),
+}
+
+
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_rewritten_densities_match_old_formulas(lam):
-    from dualtet.volumes import _ideal_oracle, _lightlike_integrand, _sin2_twice
+    from dualtet.volumes import _ideal_oracle, _lightlike_v_integral, _sin2_twice
 
     frac = np.linspace(0.05, 0.95, 13)
     for alpha, beta in ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4)):
@@ -594,10 +691,24 @@ def test_rewritten_densities_match_old_formulas(lam):
         old = [alpha * d * quad(lambda u: _old_ideal_density(lam, alpha, beta, 0.5 * alpha * th, u),
                                 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0] for th, d in zip(p, dp)]
         np.testing.assert_allclose(_ideal_oracle(lam, alpha, beta)(xi), old, rtol=1e-11, atol=0)
+        # The 2-D density kept here as a fixture is the old formula.
         t = (0.25 * math.pi) * np.linspace(-0.95, 0.95, 13)[:, None]
         new = _lightlike_integrand(lam, alpha, beta)(t, frac[None, :])
         old = _old_lightlike_density(lam, alpha, beta, t, frac[None, :])
         np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
+    # The 1-D lightlike integrand is that density integrated over v.
+    zeros_of_e = 0
+    for alpha, beta in _V_INTEGRAL_CELLS[lam]:
+        s_a, s_b = (gsin(lam, x) for x in (alpha, beta))
+        t_e = math.atan(0.5 * (s_a / s_b - s_b / s_a) / gcos(lam, alpha + beta))
+        ts = list((0.25 * math.pi) * np.linspace(-0.98, 0.98, 15)) + [0.0, 1e-9, -1e-9]
+        if abs(t_e) < 0.25 * math.pi:
+            ts += [t_e, math.nextafter(t_e, 1.0), t_e + 1e-9]
+            zeros_of_e += 1
+        got = _lightlike_v_integral(lam, alpha, beta)(np.array(ts))
+        want = [_v_integral_reference(lam, alpha, beta, t) for t in ts]
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0, err_msg=str((alpha, beta)))
+    assert zeros_of_e >= 2
 
 
 @pytest.mark.parametrize("f, want", [
