@@ -239,56 +239,53 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
     [-pi/4, pi/4].
 
     The density in (t, v), v in [0, 1], is g(r) width / cos(s)^2 with
-    s = |t| + v width, width = pi/2 - 2|t|, and cot(r) = x =
-    (A + c sin s) / (d cos s), A = a sin t + b cos t, where p = s(alpha) /
-    s(beta), a, c = (p -+ 1/p) / 2, b, d = c(sigma), s(sigma) with
+    s = |t| + v width, width = pi/2 - 2|t|, and cot(r) = x = P / (d cos s),
+    P = A + c sin s, A = a sin t + b cos t, where p = s(alpha) / s(beta),
+    a, c = (p -+ 1/p) / 2, b, d = c(sigma), s(sigma) with
     sigma = alpha + beta, and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
+    With w = sin s, the ends are w0 = sin|t| and w1 = cos|t|, and P0, P1
+    are the values of P there.
 
-    At lam = 0 the v integral is d^3 [(A + c w)^-2] / (6 c) from
-    w = cos|t| down to w = sin|t|.  Otherwise g'(r) dr = -dx / (x^2 + lam)^2,
-    and with w = sin s and Q(w) = d^2 cos(s)^2 (x^2 + lam) =
-    q2 w^2 + q1 w + q0, q2 = a^2 + b^2, integration by parts gives
+    At lam = 0 the v integral is d^3 (w1 - w0) (P0 + P1) / (6 (P0 P1)^2).
+    Otherwise g'(r) dr = -dx / (x^2 + lam)^2, and with
+    Q = d^2 cos(s)^2 (x^2 + lam) = P^2 + lam d^2 (1 - w^2), integration by
+    parts gives
 
         [tan(s) r] / (2 lam) - A d / (2 lam) integral dw / Q
 
     between s = |t| and s = pi/2 - |t|: the s(2r) half of [tan(s) g]
-    cancels the rational part of the w integral exactly.  With z = Q'(w)
-    and e = 2 d |b sin t - a cos t|, z^2 + lam e^2 = 4 q2 Q, and the w
-    integral is
+    cancels the rational part of the w integral exactly.  With
+    D = P0 P1 + lam d^2 (1 - w0 w1) and h = d |b sin t - a cos t| (w1 - w0),
+    D^2 + lam h^2 = Q0 Q1, and the w integral is
 
-        lam = 1:  (2 / e) atan2(e (z1 - z0), e^2 + z0 z1),
-        lam = -1: [-sign(z) log1p(e (|z| + e) / (2 q2 Q)) / e],
+        lam = 1:  (w1 - w0) atan2(h, D) / h,
+        lam = -1: (w1 - w0) log1p(2 h (D + h) / (Q0 Q1)) / (2 h),
 
-    both tending to [-2 / z] as e goes to 0.  At lam = 1, atan2 picks the
-    arctangent's branch, which moves past pi/2 where e^2 + z0 z1 < 0, and
-    r = atan2(d cos s, A + c w).  At lam = -1 the end w = sin|t| can sit
-    near a root of Q, so Q = d^2 y (y + 2 cos s) is formed from
-    y = (x - 1) cos s, a sum of terms >= 0 (with h = (s + t) / 2,
+    both (w1 - w0) / D at h = 0.  At lam = 1, r = atan2(d cos s, P), and
+    atan2 takes the branch past pi/2 where D < 0.  At lam = -1 the end
+    w0 can sit near a root of Q, so Q = d^2 y (y + 2 cos s) is formed from
+    y = (x - 1) cos s, a sum of terms >= 0 (with h' = (s + t) / 2,
     delta = (s - t) / 2):
 
-        y = [p (sin t + sin s) / 2 + sin delta (cos h / p + e^sigma sin h)
+        y = [p (sin t + sin s) / 2 + sin delta (cos h' / p + e^sigma sin h')
              + e^-sigma (cos t + cos s) / 2] / sinh sigma,
 
-    and r = log1p(2 cos s / y) / 2.
+    r = log1p(2 cos s / y) / 2, and D = sqrt(Q0 Q1 + h^2).
 
-    The end values are regrouped so that only a real change of sign
-    cancels.  With S = sin t + cos t, D = cos t - sin t (both >= 0, the
-    small one formed as sqrt(2) sin(pi/4 - |t|)) and p+- = p^(+-1) for
-    t >= 0 and t < 0:
+    P0 and P1 are regrouped so that only a real change of sign cancels.
+    With S = sin t + cos t, D' = cos t - sin t (both >= 0, the small one
+    formed as sqrt(2) sin(pi/4 - |t|)) and p+- = p^(+-1) for t >= 0 and
+    t < 0,
 
-        A + c sin|t| = p+- sin|t| + b cos t,
-        A + c cos t  = (p - 1) / (2p) (p S - D) + (1 + b) cos t,
-        z(sin|t|) / 2 = (a p+- +- b^2) sin t + b c cos t,
-        z(cos t) / 2  = a (p S - D / p) / 2 + b (c + b) cos t,
+        P0 = p+- sin|t| + b cos t,
+        P1 = (p - 1) / (2p) (p S - D') + 2 c(sigma/2)^2 cos t,
 
-    with 1 + b = 2 c(sigma/2)^2 and c + b = (p - 1)^2 / (2p) + 1 + b.  So
-    they keep their digits on skewed cells, where p or 1/p is large, and
+    which keep their digits on skewed cells, where p or 1/p is large, and
     as sigma -> pi at lam = 1, where c + b -> 0.  At t = 0, tan(s) r at
-    s = pi/2 is its limit, and where e = 0 the w integral is its limit.
-
-    The code divides a, b, c and A by k = max(d, 1) (q2, z, e and Q by
-    k^2), which keeps every product in range for large sigma at lam = -1
-    and for tiny sigma; d / k is what is left of d.
+    s = pi/2 is its limit.  The code divides a, b, A and P by
+    k = max(d, 1), and h, D and Q by k^2, which keeps every product in
+    range for large sigma at lam = -1 and for tiny sigma; d / k is what is
+    left of d.
     """
     s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
     p = s_a / s_b
@@ -296,19 +293,18 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
     d = gsin(lam, sigma)
     k = max(d, 1.0)
     dk = d / k
-    a, b, c = 0.5 * (p - 1.0 / p) / k, gcos(lam, sigma) / k, 0.5 * (p + 1.0 / p) / k
-    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / k
+    a, b = 0.5 * (p - 1.0 / p) / k, gcos(lam, sigma) / k
+    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / k  # 1 + b
     half_pm = (p - 1.0) / (2.0 * p * k)
-    c_b = (p - 1.0) * half_pm + one_b
-    q2 = a * a + b * b
     p_pos, p_neg = p / k, 1.0 / (p * k)  # a + c and c - a
     if lam == -1:
         y_p, y_q = 0.5 * p / d, 1.0 / (p * d)
         y_m = 0.5 * math.exp(-sigma) / d
         y_e = -2.0 / math.expm1(-2.0 * sigma)  # e^sigma / sinh sigma
 
-    def ads_y(sin_t, cos_t, sin_s, cos_s, h, delta):
-        y = (y_p * (sin_t + sin_s) + np.sin(delta) * (y_q * np.cos(h) + y_e * np.sin(h))
+    def ads_y(sin_t, cos_t, sin_s, cos_s, half_sum, half_diff):
+        y = (y_p * (sin_t + sin_s)
+             + np.sin(half_diff) * (y_q * np.cos(half_sum) + y_e * np.sin(half_sum))
              + y_m * (cos_t + cos_s))
         # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma);
         # nan there makes the cubature raise ToleranceNotReached instead of
@@ -321,17 +317,17 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
         w0, w1 = np.abs(sin_t), cos_t  # sin|t|, cos|t|
         dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)  # w1 - w0
         big_a = a * sin_t + b * cos_t
-        pos_t = t >= 0.0
-        s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
+        h = dk * np.abs(b * sin_t - a * cos_t) * dw
         if lam != -1:
-            # A + c w at w = sin|t| and w = cos t
+            pos_t = t >= 0.0
+            s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
             p0 = np.where(pos_t, p_pos, p_neg) * w0 + b * cos_t
             p1 = half_pm * (p * s_plus - s_minus) + one_b * cos_t
         if lam == 0:
             return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2)
         # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and
         # the w integral are written as x -> fn(x) / x at small x, where
-        # fn(x) / x -> 1, so that t = 0 and e = 0 give their limits.
+        # fn(x) / x -> 1, so that t = 0 and h = 0 give their limits.
         if lam == 1:
             r0 = np.arctan2(dk * w1, p0)
             pos = p1 > 0.0  # true wherever sin|t| is small
@@ -339,31 +335,22 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
             r1_w0 = dk * _over_x(np.arctan, dk * w0 / p1_pos) / p1_pos
             if not pos.all():
                 r1_w0[~pos] = np.arctan2(dk * w0[~pos], p1[~pos]) / w0[~pos]
+            big_d = p0 * p1 + dk * dk * (1.0 - w0 * w1)
+            pos = big_d > 0.0  # true wherever h is small
+            d_pos = np.where(pos, big_d, 1.0)
+            integral = dw * _over_x(np.arctan, h / d_pos) / d_pos
+            if not pos.all():
+                integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
         else:
             y0 = ads_y(sin_t, cos_t, w0, w1, 0.5 * (att + t), 0.5 * (att - t))
             y1 = ads_y(sin_t, cos_t, w1, w0, 0.5 * (0.5 * math.pi - att + t),
                        0.5 * (0.5 * math.pi - att - t))
             r0 = 0.5 * np.log1p(2.0 * w1 / y0)
             r1_w0 = _over_x(np.log1p, 2.0 * w0 / y1) / y1
+            q01 = (dk ** 4 * y0 * (y0 + 2.0 * w1)) * (y1 * (y1 + 2.0 * w0))  # Q0 Q1
+            big_d = np.sqrt(q01 + h * h)
+            integral = dw * (big_d + h) / q01 * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
         ends = w1 * r1_w0 - (w0 / w1) * r0
-        e = 2.0 * dk * np.abs(b * sin_t - a * cos_t)
-        z0 = 2.0 * (np.where(pos_t, a * p_pos + b * b, a * p_neg - b * b) * sin_t
-                    + b * c * cos_t)
-        z1 = a * (p_pos * s_plus - p_neg * s_minus) + 2.0 * b * c_b * cos_t
-        if lam == 1:
-            dz, den = 2.0 * q2 * dw, e * e + z0 * z1  # z1 - z0 and atan2's x
-            pos = den > 0.0  # elsewhere the branch moves past pi/2 and e > 0
-            ratio = dz / np.where(pos, den, 1.0)
-            integral = 2.0 * ratio * _over_x(np.arctan, e * ratio)
-            if not pos.all():
-                integral[~pos] = 2.0 * np.arctan2(e[~pos] * dz[~pos], den[~pos]) / e[~pos]
-        else:
-            # 2 q2 Q at w = sin|t| and w = cos t
-            den0 = (2.0 * q2 * dk * dk) * y0 * (y0 + 2.0 * w1)
-            den1 = (2.0 * q2 * dk * dk) * y1 * (y1 + 2.0 * w0)
-            k0, k1 = (np.abs(z0) + e) / den0, (np.abs(z1) + e) / den1
-            integral = (np.sign(z0) * k0 * _over_x(np.log1p, e * k0)
-                        - np.sign(z1) * k1 * _over_x(np.log1p, e * k1))
         return (ends - dk * big_a * integral) / (2.0 * lam)
 
     return f
