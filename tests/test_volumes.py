@@ -666,8 +666,8 @@ def _v_integral_reference(lam, alpha, beta, t):
     return quad(lambda v: f(t, v), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
-# Per lam: cells with alpha = beta (so e = 0 at t = 0), cells where
-# t = atan(a / b), the zero of e, lies in [-pi/4, pi/4], and at lam = 1
+# Per lam: cells with alpha = beta (so h = 0 at t = 0), cells where
+# t = atan(a / b), the zero of h, lies in [-pi/4, pi/4], and at lam = 1
 # cells with alpha + beta > pi/2, where b < 0.
 _V_INTEGRAL_CELLS = {
     -1: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8), (1.0, 4.0)),
@@ -697,18 +697,18 @@ def test_rewritten_densities_match_old_formulas(lam):
         old = _old_lightlike_density(lam, alpha, beta, t, frac[None, :])
         np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
     # The 1-D lightlike integrand is that density integrated over v.
-    zeros_of_e = 0
+    zeros_of_h = 0
     for alpha, beta in _V_INTEGRAL_CELLS[lam]:
         s_a, s_b = (gsin(lam, x) for x in (alpha, beta))
         t_e = math.atan(0.5 * (s_a / s_b - s_b / s_a) / gcos(lam, alpha + beta))
         ts = list((0.25 * math.pi) * np.linspace(-0.98, 0.98, 15)) + [0.0, 1e-9, -1e-9]
         if abs(t_e) < 0.25 * math.pi:
             ts += [t_e, math.nextafter(t_e, 1.0), t_e + 1e-9]
-            zeros_of_e += 1
+            zeros_of_h += 1
         got = _lightlike_v_integral(lam, alpha, beta)(np.array(ts))
         want = [_v_integral_reference(lam, alpha, beta, t) for t in ts]
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0, err_msg=str((alpha, beta)))
-    assert zeros_of_e >= 2
+    assert zeros_of_h >= 2
 
 
 @pytest.mark.parametrize("f, want", [
