@@ -1,9 +1,8 @@
 """Deterministic adaptive Gauss-Kronrod quadrature in one and two dimensions.
 
 Both volume oracles are 1-D integrals on `adaptive_quad`.  The 2-D
-integrator `adaptive_quad_2d` has no caller in the library; it is kept,
-on the same refinement loop, for integrands that have no closed form
-along either axis, and its tests and the benchmark's tracer use it.
+integrator `adaptive_quad_2d` has no caller in the library; its tests and
+the benchmark's tracer still use it.
 
 Both integrators apply a (G7, K15) rule per panel, split the panel with the
 largest error estimate, and stop when the summed error estimate drops below

@@ -234,6 +234,20 @@ def _over_x(fn, x):
     return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
+# fn(x) / x - 1 = sum_k (-lam)^k x^2k / (2k + 1), k >= 1, for fn = arctan
+# (lam = 1) or artanh (lam = -1): 26 terms reach double precision below
+# x = _TAIL_BELOW.
+_TAIL_POWERS = np.arange(1, 27)
+_TAIL_SERIES = {lam: (-lam) ** _TAIL_POWERS / (2.0 * _TAIL_POWERS + 1.0) for lam in (1, -1)}
+_TAIL_BELOW = 0.5
+
+
+def _odd_tail(lam: int, x):
+    """fn(x) / x - 1 as the series above, for 0 <= x <= _TAIL_BELOW, where
+    the difference loses its digits as x goes to 0."""
+    return (x * x)[..., None] ** _TAIL_POWERS @ _TAIL_SERIES[lam]
+
+
 def _lightlike_v_integral(lam: int, alpha: float, beta: float):
     """The lightlike chart density integrated over v, as a function of t in
     [-pi/4, pi/4].
@@ -271,6 +285,15 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
              + e^-sigma (cos t + cos s) / 2] / sinh sigma,
 
     r = log1p(2 cos s / y) / 2, and D = sqrt(Q0 Q1 + h^2).
+
+    On small cells r and the w integral are O(r) while the v integral is
+    O(r^3), so the sum above cancels.  With u = 1/x (r = arctan u, or
+    artanh u at lam = -1) and I0 = (w1 - w0) / (P0 P1) = integral dw / P^2,
+    [tan(s) u] = A d I0 exactly, so where u < 1/2 at both ends the v
+    integral is [tan(s) (r - u)] - A d (I - I0), with r - u = u T(u),
+    T(u) = fn(u) / u - 1 summed as a series, and
+
+        I - I0 = (w1 - w0) [T(h / D) - lam d^2 (1 - w0 w1) / (P0 P1)] / D.
 
     P0 and P1 are regrouped so that only a real change of sign cancels.
     With S = sin t + cos t, D' = cos t - sin t (both >= 0, the small one
@@ -338,20 +361,38 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
             big_d = p0 * p1 + dk * dk * (1.0 - w0 * w1)
             pos = big_d > 0.0  # true wherever h is small
             d_pos = np.where(pos, big_d, 1.0)
-            integral = dw * _over_x(np.arctan, h / d_pos) / d_pos
+            fc = _over_x(np.arctan, h / d_pos)
+            integral = dw * fc / d_pos
             if not pos.all():
                 integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
         else:
             y0 = ads_y(sin_t, cos_t, w0, w1, 0.5 * (att + t), 0.5 * (att - t))
             y1 = ads_y(sin_t, cos_t, w1, w0, 0.5 * (0.5 * math.pi - att + t),
                        0.5 * (0.5 * math.pi - att - t))
+            p0, p1 = dk * (y0 + w1), dk * (y1 + w0)
             r0 = 0.5 * np.log1p(2.0 * w1 / y0)
             r1_w0 = _over_x(np.log1p, 2.0 * w0 / y1) / y1
             q01 = (dk ** 4 * y0 * (y0 + 2.0 * w1)) * (y1 * (y1 + 2.0 * w0))  # Q0 Q1
             big_d = np.sqrt(q01 + h * h)
-            integral = dw * (big_d + h) / q01 * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
+            w_int = (big_d + h) / q01 * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
+            integral, fc = dw * w_int, big_d * w_int
         ends = w1 * r1_w0 - (w0 / w1) * r0
-        return (ends - dk * big_a * integral) / (2.0 * lam)
+        v_int = ends - dk * big_a * integral
+        # Where both u = 1/x are small, r and the w integral are their flat
+        # parts u and I0 plus O(u^3) tails; the flat parts cancel exactly,
+        # so the tails are summed alone (see above).
+        flat = (dk * w1 < _TAIL_BELOW * p0) & (dk * w0 < _TAIL_BELOW * p1)
+        if flat.any():
+            sel = slice(None) if flat.all() else flat
+            p0, p1, w0, w1, big_d = (arr[sel] for arr in (p0, p1, w0, w1, big_d))
+            # u0, u1 < _TAIL_BELOW here; h / D need not be.
+            x = np.stack((dk * w1 / p0, dk * w0 / p1, h[sel] / big_d))
+            tail0, tail1, tail = _odd_tail(lam, np.minimum(x, _TAIL_BELOW))
+            tail = np.where(x[2] < _TAIL_BELOW, tail, fc[sel] - 1.0)
+            v_int[sel] = dk * (w1 * tail1 / p1 - w0 * tail0 / p0
+                               - big_a[sel] * dw[sel] / big_d
+                               * (tail - lam * dk * dk * (1.0 - w0 * w1) / (p0 * p1)))
+        return v_int / (2.0 * lam)
 
     return f
 

@@ -7,9 +7,11 @@ Two measurements, each alternating which checkout runs first:
 
 * per call: `volume_quadrature("lightlike", ...)` at tol 1e-8 over the
   lightlike inputs of `oracle-check` (seed 7, --seconds 20), each input
-  timed as the least of REPEATS calls, in one child process per round;
+  timed as the least of REPEATS calls, in one child process per round,
+  ROUNDS rounds;
 * end to end: `perfbench/run.py --workload oracle-check --seconds 20
-  --trace 0` on each seed, its metrics as printed (gauge-scaled times).
+  --trace 0` on each seed of SEEDS, its metrics as printed (gauge-scaled
+  times).
 
 Each side is reported as median and quartiles over its runs, with the
 number of pairs the change won.
@@ -26,6 +28,8 @@ import sys
 from pathlib import Path
 
 REPEATS = 5
+ROUNDS = 10
+SEEDS = range(911, 921)
 PER_CALL = """
 import json, sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -76,13 +80,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--rounds", type=int, default=10, help="per-call rounds per side")
-    ap.add_argument("--seeds", default="911-920", help="oracle-check seeds, as LO-HI")
     ap.add_argument("--out", type=Path, default=Path("BENCH_oracle.json"))
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    calls = paired(sides, range(args.rounds),
+    calls = paired(sides, range(ROUNDS),
                    lambda root, r: json.loads(run(root, ["-c", PER_CALL])))
     per_call = {
         "what": "volume_quadrature('lightlike', ..., tol=1e-8), least of "
@@ -94,15 +96,14 @@ def main(argv=None) -> int:
         "total_s": compare(*([sum(c) for c in calls[k]] for k in sides)),
     }
 
-    lo, hi = map(int, args.seeds.split("-"))
-    runs = paired(sides, range(lo, hi + 1), lambda root, seed: json.loads(run(
+    runs = paired(sides, SEEDS, lambda root, seed: json.loads(run(
         root, ["perfbench/run.py", "--workload", "oracle-check", "--seed", str(seed),
                "--seconds", "20", "--trace", "0"])))
     names = list(runs["parent"][0]["metrics"])
     end_to_end = {
         "command": "python3 perfbench/run.py --workload oracle-check --seed SEED "
                    "--seconds 20 --trace 0",
-        "seeds": f"{lo}-{hi}",
+        "seeds": f"{SEEDS[0]}-{SEEDS[-1]}",
         "correct": {k: all(x["correct"] for x in runs[k]) for k in sides},
         "failed_ops": {k: sum(x["failed"] for x in runs[k]) for k in sides},
         "metrics": {m: compare(*([x["metrics"][m]["value"] for x in runs[k]] for k in sides))
