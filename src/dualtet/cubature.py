@@ -13,19 +13,22 @@ the per-axis differences catch an axis that is under-resolved while the
 other hides it in GG, as DCUHRE's per-axis differences do (Berntsen,
 Espelid & Genz, ACM TOMS 17, 1991).  Both run one refinement loop, and
 both always split the root panel once, since its rules can agree by chance
-on an integrand they do not resolve.  For the same reason a split checks
-its children against their parent, as step halving does in adaptive
-Simpson rules: when the parent's value and the sum of theirs differ by
-more than the sum of their estimates, the children share the excess as
-error.  When the panel budget runs out first they raise
+on an integrand they do not resolve; the root is therefore evaluated
+together with its first split, in one integrand call.  For the same reason
+a split checks its children against their parent, as step halving does in
+adaptive Simpson rules: when the parent's value and the sum of theirs
+differ by more than the sum of their estimates, the children share the
+excess as error.  When the panel budget runs out first they raise
 ToleranceNotReached carrying the best estimate; when the integrand is not
 finite at a node they raise it at once, with value nan and error inf.
 Subdivision order is a deterministic function of the inputs, so results
 are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call: the
-children of a split (two in 1d, four in 2d) share one call.  In 1d, f gets
-nodes of shape (n, 15) and returns values broadcastable to (n, 15).  In 2d,
+root and its children share the first call (three panels in 1d, five in
+2d), and the children of each later split (two in 1d, four in 2d) share
+one call.  In 1d, f gets nodes of shape (n, 15) and returns values
+broadcastable to (n, 15).  In 2d,
 f(x, y) gets broadcastable node arrays of shapes (n, 15, 1) and (n, 1, 15)
 and returns values broadcastable to (n, 15, 15); a part that depends on x
 alone is thus computed on 15 nodes per panel, not 225.
@@ -87,7 +90,9 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     with one call f(x) on nodes of shape (n, 15); `held` counts the panels
     held with these."""
     half, x = _nodes(np.array(segs, dtype=float))
-    vals = np.broadcast_to(_finite(np.asarray(f(x), dtype=float), held), x.shape)
+    vals = _finite(np.asarray(f(x), dtype=float), held)
+    if vals.shape != x.shape:  # broadcast_to costs a few us even when it is a no-op
+        vals = np.broadcast_to(vals, x.shape)
     sums = half[:, None] * (vals @ _RULES.T)
     kron = sums[:, 0]
     return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
@@ -96,20 +101,17 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
 def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, float]:
     """The refinement loop of both integrators: `panels(f, cells, held)`
     gives the values and error estimates of a list of cells, and
-    `split(cell)` a cell's children.  The root is always split once (see
-    above)."""
-    (val,), (err,) = panels(f, [root], 1)
-    heap = [(-err, 0, root, val, err)]
+    `split(cell)` a cell's children.  The root is always split once, and is
+    evaluated with its children in the first call, which counts as one
+    panel held (see above)."""
+    subs = split(root)
+    (pval, *vals), (perr, *errs) = panels(f, [root, *subs], 1)
+    if limit <= 1:
+        raise ToleranceNotReached(pval, perr, panels=1)
+    heap = []
     counter = 1
-    total_val, total_err = val, err
-    while total_err > tol or counter == 1:
-        if len(heap) >= limit:
-            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
-        _, _, cell, pval, perr = heapq.heappop(heap)
-        total_val -= pval
-        total_err -= perr
-        subs = split(cell)
-        vals, errs = panels(f, subs, len(heap) + len(subs))
+    total_val = total_err = 0.0
+    while True:
         # Children whose values miss their parent's by more than their
         # estimates add up to share the excess (see above).
         excess = max(0.0, (abs(pval - sum(vals)) - sum(errs)) / len(subs))
@@ -119,7 +121,15 @@ def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, floa
             counter += 1
             total_val += v
             total_err += e
-    return total_val, total_err
+        if not total_err > tol:
+            return total_val, total_err
+        if len(heap) >= limit:
+            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
+        _, _, cell, pval, perr = heapq.heappop(heap)
+        total_val -= pval
+        total_err -= perr
+        subs = split(cell)
+        vals, errs = panels(f, subs, len(heap) + len(subs))
 
 
 def _halves(seg) -> tuple:
@@ -173,7 +183,8 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
 
     f is called with broadcastable node arrays of shapes (n, 15, 1) and
     (n, 1, 15) and must return an array broadcastable to (n, 15, 15); the
-    four children of a split are evaluated in one call (n = 4).
+    four children of a split are evaluated in one call (n = 4), and the
+    root with its four children in the first (n = 5).
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when the panel budget is exhausted first, and when the

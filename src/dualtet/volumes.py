@@ -27,7 +27,9 @@ lam = -1.  Sidi's sin^2 substitution phi(u) = u - sin(2 pi u)/(2 pi)
 (ISNM 112, 1993), whose Jacobian 2 sin(pi u)^2 vanishes to second order at
 both ends, widens them: the ideal angle gets it twice, and each half of
 the lightlike t, which has a kink at t = 0, gets it once.  Both integrands
-are written so that nothing cancels at a corner.
+are written so that nothing cancels at a corner.  The map depends on the
+nodes alone, and those are the Kronrod nodes of dyadic panels of [0, 1]
+whatever the cell, so it is cached by node set across integrals.
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -41,12 +43,12 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from .cubature import adaptive_quad
-from .errors import ConvergenceWarning, DomainError
+from .errors import ConvergenceWarning, DomainError, ToleranceNotReached
 from .gcnum import check_lambda, gcos, gsin
 from .tetrahedra import KIND_IDEAL, KIND_LIGHTLIKE, check_kind, validate_angles
 
@@ -188,6 +190,28 @@ _PHI_POWERS = np.arange(8)
 _TINY = np.finfo(float).tiny
 
 
+def _node_cached(node_map):
+    """node_map(u) for float nodes u, memoized on the bytes of u (see the
+    module docstring).  The arrays returned are shared between callers,
+    hence read-only, and shaped like u."""
+
+    @lru_cache(maxsize=64)
+    def cached(key: bytes) -> tuple[np.ndarray, ...]:
+        out = node_map(np.frombuffer(key))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+    @wraps(node_map)
+    def lookup(u):
+        u = np.asarray(u, dtype=float)
+        return tuple(arr.reshape(u.shape) for arr in cached(u.tobytes()))
+
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_node_cached
 def _sin2(u):
     """Sidi's sin^2 map phi(u) = u - sin(2 pi u) / (2 pi) of [0, 1] onto
     itself, and its derivative 2 sin(pi u)^2, which vanishes to second order
@@ -201,10 +225,11 @@ def _sin2(u):
     return phi, 2.0 * np.sin(math.pi * u) ** 2
 
 
+@_node_cached
 def _sin2_twice(u):
     """phi(phi(u)) and its derivative: nodes cluster like u^9 at both ends."""
-    p, dp = _sin2(u)
-    q, dq = _sin2(p)
+    p, dp = _sin2.__wrapped__(u)
+    q, dq = _sin2.__wrapped__(p)
     return q, dq * dp
 
 
@@ -425,14 +450,22 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     Returns (value, error estimate); raises ToleranceNotReached with the
     best estimate attached when the panel budget runs out, or at once when
     the integrand is not finite at a node (lightlike cells at lam = -1 past
-    alpha + beta ~ 354, where the chart's y underflows).
+    alpha + beta ~ 354, where the chart's y underflows) or its arithmetic
+    overflows, divides by zero or forms a nan: on extremely skewed or small
+    cells, where theta underflows to 0 in the ideal chart, or p or 1/p
+    passes ~1e154 in the lightlike one.
     """
     check_kind(kind)
     validate_angles(lam, alpha, beta)
     if not tol >= 1e-10:  # also refuses NaN, which would stop the cubature at once
         raise DomainError(f"tolerance must be a number >= 1e-10, got {tol}")
     oracle = _ideal_oracle if kind == KIND_IDEAL else _lightlike_oracle
-    return adaptive_quad(oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return adaptive_quad(oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
+    except FloatingPointError as exc:
+        raise ToleranceNotReached(math.nan, math.inf,
+                                  f"the integrand left the float range ({exc})") from None
 
 
 # -- reporting --------------------------------------------------------------------

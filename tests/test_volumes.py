@@ -362,7 +362,7 @@ def test_quadrature_1d_splits_share_one_call():
     val, err = adaptive_quad(f, a, 2.0, tol=1e-12)
     assert val == pytest.approx(2.0 * math.log(2.0) - 2.0 - a * math.log(a) + a, abs=1e-12)
     assert err <= 1e-12
-    assert shapes[0] == (1, 15) and set(shapes[1:]) == {(2, 15)}
+    assert shapes[0] == (3, 15) and set(shapes[1:]) == {(2, 15)}
 
 
 def test_quadrature_1d_splits_the_root():
@@ -375,7 +375,7 @@ def test_quadrature_1d_splits_the_root():
         return 1.0 + 0 * x
 
     assert adaptive_quad(f, 0, 1)[0] == pytest.approx(1.0, rel=1e-14)
-    assert calls == [(1, 15), (2, 15)]
+    assert calls == [(3, 15)]
 
 
 def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
@@ -585,6 +585,48 @@ def test_sin2_map_keeps_its_digits_near_zero():
                                               rel=1e-15)
             assert dphi[k, 0] == pytest.approx(float(1 - mpmath.cos(z)), rel=1e-14)
     assert np.all(_sin2_twice(np.array([1e-3, 1e-2]))[0] > 0)
+
+
+# Cells with a skew of about 16 (beta / alpha, both ways) next to plain ones.
+_CACHE_CELLS = [(0.3, 0.4), (0.09, 1.45), (1.45, 0.09), (0.02, 0.33)]
+
+
+def test_node_map_cache_keeps_oracle_values():
+    from dualtet.volumes import _sin2, _sin2_twice
+
+    def quadratures(cold):
+        got = []
+        for kind in ("ideal", "lightlike"):
+            for lam in LAMBDAS:
+                for a, b in _CACHE_CELLS:
+                    if cold:
+                        _sin2.cache_clear()
+                        _sin2_twice.cache_clear()
+                    got.append(volume_quadrature(kind, lam, a, b))
+        return got
+
+    cold = quadratures(cold=True)
+    assert quadratures(cold=False) == cold
+    # The maps hand the same arrays to every integral, so none may be written.
+    for node_map in (_sin2, _sin2_twice):
+        for arr in node_map(np.linspace(0.0, 1.0, 15)[None, :]):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
+# Cells whose nodes leave the float range: theta underflows to 0 in the
+# ideal chart, and p or 1/p passes ~1e154 in the lightlike one.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["ideal", "lightlike"])
+@pytest.mark.parametrize("cell", [(1, 3.7e-229, 1.5e-58), (1, 1e-300, 1e-10),
+                                  (-1, 1e-200, 1.0)])
+def test_extreme_cells_raise_no_runtime_warning(kind, cell):
+    closed = (ideal_volume if kind == "ideal" else lightlike_volume)(*cell)
+    try:
+        val, err = volume_quadrature(kind, *cell)
+    except ToleranceNotReached:
+        return
+    assert math.isfinite(val) and abs(val - closed) <= err
 
 
 def _old_ideal_density(lam, alpha, beta, theta, u):

@@ -1,14 +1,14 @@
-"""Before/after record of the lightlike quadrature oracle: BENCH_oracle.json.
+"""Before/after record of the quadrature oracle: BENCH_oracle_nodes.json.
 
-    python tools/bench_oracle.py PARENT CHANGE --out BENCH_oracle.json
+    python tools/bench_oracle.py PARENT CHANGE --out BENCH_oracle_nodes.json
 
 PARENT and CHANGE are two source checkouts (e.g. made with `git archive`).
 Two measurements, each alternating which checkout runs first:
 
-* per call: `volume_quadrature("lightlike", ...)` at tol 1e-8 over the
-  lightlike inputs of `oracle-check` (seed 7, --seconds 20), each input
-  timed as the least of REPEATS calls, in one child process per round,
-  ROUNDS rounds;
+* per call: `volume_quadrature(kind, ...)` at tol 1e-8 over the inputs of
+  `oracle-check` (seed 7, --seconds 20), each input timed as the least of
+  REPEATS calls, in one child process per round, ROUNDS rounds; the ideal
+  and lightlike inputs are reported separately;
 * end to end: `perfbench/run.py --workload oracle-check --seconds 20
   --trace 0` on each seed of SEEDS, its metrics as printed (gauge-scaled
   times).
@@ -27,26 +27,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+KINDS = ("ideal", "lightlike")
 REPEATS = 5
 ROUNDS = 10
 SEEDS = range(911, 921)
-PER_CALL = """
+
+
+def per_call_snippet(repeats: int) -> str:
+    """Python source that prints, as JSON keyed by kind, the least of
+    `repeats` timed calls for each oracle-check input; run it from a
+    checkout's root."""
+    return f"""
 import json, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import dualtet
 from workloads import OracleCheck
-inputs = [i for i in OracleCheck(7, 20.0).inputs if i[0] == "lightlike"]
-dualtet.volume_quadrature("lightlike", 0, 0.3, 0.4, tol=1e-8)
-best = []
-for kind, lam, alpha, beta, _order in inputs:
+for kind in {KINDS!r}:
+    dualtet.volume_quadrature(kind, 0, 0.3, 0.4, tol=1e-8)
+best = {{kind: [] for kind in {KINDS!r}}}
+for kind, lam, alpha, beta, _order in OracleCheck(7, 20.0).inputs:
     times = []
-    for _ in range(%d):
+    for _ in range({repeats}):
         t = time.perf_counter()
         dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
         times.append(time.perf_counter() - t)
-    best.append(min(times))
+    best[kind].append(min(times))
 print(json.dumps(best))
-""" % REPEATS
+"""
 
 
 def quartiles(xs: list[float]) -> dict:
@@ -80,20 +87,23 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_oracle.json"))
+    ap.add_argument("--out", type=Path, default=Path("BENCH_oracle_nodes.json"))
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    calls = paired(sides, range(ROUNDS),
-                   lambda root, r: json.loads(run(root, ["-c", PER_CALL])))
+    snippet = per_call_snippet(REPEATS)
+    calls = paired(sides, range(ROUNDS), lambda root, r: json.loads(run(root, ["-c", snippet])))
     per_call = {
-        "what": "volume_quadrature('lightlike', ..., tol=1e-8), least of "
-                f"{REPEATS} calls per input, one child process per round",
-        "inputs": f"the {len(calls['parent'][0])} lightlike inputs of oracle-check "
-                  "seed 7, --seconds 20",
-        "median_ms": compare(*([1e3 * statistics.median(c) for c in calls[k]]
-                               for k in sides)),
-        "total_s": compare(*([sum(c) for c in calls[k]] for k in sides)),
+        kind: {
+            "what": f"volume_quadrature({kind!r}, ..., tol=1e-8), least of "
+                    f"{REPEATS} calls per input, one child process per round",
+            "inputs": f"the {len(calls['parent'][0][kind])} {kind} inputs of "
+                      "oracle-check seed 7, --seconds 20",
+            "median_ms": compare(*([1e3 * statistics.median(c[kind]) for c in calls[k]]
+                                   for k in sides)),
+            "total_s": compare(*([sum(c[kind]) for c in calls[k]] for k in sides)),
+        }
+        for kind in KINDS
     }
 
     runs = paired(sides, SEEDS, lambda root, seed: json.loads(run(
