@@ -14,6 +14,11 @@ isometry carrying the standard-position configuration to the actual one,
 and the four vertices are cached on construction.  The constants of the
 membership and sampling charts (the inverse pose and the trigonometric
 values of alpha, beta and gamma) are cached on first use.
+
+Duality swaps the kinds and keeps (alpha, beta).  The dual of an ideal
+tetrahedron with pose A is written down: the lightlike one with pose S A S,
+S = [[0, 1], [1, 0]].  The dual of a lightlike one is built from its
+vertices by the pairing's kernels and ideal recovery.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from .matmodel import (
     _traceless,
     act,
     mat_exp_traceless,
-    quadric_value,
     embed,
 )
 
@@ -647,24 +651,24 @@ def _triple_kernels(vecs):
 def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     """The projectively dual tetrahedron: each vertex is the common point of
     the planes dual to the other kind's three complementary vertices.  The
-    parameters (alpha, beta) are preserved and the kinds swap."""
+    parameters (alpha, beta) are preserved and the kinds swap.
+
+    The dual of an ideal tetrahedron is written down in closed form: the
+    lightlike tetrahedron with the same (alpha, beta) and pose S A S, A the
+    ideal pose and S = [[0, 1], [1, 0]].  The dual of a lightlike one is
+    built from its vertices: four kernels of the pairing, then ideal
+    recovery of the boundary points they span."""
     lam = t.lam
-    if t.kind == KIND_LIGHTLIKE:
-        new_vertices = []
-        for i, y in enumerate(_triple_kernels([v.vector() for v in t.vertices])):
-            try:
-                new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
-            except Degenerate as exc:
-                raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
-        pose, alpha, beta = recover_parameters(new_vertices, KIND_IDEAL, lam)
-        return Tetrahedron(KIND_IDEAL, lam, alpha, beta, pose)
-    new_points = []
-    for i, xv in enumerate(_triple_kernels([v.vec4() for v in t.vertices])):
-        if quadric_value(xv, SPACE_X, lam) <= 0:
-            raise NotATetrahedron(f"dual vertex {i + 1} misses the spacetime family")
-        new_points.append(Point.from_vector(xv, SPACE_X, lam))
-    pose, alpha, beta = recover_parameters(new_points, KIND_LIGHTLIKE, lam)
-    return Tetrahedron(KIND_LIGHTLIKE, lam, alpha, beta, pose)
+    if t.kind == KIND_IDEAL:
+        return Tetrahedron(KIND_LIGHTLIKE, lam, t.alpha, t.beta, _dual_action(t.pose))
+    new_vertices = []
+    for i, y in enumerate(_triple_kernels([v.vector() for v in t.vertices])):
+        try:
+            new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
+        except Degenerate as exc:
+            raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
+    pose, alpha, beta = recover_parameters(new_vertices, KIND_IDEAL, lam)
+    return Tetrahedron(KIND_IDEAL, lam, alpha, beta, pose)
 
 
 # -- membership charts ------------------------------------------------------------

@@ -273,6 +273,11 @@ def suite_tetrahedra(rng: np.random.Generator):
         ok_dual &= d.kind == "ideal" and abs(d.alpha - a) < 1e-8 and abs(d.beta - b) < 1e-8
         dd = dualize_tet(d)
         ok_dual &= all(v.isclose(w, 1e-6) for v, w in zip(t.vertices, dd.vertices))
+        # dd is written down from d's parameters and pose; check it against
+        # d's vertices: vertex i of dd lies on the planes dual to the others.
+        planes = [dualize(w) for w in d.vertices]
+        ok_dual &= all(plane.contains(v, 4e-11) for i, v in enumerate(dd.vertices)
+                       for j, plane in enumerate(planes) if j != i)
         ti = ideal_from_angles(lam, a, b)
         z = cross_ratio(*ti.vertices)
         ok_cr &= z.isclose(edge_data(ti)[0].z, 1e-10)

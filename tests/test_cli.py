@@ -138,6 +138,23 @@ def test_dual_swaps_kind_preserves_parameters(tmp_path, capsys):
     assert desc["beta"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_dual_of_posed_ideal_is_closed_form(tmp_path, capsys):
+    """The dual of an ideal descriptor keeps alpha and beta bit for bit, and
+    its pose [[a, b], [c, d]] becomes S pose S = [[d, c], [b, a]]."""
+    pf = tmp_path / "pose.json"
+    pf.write_text(json.dumps([[[1.1, 0.2], [0.3, -0.1]], [[-0.25, 0.15], [0.9, 0.05]]]))
+    src, dst = tmp_path / "t.json", tmp_path / "d.json"
+    run_cli(capsys, "build", "--lambda", "-1", "--kind", "ideal", "--alpha", "0.7",
+            "--beta", "1.3", "--pose", str(pf), "--out", str(src))
+    code, _, _ = run_cli(capsys, "dual", "--in", str(src), "--out", str(dst))
+    assert code == 0
+    before, after = json.loads(src.read_text()), json.loads(dst.read_text())
+    assert after["kind"] == "lightlike" and after["lambda"] == -1
+    assert (after["alpha"], after["beta"]) == (before["alpha"], before["beta"])
+    (a, b), (c, d) = before["pose"]
+    assert after["pose"] == [[d, c], [b, a]]
+
+
 def test_mesh_output_shape(capsys):
     code, out, _ = run_cli(capsys, "mesh", "--lambda", "0", "--kind", "lightlike",
                            "--alpha", "1", "--beta", "1", "--density", "4")

@@ -12,6 +12,7 @@ from dualtet import (
     DomainError,
     DualtetError,
     GC,
+    Isometry,
     Mat2,
     NoIntersection,
     NotATetrahedron,
@@ -21,6 +22,7 @@ from dualtet import (
     arc_length,
     contains,
     cross_ratio,
+    dualize,
     dualize_tet,
     edge_data,
     edge_symmetry,
@@ -367,11 +369,15 @@ def test_duality_is_involutive_with_pose(rng):
                 assert v.isclose(w, 1e-6)
 
 
+def _swap_conjugate(pose):
+    """S A S for A the pose and S = [[0, 1], [1, 0]], from the entries."""
+    r = pose.rep
+    return Isometry(Mat2(r.d, r.c, r.b, r.a))
+
+
 def test_dual_pose_is_swap_conjugate_of_pose():
     """Duality carries the action of A on one family to that of S A S on the
     other, S = [[0, 1], [1, 0]], so the dual tetrahedron's pose is S A S."""
-    from dualtet import Isometry
-
     rng = np.random.default_rng(61)
     for lam in LAMBDAS:
         for kind in ("lightlike", "ideal"):
@@ -379,8 +385,29 @@ def test_dual_pose_is_swap_conjugate_of_pose():
                 a, b = rng.uniform(0.15, 1.2, 2)
                 pose = random_isometry(rng, lam)
                 d = dualize_tet(Tetrahedron(kind, lam, a, b, pose))
-                r = pose.rep
-                assert d.pose.projectively_equal(Isometry(Mat2(r.d, r.c, r.b, r.a)), 1e-8)
+                assert d.pose.projectively_equal(_swap_conjugate(pose), 1e-8)
+
+
+def test_dual_of_ideal_is_incident_with_its_vertices():
+    """Each vertex i of the dual of an ideal tetrahedron lies on the planes
+    dual to the three ideal vertices j != i: the pairing vanishes relative
+    to the norms of the two vectors.  The bound is the worst such residual
+    of the kernel route, which built this dual from those vertices, over
+    9,000 cells drawn as here: 3.7e-11, at lam = 0."""
+    rng = np.random.default_rng(1717)
+    for lam in LAMBDAS:
+        for _ in range(40):
+            while True:
+                alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(6.0), 2))
+                if lam != 1 or alpha + beta < math.pi:
+                    break
+            t = ideal_from_angles(lam, float(alpha), float(beta), random_isometry(rng, lam))
+            d = dualize_tet(t)
+            planes = [dualize(w) for w in t.vertices]
+            for i, v in enumerate(d.vertices):
+                for j, plane in enumerate(planes):
+                    if j != i:
+                        assert plane.contains(v, 4e-11), (lam, alpha, beta, i, j)
 
 
 def test_edge_lengths_equal_dual_dihedral_angles(rng):
@@ -398,8 +425,6 @@ def test_edge_lengths_equal_dual_dihedral_angles(rng):
 
 
 def test_recover_standard(rng):
-    from dualtet import Isometry
-
     for lam in LAMBDAS:
         for kind in ("lightlike", "ideal"):
             t = Tetrahedron(kind, lam, 0.9, 0.3)
@@ -949,12 +974,45 @@ def _recovered_hex(fn, *args):
     return [alpha.hex(), beta.hex()] + [float(x).hex() for x in pose.rep.flat]
 
 
+def _assert_dual_matches_references(x, context) -> bool:
+    """The dual of a lightlike tetrahedron is the kernel route's, bit for
+    bit.  The dual of an ideal one is the closed form bit for bit, and it
+    agrees with the kernel route, where that returns, to the tolerances of
+    `test_duality_is_involutive_with_pose`.  False when the kernel route
+    fails on ideal input."""
+    got = _recovered_hex(dualize_tet, x)
+    if x.kind == "lightlike":
+        assert got == _recovered_hex(_ref_dualize_tet, x), context
+        return True
+    closed = Tetrahedron("lightlike", x.lam, x.alpha, x.beta, _swap_conjugate(x.pose))
+    assert got == _recovered_hex(lambda: closed), context
+    try:
+        ref = _ref_dualize_tet(x)
+    except DualtetError:
+        return False
+    carried = (x.alpha, x.beta)
+    if max(abs(ref.alpha - x.alpha), abs(ref.beta - x.beta)) > 1e-8:
+        # At lam = -1 with large alpha + beta, the vertices of x lose the
+        # smaller null component and no longer carry x's parameters.  The
+        # kernel route reads the vertices; the closed form keeps x's
+        # parameters.  Ideal recovery then reads what the vertices carry.
+        assert x.lam == -1, context
+        _pose, *carried = recover_parameters(x.vertices, "ideal", x.lam)
+    assert ref.kind == "lightlike", context
+    assert ref.alpha == pytest.approx(carried[0], abs=1e-8), context
+    assert ref.beta == pytest.approx(carried[1], abs=1e-8), context
+    assert all(v.isclose(w, 1e-6) for v, w in zip(closed.vertices, ref.vertices)), context
+    return True
+
+
 def test_recovery_and_duality_match_the_route_that_repeated_work():
     """One lightlike test per face, one normalization per ideal triple and the
     stacked kernels give the pose, parameters and vertices of the route that
-    did each twice, bit for bit, and fail with the same error classes."""
+    did each twice, bit for bit, and fail with the same error classes.  The
+    dual of an ideal tetrahedron is the closed form, checked against that
+    route within tolerance."""
     rng = np.random.default_rng(5151)
-    ok = fails = 0
+    ok = fails = ref_fails = 0
     for lam in LAMBDAS:
         for kind in ("lightlike", "ideal"):
             for _ in range(6):
@@ -969,22 +1027,22 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
                     got = _recovered_hex(recover_parameters, verts, kind, lam)
                     assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam), (
                         lam, kind, alpha, beta, perm)
-                got = _recovered_hex(dualize_tet, t)
-                assert got == _recovered_hex(_ref_dualize_tet, t), (lam, kind, alpha, beta)
-                if isinstance(got, type):
+                context = (lam, kind, alpha, beta)
+                ref_fails += not _assert_dual_matches_references(t, context)
+                try:
+                    d = dualize_tet(t)
+                except DualtetError:
                     fails += 1
                     continue
                 ok += 1
-                d = dualize_tet(t)
-                assert _recovered_hex(dualize_tet, d) == _recovered_hex(_ref_dualize_tet, d), (
-                    lam, kind, alpha, beta)
+                ref_fails += not _assert_dual_matches_references(d, context)
         # vertex sets that are no tetrahedron fail alike
         garbage = [[random_point(rng, "X", lam) for _ in range(4)],
                    [BoundaryPoint.from_value(GC(*rng.normal(size=2), lam)) for _ in range(4)]]
         for verts, kind in zip(garbage, ("lightlike", "ideal")):
             got = _recovered_hex(recover_parameters, verts, kind, lam)
             assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam)
-    assert ok > 20 and fails < ok, (ok, fails)
+    assert ok > 20 and fails < ok and ref_fails < ok, (ok, fails, ref_fails)
 
 
 def test_stacked_dual_kernels_match_separate_calls():

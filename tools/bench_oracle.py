@@ -1,17 +1,21 @@
-"""Before/after record of the quadrature oracle: BENCH_oracle_nodes.json.
+"""Before/after record of a perfbench workload: BENCH_*.json.
 
     python tools/bench_oracle.py PARENT CHANGE --out BENCH_oracle_nodes.json
+    python tools/bench_oracle.py PARENT CHANGE --workload tet-pipeline \
+        --out BENCH_tet_pipeline.json
 
-PARENT and CHANGE are two source checkouts (e.g. made with `git archive`).
-Two measurements, each alternating which checkout runs first:
+PARENT and CHANGE are two source checkouts made the same way (e.g. both
+with `git archive` into sibling directories): where a checkout lives can
+move its `setup_s` and `peak_rss_mb` by itself.  Each measurement
+alternates which checkout runs first:
 
-* per call: `volume_quadrature(kind, ...)` at tol 1e-8 over the inputs of
-  `oracle-check` (seed 7, --seconds 20), each input timed as the least of
-  REPEATS calls, in one child process per round, ROUNDS rounds; the ideal
-  and lightlike inputs are reported separately;
-* end to end: `perfbench/run.py --workload oracle-check --seconds 20
-  --trace 0` on each seed of SEEDS, its metrics as printed (gauge-scaled
-  times).
+* per call, on `oracle-check` only: `volume_quadrature(kind, ...)` at tol
+  1e-8 over the inputs of `oracle-check` (seed 7, --seconds 20), each input
+  timed as the least of REPEATS calls, in one child process per round,
+  ROUNDS rounds; the ideal and lightlike inputs are reported separately;
+* end to end: `perfbench/run.py --workload WORKLOAD --seconds 20 --trace 0`
+  on each seed of SEEDS, its metrics as printed (gauge-scaled times) and
+  its failed ops per seed.
 
 Each side is reported as median and quartiles over its runs, with the
 number of pairs the change won.
@@ -83,17 +87,10 @@ def compare(parent: list[float], change: list[float]) -> dict:
             "change_lower_in": f"{wins}/{len(parent)} pairs"}
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--out", type=Path, default=Path("BENCH_oracle_nodes.json"))
-    args = ap.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
+def per_call(sides: dict[str, Path]) -> dict:
     snippet = per_call_snippet(REPEATS)
     calls = paired(sides, range(ROUNDS), lambda root, r: json.loads(run(root, ["-c", snippet])))
-    per_call = {
+    return {
         kind: {
             "what": f"volume_quadrature({kind!r}, ..., tol=1e-8), least of "
                     f"{REPEATS} calls per input, one child process per round",
@@ -106,23 +103,40 @@ def main(argv=None) -> int:
         for kind in KINDS
     }
 
-    runs = paired(sides, SEEDS, lambda root, seed: json.loads(run(
-        root, ["perfbench/run.py", "--workload", "oracle-check", "--seed", str(seed),
-               "--seconds", "20", "--trace", "0"])))
+
+def end_to_end(workload: str, runs: dict[str, list]) -> dict:
+    """Summary of `perfbench/run.py` results, one per seed of SEEDS and side."""
     names = list(runs["parent"][0]["metrics"])
-    end_to_end = {
-        "command": "python3 perfbench/run.py --workload oracle-check --seed SEED "
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "
                    "--seconds 20 --trace 0",
         "seeds": f"{SEEDS[0]}-{SEEDS[-1]}",
-        "correct": {k: all(x["correct"] for x in runs[k]) for k in sides},
-        "failed_ops": {k: sum(x["failed"] for x in runs[k]) for k in sides},
-        "metrics": {m: compare(*([x["metrics"][m]["value"] for x in runs[k]] for k in sides))
+        "correct": {k: all(x["correct"] for x in side) for k, side in runs.items()},
+        "failed_ops": {k: [x["failed"] for x in side] for k, side in runs.items()},
+        "metrics": {m: compare(*([x["metrics"][m]["value"] for x in runs[k]] for k in runs))
                     for m in names},
     }
-    record = {"host": f"{platform.machine()}, Python {platform.python_version()}",
-              "per_call": per_call, "oracle_check": end_to_end}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", default="oracle-check",
+                    choices=("oracle-check", "tet-pipeline", "verify"))
+    ap.add_argument("--out", type=Path, default=Path("BENCH_oracle_nodes.json"))
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    record = {"host": f"{platform.machine()}, Python {platform.python_version()}"}
+    if args.workload == "oracle-check":
+        record["per_call"] = per_call(sides)
+    runs = paired(sides, SEEDS, lambda root, seed: json.loads(run(
+        root, ["perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
+               "--seconds", "20", "--trace", "0"])))
+    record[args.workload.replace("-", "_")] = summary = end_to_end(args.workload, runs)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(end_to_end["metrics"]["wall_s"]))
+    print(json.dumps(summary["metrics"]["wall_s"]))
     return 0
 
 
