@@ -19,6 +19,10 @@ Duality swaps the kinds and keeps (alpha, beta).  The dual of an ideal
 tetrahedron with pose A is written down: the lightlike one with pose S A S,
 S = [[0, 1], [1, 0]].  The dual of a lightlike one is built from its
 vertices by the pairing's kernels and ideal recovery.
+
+Recovery reads (alpha, beta) off the vertices, and the relabeling they
+carry off which member of the parameters' orbit under relabeling is the
+canonical one: one pose per candidate, checked once against the vertices.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .errors import (
     DomainError,
     DualtetError,
     NoIntersection,
+    NormalizationFailure,
     NotATetrahedron,
     NotLightlike,
     NotSpacelikeConnected,
@@ -463,7 +468,10 @@ _PERM_WORDS = ((), ("T",), ("T", "T"), ("I",), ("T", "I"), ("T", "T", "I"))
 @lru_cache(maxsize=None)
 def _perm_isometries(lam: int) -> tuple[Isometry, ...]:
     """The six label permutations of a standard tetrahedron, built once per
-    curvature."""
+    curvature.  Entry k is the relabeling carried by vertices whose k-th
+    orbit member is the canonical one, in the orbit of their parameter
+    triple (`_canonical_member`) and of their cross-ratio
+    (`_cross_ratio_orbit`) alike."""
     t_mat = Mat2.from_real([[0, 1], [-1, 1]], lam)
     i_mat = Mat2.from_real([[0, 1], [1, 0]], lam)
     table = {"T": t_mat, "I": i_mat}
@@ -474,13 +482,6 @@ def _perm_isometries(lam: int) -> tuple[Isometry, ...]:
             m = m @ table[ch]
         out.append(Isometry(m))
     return tuple(out)
-
-
-def _orbit_triples(a: float, b: float, g: float):
-    return (
-        (a, b, g), (b, g, a), (g, a, b),
-        (-b, -a, -g), (-a, -g, -b), (-g, -b, -a),
-    )
 
 
 def _match_sets(found, expected, tol: float = 1e-7) -> bool:
@@ -497,38 +498,35 @@ def _match_sets(found, expected, tol: float = 1e-7) -> bool:
     return True
 
 
-def _canonical_from_triple(lam: int, trips) -> tuple[float, float] | None:
-    for a, b, _g in trips:
-        if a > 1e-12 and b > 1e-12 and not (lam == 1 and a + b >= math.pi - 1e-12):
-            return a, b
+def _canonical_member(lam: int, a: float, b: float, g: float) -> tuple[int, float, float] | None:
+    """The index k and positive parameters of the first canonical member of
+    the relabeling orbit of the triple (a, b, g), or None."""
+    orbit = ((a, b), (b, g), (g, a), (-b, -a), (-a, -g), (-g, -b))
+    for k, (x, y) in enumerate(orbit):
+        if x > 1e-12 and y > 1e-12 and not (lam == 1 and x + y >= math.pi - 1e-12):
+            return k, x, y
     return None
 
 
 def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, float]:
     """Invert the constructors: the pose and canonical positive parameters
-    of a tetrahedron given by its vertices (in any labeling)."""
+    of a tetrahedron given by its vertices (in any labeling).  The index k
+    of each candidate (k, alpha, beta) names the relabeling
+    `_perm_isometries(lam)[k]` the vertices carry: one pose per candidate."""
     check_kind(kind)
     check_lambda(lam)
     if len(vertices) != 4:
         raise NotATetrahedron("need exactly four vertices")
     if kind == KIND_LIGHTLIKE:
-        normalizer, triples = _recover_lightlike_raw(vertices, lam)
+        normalizer, candidates = _recover_lightlike_raw(vertices, lam)
     else:
-        normalizer, triples = _recover_ideal_raw(vertices, lam)
+        normalizer, candidates = _recover_ideal_raw(vertices, lam)
     perms = _perm_isometries(lam)
-    seen = []
-    for triple in triples:
-        canon = _canonical_from_triple(lam, _orbit_triples(*triple))
-        if canon is None or any(abs(canon[0] - c[0]) + abs(canon[1] - c[1]) < 1e-12 for c in seen):
-            continue
-        seen.append(canon)
-        alpha, beta = canon
-        std = standard_vertices(kind, lam, alpha, beta)
-        for w in perms:
-            pose = (w @ normalizer).inv()
-            imgs = [act(pose, v) for v in std]
-            if _match_sets(imgs, list(vertices)):
-                return pose, alpha, beta
+    for k, alpha, beta in candidates:
+        pose = (perms[k] @ normalizer).inv()
+        imgs = [act(pose, v) for v in standard_vertices(kind, lam, alpha, beta)]
+        if _match_sets(imgs, list(vertices)):
+            return pose, alpha, beta
     raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
 
 
@@ -576,17 +574,19 @@ def _recover_lightlike_raw(vertices, lam: int):
                 candidates.append(tuple(cand))
         if not candidates:
             raise NotATetrahedron(f"edge angles do not close up modulo pi: {reps}")
-        return a, candidates
-    if abs(al + be + ga) > 1e-7 * max(1.0, abs(al), abs(be)):
+    elif abs(al + be + ga) > 1e-7 * max(1.0, abs(al), abs(be)):
         raise NotATetrahedron(f"edge angles do not close up: {(al, be, ga)}")
-    return a, [(al, be, ga)]
+    else:
+        candidates = [(al, be, ga)]
+    members = (_canonical_member(lam, *cand) for cand in candidates)
+    return a, [m for m in members if m is not None]
 
 
 def _cross_ratio_orbit(z: GC) -> list[GC]:
     one = gc(1, 0, z.lam)
     zi = z.inv()
     w = (one - z).inv()
-    return [z, w, (z - one) * zi, zi, one - z, z * (z - one).inv()]
+    return [z, w, (z - one) * zi, zi, z * (z - one).inv(), one - z]
 
 
 def _canonical_triple_from_shape(z: GC, lam: int) -> tuple[float, float, float] | None:
@@ -625,12 +625,12 @@ def _recover_ideal_raw(vertices, lam: int):
     try:
         b = boundary_normalize(vertices[0], vertices[1], vertices[2])
         z = _cross_ratio_from(b, vertices[3])
-    except (NotSpacelikeConnected, Degenerate) as exc:
+    except (NotSpacelikeConnected, Degenerate, NormalizationFailure) as exc:
         raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
-    for cand in _cross_ratio_orbit(z):
+    for k, cand in enumerate(_cross_ratio_orbit(z)):
         triple = _canonical_triple_from_shape(cand, lam)
         if triple is not None:
-            return b, [triple]
+            return b, [(k, triple[0], triple[1])]
     raise NotATetrahedron(f"cross-ratio {z} admits no positive parameter choice")
 
 

@@ -9,12 +9,13 @@ agreement of closed-form volumes with the quadrature oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .cubature import adaptive_quad
-from .gcnum import GC, gc, gcos, gsin
+from .gcnum import GC, gcos, gsin
 from .geometry import (
     BoundaryPoint,
     arc_length,
@@ -38,6 +39,7 @@ from .matmodel import (
     tangent_metric,
 )
 from .tetrahedra import (
+    _cross_ratio_orbit,
     dualize_tet,
     edge_data,
     lightlike_from_angles,
@@ -206,14 +208,10 @@ def suite_geometry(rng: np.random.Generator):
         moved = [bp.moved(a) for bp in pts + [fourth]]
         z2 = cross_ratio(*moved)
         ok_equi &= base.isclose(z2, 1e-9)
-        one = gc(1, 0, lam)
         try:
-            orbit = [base, (one - base).inv(), (base - one) * base.inv(),
-                     base.inv(), one - base, base * (base - one).inv()]
+            orbit = _cross_ratio_orbit(base)
         except Exception:  # noqa: BLE001
             continue
-        import itertools
-
         found = [cross_ratio(*trip, fourth) for trip in itertools.permutations(pts)]
         for v in found:
             ok_orbit &= any(v.isclose(e, 1e-9) for e in orbit)

@@ -44,7 +44,7 @@ from dualtet import (
     standard_vertices,
     to_descriptor,
 )
-from dualtet.errors import NotSpacelikeConnected
+from dualtet.errors import NormalizationFailure, NotSpacelikeConnected
 from dualtet.geometry import (
     _dual_kernel,
     boundary_from_matrix,
@@ -56,11 +56,8 @@ from dualtet.geometry import (
 from dualtet.gcnum import gc_angle
 from dualtet.matmodel import embed, quadric_value
 from dualtet.tetrahedra import (
-    _canonical_from_triple,
     _canonical_triple_from_shape,
-    _cross_ratio_orbit,
     _match_sets,
-    _orbit_triples,
     _perm_isometries,
 )
 from conftest import LAMBDAS, random_isometry, random_point
@@ -469,6 +466,23 @@ def test_recover_rejects_degenerate_boundary():
            BoundaryPoint.from_value(GC(1.0, 1.0, lam))]
     with pytest.raises(NotATetrahedron):
         recover_parameters(bad, "ideal", lam)
+
+
+def test_random_boundary_tuples_recover_or_raise_not_a_tetrahedron():
+    """Random boundary 4-tuples either recover or raise NotATetrahedron.  At
+    lam = -1 some triples have no normalizing isometry (|det|^2 < 0), and
+    that NormalizationFailure surfaces as NotATetrahedron too."""
+    rng = np.random.default_rng(11)
+    unnormalizable = 0
+    for lam in LAMBDAS:
+        for _ in range(300):
+            verts = [BoundaryPoint.from_value(GC(*rng.normal(size=2), lam)) for _ in range(4)]
+            try:
+                recover_parameters(verts, "ideal", lam)
+            except NotATetrahedron as exc:
+                assert lam == -1, verts
+                unnormalizable += isinstance(exc.__cause__, NormalizationFailure)
+    assert unnormalizable > 0
 
 
 # -- membership ---------------------------------------------------------------------
@@ -889,36 +903,66 @@ def _ref_recover_lightlike_raw(vertices, lam):
     return a, [(al, be, ga)]
 
 
+def _ref_cross_ratio_orbit(z):
+    """The cross-ratio's orbit in the member order of the six-trial search,
+    1 - z before z / (z - 1)."""
+    one = gc(1, 0, z.lam)
+    zi = z.inv()
+    w = (one - z).inv()
+    return [z, w, (z - one) * zi, zi, one - z, z * (z - one).inv()]
+
+
 def _ref_recover_ideal_raw(vertices, lam):
     """The ideal normalizer as written before the triple was normalized once:
     `cross_ratio` normalizes it a second time."""
     try:
         b = boundary_normalize(vertices[0], vertices[1], vertices[2])
         z = cross_ratio(vertices[0], vertices[1], vertices[2], vertices[3])
-    except (NotSpacelikeConnected, Degenerate) as exc:
+    except (NotSpacelikeConnected, Degenerate, NormalizationFailure) as exc:
         raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
-    for cand in _cross_ratio_orbit(z):
+    for cand in _ref_cross_ratio_orbit(z):
         triple = _canonical_triple_from_shape(cand, lam)
         if triple is not None:
             return b, [triple]
     raise NotATetrahedron(f"cross-ratio {z} admits no positive parameter choice")
 
 
-def _ref_recover_parameters(vertices, kind, lam):
+def _ref_orbit_triples(a, b, g):
+    return (
+        (a, b, g), (b, g, a), (g, a, b),
+        (-b, -a, -g), (-a, -g, -b), (-g, -b, -a),
+    )
+
+
+def _ref_canonical_from_triple(lam, trips):
+    for a, b, _g in trips:
+        if a > 1e-12 and b > 1e-12 and not (lam == 1 and a + b >= math.pi - 1e-12):
+            return a, b
+    return None
+
+
+def _ref_search(vertices, kind, lam):
+    """Recovery as a search: each distinct canonical (alpha, beta) tries the
+    six relabelings in turn against the vertices.  The index of the
+    relabeling that matched, the pose and the parameters."""
     raw = _ref_recover_lightlike_raw if kind == "lightlike" else _ref_recover_ideal_raw
     normalizer, triples = raw(vertices, lam)
     seen = []
     for triple in triples:
-        canon = _canonical_from_triple(lam, _orbit_triples(*triple))
+        canon = _ref_canonical_from_triple(lam, _ref_orbit_triples(*triple))
         if canon is None or any(abs(canon[0] - c[0]) + abs(canon[1] - c[1]) < 1e-12 for c in seen):
             continue
         seen.append(canon)
         std = standard_vertices(kind, lam, *canon)
-        for w in _perm_isometries(lam):
+        for k, w in enumerate(_perm_isometries(lam)):
             pose = (w @ normalizer).inv()
             if _match_sets([act(pose, v) for v in std], list(vertices)):
-                return pose, canon[0], canon[1]
+                return k, pose, canon[0], canon[1]
     raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
+
+
+def _ref_recover_parameters(vertices, kind, lam):
+    return _ref_search(vertices, kind, lam)[1:]
 
 
 def _ref_dualize_tet(t):
@@ -1010,7 +1054,8 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
     stacked kernels give the pose, parameters and vertices of the route that
     did each twice, bit for bit, and fail with the same error classes.  The
     dual of an ideal tetrahedron is the closed form, checked against that
-    route within tolerance."""
+    route within tolerance.  On every vertex order, the relabeling read off
+    the canonical orbit member gives the result of trying all six."""
     rng = np.random.default_rng(5151)
     ok = fails = ref_fails = 0
     for lam in LAMBDAS:
@@ -1043,6 +1088,28 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
             got = _recovered_hex(recover_parameters, verts, kind, lam)
             assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam)
     assert ok > 20 and fails < ok and ref_fails < ok, (ok, fails, ref_fails)
+    # All 24 vertex orders of a few cells, among them alpha = beta,
+    # beta = alpha / 2 and lam = 1 near alpha + beta = pi.  The pose read off
+    # the canonical orbit member is the search's, bit for bit, so recovery
+    # reads the relabeling the search finds, each of the six at lam = -1, 0.
+    rng = np.random.default_rng(5353)
+    near_pi = math.pi - 1e-3
+    cells = {-1: [(0.8, 0.8), (1.1, 0.55)], 0: [(1.1, 0.55), (0.8, 0.8)],
+             1: [(2 * near_pi / 3, near_pi / 3), (0.8, 0.8)]}
+    reached = {}
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            # the lightlike search costs five times the ideal one: one cell
+            for alpha, beta in cells[lam][:1] if kind == "lightlike" else cells[lam]:
+                t = Tetrahedron(kind, lam, alpha, beta, random_isometry(rng, lam))
+                for verts in itertools.permutations(t.vertices):
+                    got = _recovered_hex(recover_parameters, verts, kind, lam)
+                    k, *ref = _ref_search(verts, kind, lam)
+                    assert got == _recovered_hex(lambda: ref), (lam, kind, alpha, beta, verts)
+                    reached.setdefault((lam, kind), set()).add(k)
+    for lam in (-1, 0):
+        for kind in ("lightlike", "ideal"):
+            assert reached[lam, kind] == set(range(6)), (lam, kind, reached[lam, kind])
 
 
 def test_stacked_dual_kernels_match_separate_calls():
