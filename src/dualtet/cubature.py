@@ -11,27 +11,35 @@ values give four tensor rules, KK, KG, GK and GG (the first letter names
 the rule in x), and the estimate is max(|KK - GG|, |KK - GK| + |KK - KG|):
 the per-axis differences catch an axis that is under-resolved while the
 other hides it in GG, as DCUHRE's per-axis differences do (Berntsen,
-Espelid & Genz, ACM TOMS 17, 1991).  Both run one refinement loop, and
-both always split the root panel once, since its rules can agree by chance
-on an integrand they do not resolve; the root is therefore evaluated
-together with its first split, in one integrand call.  For the same reason
-a split checks its children against their parent, as step halving does in
-adaptive Simpson rules: when the parent's value and the sum of theirs
-differ by more than the sum of their estimates, the children share the
-excess as error.  When the panel budget runs out first they raise
-ToleranceNotReached carrying the best estimate; when the integrand is not
-finite at a node they raise it at once, with value nan and error inf.
-Subdivision order is a deterministic function of the inputs, so results
-are bit-reproducible.
+Espelid & Genz, ACM TOMS 17, 1991).  Both run one refinement loop (the
+globally adaptive scheme of QUADPACK, Piessens et al., 1983), and both
+always split the root panel once, since its rules can agree by chance on
+an integrand they do not resolve.  For the same reason a split checks its
+children against their parent, as step halving does in adaptive Simpson
+rules: when the parent's value and the sum of theirs differ by more than
+the sum of their estimates, the children share the excess as error.  When
+the panel budget runs out first they raise ToleranceNotReached carrying
+the best estimate; when the integrand is not finite at a node they raise
+it at once, with value nan and error inf.  Subdivision order is a
+deterministic function of the inputs, so results are bit-reproducible.
 
-Integrands are vectorized and evaluated on a batch of panels per call: the
-root and its children share the first call (three panels in 1d, five in
-2d), and the children of each later split (two in 1d, four in 2d) share
-one call.  In 1d, f gets nodes of shape (n, 15) and returns values
-broadcastable to (n, 15).  In 2d,
-f(x, y) gets broadcastable node arrays of shapes (n, 15, 1) and (n, 1, 15)
-and returns values broadcastable to (n, 15, 15); a part that depends on x
-alone is thus computed on 15 nodes per panel, not 225.
+Integrands are vectorized and evaluated on a batch of panels per call.  A
+call costs about the same for seven panels as for three, so in 1d each call
+evaluates the segments the loop asks for together with their halves, and
+keeps the halves until the integral ends: the first call holds the root,
+its halves and its quarters (seven panels), a split whose halves are known
+makes no call, and any other split evaluates its two halves and their four
+halves (six panels).  A panel's rule sums are formed row by row, in a fixed
+order, so its value and estimate do not depend on which panels share its
+call, and the result is that of one call per split.  Where a half is not
+finite, or its arithmetic raises FloatingPointError, the segments asked for
+are evaluated alone, so that an error is raised where one call per split
+would raise it.  In 2d the root and its four children share the first call
+(five panels), and the four children of each later split share one.  In 1d,
+f gets nodes of shape (n, 15) and returns values broadcastable to (n, 15).
+In 2d, f(x, y) gets broadcastable node arrays of shapes (n, 15, 1) and
+(n, 1, 15) and returns values broadcastable to (n, 15, 15); a part that
+depends on x alone is thus computed on 15 nodes per panel, not 225.
 """
 
 from __future__ import annotations
@@ -93,7 +101,9 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     vals = _finite(np.asarray(f(x), dtype=float), held)
     if vals.shape != x.shape:  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, x.shape)
-    sums = half[:, None] * (vals @ _RULES.T)
+    # einsum sums each row on its own, in a fixed order; a matmul would round
+    # a row differently with the number of rows in the call.
+    sums = half[:, None] * np.einsum("nk,rk->nr", vals, _RULES)
     kron = sums[:, 0]
     return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
 
@@ -102,8 +112,9 @@ def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, floa
     """The refinement loop of both integrators: `panels(f, cells, held)`
     gives the values and error estimates of a list of cells, and
     `split(cell)` a cell's children.  The root is always split once, and is
-    evaluated with its children in the first call, which counts as one
-    panel held (see above)."""
+    asked for with its children in one `panels` request, which counts as
+    one panel held (see above); how many integrand calls a request makes is
+    up to `panels`."""
     subs = split(root)
     (pval, *vals), (perr, *errs) = panels(f, [root, *subs], 1)
     if limit <= 1:
@@ -138,10 +149,40 @@ def _halves(seg) -> tuple:
     return (lo, mid), (mid, hi)
 
 
+def _lookahead_1d():
+    """A `panels` for `_refine` in 1d that evaluates the segments asked for
+    together with their halves, and keeps the halves' values and estimates
+    for the rest of one integral, so that a later split of one of these
+    segments needs no call (see above)."""
+    known = {}
+
+    def panels(f, segs, held: int) -> tuple[list[float], list[float]]:
+        if all(seg in known for seg in segs):
+            vals, errs = zip(*(known.pop(seg) for seg in segs))
+            return list(vals), list(errs)
+        batch = list(dict.fromkeys([*segs, *(h for seg in segs for h in _halves(seg))]))
+        try:
+            vals, errs = _panels_1d(f, batch, held)
+        except (ToleranceNotReached, FloatingPointError):
+            # A half may fail where the segments asked for do not: evaluate
+            # those alone, which raises exactly where one call per split does.
+            return _panels_1d(f, segs, held)
+        n = len(segs)
+        known.update(zip(batch[n:], zip(vals[n:], errs[n:])))
+        return vals[:n], errs[:n]
+
+    return panels
+
+
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
                   limit: int = 2000) -> tuple[float, float]:
     """Integrate a vectorized scalar function over [a, b] to absolute
     tolerance `tol`; see the module docstring for the integrand contract.
+
+    Each integrand call also evaluates the halves of the segments it is
+    made for (see the module docstring), so a split whose halves are known
+    makes no call; value, error bound and subdivision order are those of
+    one call per split.
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when `limit` panels are held first, and when the
@@ -149,7 +190,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     """
     if a == b:
         return 0.0, 0.0
-    return _refine(_panels_1d, f, (float(a), float(b)), _halves, tol, limit)
+    return _refine(_lookahead_1d(), f, (float(a), float(b)), _halves, tol, limit)
 
 
 def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:

@@ -88,10 +88,14 @@ _LI2_COEFFS = tuple(1.0 / (n * n) for n in range(1, 15))
 _LI2_FROM = 3.0
 
 
-def _horner(coeffs: tuple[float, ...], u: float) -> float:
+def _horner(coeffs: tuple[float, ...], u):
+    """sum_k coeffs[k] u^k for a float u, or for each element of an array
+    u on its own: an element's value does not depend on the array it sits
+    in, as it would through a matmul."""
     acc = 0.0
     for c in reversed(coeffs):
-        acc = acc * u + c
+        acc *= u  # in place once acc is an array of its own
+        acc += c
     return acc
 
 
@@ -184,9 +188,8 @@ def _gsin_np(lam: int, x):
 
 # phi(u) = u^3 sum_k c_k u^(2k), c_k = (-1)^k (2 pi)^(2k+2) / (2k+3)!, k = 0..7:
 # the Taylor series of u - sin(2 pi u) / (2 pi), to double precision for u <= 1/8.
-_PHI_SERIES = np.array([(-1) ** k * (2.0 * math.pi) ** (2 * k + 2) / math.factorial(2 * k + 3)
-                        for k in range(8)])
-_PHI_POWERS = np.arange(8)
+_PHI_SERIES = tuple((-1) ** k * (2.0 * math.pi) ** (2 * k + 2) / math.factorial(2 * k + 3)
+                    for k in range(8))
 _TINY = np.finfo(float).tiny
 
 
@@ -221,7 +224,7 @@ def _sin2(u):
     low = u < 0.125
     if low.any():
         ul = u[low]
-        phi[low] = ul ** 3 * ((ul * ul)[:, None] ** _PHI_POWERS @ _PHI_SERIES)
+        phi[low] = ul ** 3 * _horner(_PHI_SERIES, ul * ul)
     return phi, 2.0 * np.sin(math.pi * u) ** 2
 
 
@@ -262,15 +265,15 @@ def _over_x(fn, x):
 # fn(x) / x - 1 = sum_k (-lam)^k x^2k / (2k + 1), k >= 1, for fn = arctan
 # (lam = 1) or artanh (lam = -1): 26 terms reach double precision below
 # x = _TAIL_BELOW.
-_TAIL_POWERS = np.arange(1, 27)
-_TAIL_SERIES = {lam: (-lam) ** _TAIL_POWERS / (2.0 * _TAIL_POWERS + 1.0) for lam in (1, -1)}
+_TAIL_SERIES = {lam: tuple((-lam) ** k / (2.0 * k + 1.0) for k in range(1, 27)) for lam in (1, -1)}
 _TAIL_BELOW = 0.5
 
 
 def _odd_tail(lam: int, x):
     """fn(x) / x - 1 as the series above, for 0 <= x <= _TAIL_BELOW, where
     the difference loses its digits as x goes to 0."""
-    return (x * x)[..., None] ** _TAIL_POWERS @ _TAIL_SERIES[lam]
+    x2 = x * x
+    return x2 * _horner(_TAIL_SERIES[lam], x2)
 
 
 def _lightlike_v_integral(lam: int, alpha: float, beta: float):

@@ -362,7 +362,7 @@ def test_quadrature_1d_splits_share_one_call():
     val, err = adaptive_quad(f, a, 2.0, tol=1e-12)
     assert val == pytest.approx(2.0 * math.log(2.0) - 2.0 - a * math.log(a) + a, abs=1e-12)
     assert err <= 1e-12
-    assert shapes[0] == (3, 15) and set(shapes[1:]) == {(2, 15)}
+    assert shapes[0] == (7, 15) and set(shapes[1:]) == {(6, 15)}
 
 
 def test_quadrature_1d_splits_the_root():
@@ -375,7 +375,7 @@ def test_quadrature_1d_splits_the_root():
         return 1.0 + 0 * x
 
     assert adaptive_quad(f, 0, 1)[0] == pytest.approx(1.0, rel=1e-14)
-    assert calls == [(3, 15)]
+    assert calls == [(7, 15)]
 
 
 def _per_panel_quad_2d(f, xspan, yspan, tol, max_panels):
@@ -472,6 +472,185 @@ def test_batched_cubature_matches_per_panel_reference(max_panels):
         assert got[0] == pytest.approx(want[0], rel=1e-15), cell
         raised += got[2]
     assert (raised > 0) == (max_panels == 40)
+
+
+def _one_call_per_split_quad(f, a, b, tol, limit=2000):
+    """Reference route: the 1-D refinement loop with one integrand call per
+    split (the root with its halves in the first) and no lookahead; the
+    panel arithmetic is the library's, which a batch does not change."""
+    import heapq
+
+    from dualtet.cubature import _halves, _panels_1d
+
+    root = (float(a), float(b))
+    subs = _halves(root)
+    (pval, *vals), (perr, *errs) = _panels_1d(f, [root, *subs], 1)
+    if limit <= 1:
+        raise ToleranceNotReached(pval, perr, panels=1)
+    heap = []
+    counter = 1
+    total_val = total_err = 0.0
+    while True:
+        excess = max(0.0, (abs(pval - sum(vals)) - sum(errs)) / 2)
+        for sub, v, e in zip(subs, vals, errs):
+            e += excess
+            heapq.heappush(heap, (-e, counter, sub, v, e))
+            counter += 1
+            total_val += v
+            total_err += e
+        if not total_err > tol:
+            return total_val, total_err
+        if len(heap) >= limit:
+            raise ToleranceNotReached(total_val, total_err, panels=len(heap))
+        _, _, seg, pval, perr = heapq.heappop(heap)
+        total_val -= pval
+        total_err -= perr
+        subs = _halves(seg)
+        vals, errs = _panels_1d(f, list(subs), len(heap) + 2)
+
+
+def _counting(f):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    return counted, calls
+
+
+def _oracle_integrand(kind, lam, a, b):
+    from dualtet.volumes import _ideal_oracle, _lightlike_oracle
+
+    return (_ideal_oracle if kind == "ideal" else _lightlike_oracle)(lam, a, b)
+
+
+def _outcome(quad, f, *args):
+    """(value, estimate, panels or None) of a quadrature that may raise."""
+    try:
+        return (*quad(f, *args), None)
+    except ToleranceNotReached as exc:
+        return exc.value, exc.err_est, exc.panels
+
+
+@pytest.mark.parametrize("kind", ["ideal", "lightlike"])
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_oracle_panels_do_not_depend_on_their_batch(kind, lam):
+    """A panel's (value, estimate) is bit-identical whether it is evaluated
+    alone or with others, at any place in the batch: the integrand's series
+    and the rule sums are formed row by row."""
+    from dualtet.cubature import _panels_1d
+    from dualtet.volumes import _odd_tail
+
+    if lam != 0:
+        x = np.random.default_rng(3).uniform(0.0, 0.5, 60)
+        assert [_odd_tail(lam, x[k:k + 1])[0] for k in range(60)] == _odd_tail(lam, x).tolist()
+    # A dyadic partition of [0, 1]: the batches vary the number of nodes
+    # that fall below u = 1/8, where Sidi's map is summed as a series.
+    segs = [(0.0, 1 / 64), *((2.0 ** -k, 2.0 ** (1 - k)) for k in range(6, 1, -1)),
+            (0.5, 0.75), (0.75, 1.0)]
+    for a, b in ((0.3, 0.9), (0.05, 0.08), (0.09, 1.45)):
+        f = _oracle_integrand(kind, lam, a, b)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            alone = [tuple(x[0] for x in _panels_1d(f, [seg], 1)) for seg in segs]
+            for n in (2, 3, 6, 7):
+                for start in range(len(segs) - n + 1):
+                    vals, errs = _panels_1d(f, segs[start:start + n], n)
+                    assert list(zip(vals, errs)) == alone[start:start + n], (a, b, n, start)
+
+
+# Cells skewed about 16 times both ways, next to the reference cells.
+_LOOKAHEAD_CELLS = _REFERENCE_CELLS + [(kind, lam, a, b)
+                                       for kind in ("ideal", "lightlike")
+                                       for lam in LAMBDAS
+                                       for a, b in ((0.1, 1.6), (1.6, 0.1))]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_lookahead_matches_one_call_per_split(tol):
+    """The lookahead changes which panels share a call, not the result, and
+    saves at least two in five of the reference's integrand calls."""
+    from dualtet.cubature import adaptive_quad
+
+    calls = {"got": 0, "want": 0}
+    for cell in _LOOKAHEAD_CELLS:
+        f = _oracle_integrand(*cell)
+        got_f, got_calls = _counting(f)
+        want_f, want_calls = _counting(f)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _outcome(adaptive_quad, got_f, 0.0, 1.0, tol)
+            want = _outcome(_one_call_per_split_quad, want_f, 0.0, 1.0, tol)
+        assert got == want, cell
+        calls["got"] += got_calls[0]
+        calls["want"] += want_calls[0]
+    assert calls["got"] <= 0.6 * calls["want"], calls
+
+
+@pytest.mark.parametrize("limit", [1, 5, 40])
+def test_lookahead_budget_exhaustion_matches_reference(limit):
+    from dualtet.cubature import adaptive_quad
+
+    def nasty(x):
+        return 1.0 / np.sqrt(np.abs(x - 0.123456))
+
+    with pytest.raises(ToleranceNotReached) as got:
+        adaptive_quad(nasty, 0.0, 1.0, tol=1e-12, limit=limit)
+    with pytest.raises(ToleranceNotReached) as want:
+        _one_call_per_split_quad(nasty, 0.0, 1.0, 1e-12, limit)
+    assert (got.value.value, got.value.err_est, got.value.panels) == (
+        want.value.value, want.value.err_est, want.value.panels)
+    assert got.value.panels == limit
+
+
+def _kronrod_nodes_of(lo, hi):
+    from dualtet.cubature import _nodes
+
+    return _nodes(np.array([lo, hi]))[1]
+
+
+def _bad_at(nodes, bad, base):
+    """base(x), times bad ** 2 at the given nodes: nan, or an overflow."""
+    def f(x):
+        return base(x) * np.where(np.isin(x, nodes), bad, 1.0) ** 2
+
+    return f
+
+
+@pytest.mark.parametrize("bad, errstate", [(np.nan, {}), (1e200, {"over": "raise"})])
+def test_lookahead_skips_a_half_the_loop_never_needs(bad, errstate):
+    """The first call also evaluates the quarters; a quarter where the
+    integrand is not finite, or overflows, is dropped, and the integral
+    goes on as one call per split would, which never needs it."""
+    from dualtet.cubature import adaptive_quad
+
+    f = _bad_at(_kronrod_nodes_of(0.5, 0.75), bad, lambda x: np.ones_like(x))
+    got_f, got_calls = _counting(f)
+    with np.errstate(**errstate):
+        got = adaptive_quad(got_f, 0.0, 1.0, tol=1e-10)
+        want = _one_call_per_split_quad(f, 0.0, 1.0, 1e-10)
+    assert got == want and got[0] == pytest.approx(1.0, rel=1e-14)
+    assert got_calls[0] == 2  # the batch that failed, then the root and its halves
+
+
+@pytest.mark.parametrize("bad, errstate, raised", [
+    (np.nan, {}, ToleranceNotReached), (1e200, {"over": "raise"}, FloatingPointError)])
+def test_lookahead_raises_where_one_call_per_split_does(bad, errstate, raised):
+    from dualtet.cubature import adaptive_quad
+
+    def peaked(x):
+        return 1.0 / np.sqrt(np.abs(x - 0.123456) + 1e-6)
+
+    # The reference refines down to [0.0625, 0.125] before it needs this segment.
+    f = _bad_at(_kronrod_nodes_of(0.0625, 0.125), bad, peaked)
+    with np.errstate(**errstate):
+        with pytest.raises(raised) as got:
+            adaptive_quad(f, 0.0, 1.0, tol=1e-10)
+        with pytest.raises(raised) as want:
+            _one_call_per_split_quad(f, 0.0, 1.0, 1e-10)
+    if raised is ToleranceNotReached:
+        assert want.value.panels > 1
+        assert got.value.panels == want.value.panels
+        assert math.isnan(got.value.value) and got.value.err_est == math.inf
 
 
 def volume_reference(kind: str, lam: int, alpha: float, beta: float):

@@ -1,6 +1,7 @@
 """Before/after record of a perfbench workload: BENCH_*.json.
 
-    python tools/bench_oracle.py PARENT CHANGE --out BENCH_oracle_nodes.json
+    python tools/bench_oracle.py PARENT CHANGE --seeds 931-940 \
+        --out BENCH_oracle_lookahead.json
     python tools/bench_oracle.py PARENT CHANGE --workload tet-pipeline \
         --out BENCH_tet_pipeline.json
 
@@ -12,13 +13,16 @@ alternates which checkout runs first:
 * per call, on `oracle-check` only: `volume_quadrature(kind, ...)` at tol
   1e-8 over the inputs of `oracle-check` (seed 7, --seconds 20), each input
   timed as the least of REPEATS calls, in one child process per round,
-  ROUNDS rounds; the ideal and lightlike inputs are reported separately;
+  ROUNDS rounds; the ideal and lightlike inputs are reported separately,
+  with the integrand calls and panels evaluated over one pass of them,
+  counted from outside the package by wrapping each kind's oracle;
 * end to end: `perfbench/run.py --workload WORKLOAD --seconds 20 --trace 0`
-  on each seed of SEEDS, its metrics as printed (gauge-scaled times) and
-  its failed ops per seed.
+  on each seed of --seeds (911-920 by default), its metrics as printed
+  (gauge-scaled times) and its failed ops per seed.
 
 Each side is reported as median and quartiles over its runs, with the
-number of pairs the change won.
+number of pairs the change won; the pair summary of every end-to-end
+metric is printed as well.
 """
 
 from __future__ import annotations
@@ -32,31 +36,58 @@ import sys
 from pathlib import Path
 
 KINDS = ("ideal", "lightlike")
+ORACLES = {"ideal": "_ideal_oracle", "lightlike": "_lightlike_oracle"}
 REPEATS = 5
 ROUNDS = 10
-SEEDS = range(911, 921)
+
+
+def seed_block(text: str) -> range:
+    """The seeds FIRST-LAST, both included."""
+    first, last = map(int, text.split("-"))
+    if last < first:
+        raise argparse.ArgumentTypeError(f"empty seed block {text!r}")
+    return range(first, last + 1)
 
 
 def per_call_snippet(repeats: int) -> str:
-    """Python source that prints, as JSON keyed by kind, the least of
-    `repeats` timed calls for each oracle-check input; run it from a
-    checkout's root."""
+    """Python source that prints, as JSON, the least of `repeats` timed
+    calls for each oracle-check input ("best", keyed by kind), and the
+    integrand calls and panels evaluated per kind over one untimed pass, in
+    which each kind's oracle is wrapped; run it from a checkout's root."""
     return f"""
 import json, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import dualtet
+from dualtet import volumes
 from workloads import OracleCheck
-for kind in {KINDS!r}:
-    dualtet.volume_quadrature(kind, 0, 0.3, 0.4, tol=1e-8)
+inputs = OracleCheck(7, 20.0).inputs
+calls = {{kind: 0 for kind in {KINDS!r}}}
+panels = dict(calls)
+def counting(kind, oracle):
+    def wrapped(*args):
+        f = oracle(*args)
+        def counted(x):
+            calls[kind] += 1
+            panels[kind] += x.shape[0]
+            return f(x)
+        return counted
+    return wrapped
+oracles = {{kind: getattr(volumes, name) for kind, name in {ORACLES!r}.items()}}
+for kind, name in {ORACLES!r}.items():
+    setattr(volumes, name, counting(kind, oracles[kind]))
+for kind, lam, alpha, beta, _order in inputs:
+    dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
+for kind, name in {ORACLES!r}.items():
+    setattr(volumes, name, oracles[kind])
 best = {{kind: [] for kind in {KINDS!r}}}
-for kind, lam, alpha, beta, _order in OracleCheck(7, 20.0).inputs:
+for kind, lam, alpha, beta, _order in inputs:
     times = []
     for _ in range({repeats}):
         t = time.perf_counter()
         dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
         times.append(time.perf_counter() - t)
     best[kind].append(min(times))
-print(json.dumps(best))
+print(json.dumps({{"best": best, "calls": calls, "panels": panels}}))
 """
 
 
@@ -87,30 +118,40 @@ def compare(parent: list[float], change: list[float]) -> dict:
             "change_lower_in": f"{wins}/{len(parent)} pairs"}
 
 
+def count(rounds: list[dict], what: str, kind: str) -> int:
+    """A count of one pass, which every round must repeat exactly."""
+    counts = {r[what][kind] for r in rounds}
+    if len(counts) != 1:
+        raise RuntimeError(f"{kind} {what} differ between rounds: {sorted(counts)}")
+    return counts.pop()
+
+
 def per_call(sides: dict[str, Path]) -> dict:
     snippet = per_call_snippet(REPEATS)
-    calls = paired(sides, range(ROUNDS), lambda root, r: json.loads(run(root, ["-c", snippet])))
+    rounds = paired(sides, range(ROUNDS), lambda root, r: json.loads(run(root, ["-c", snippet])))
     return {
         kind: {
             "what": f"volume_quadrature({kind!r}, ..., tol=1e-8), least of "
                     f"{REPEATS} calls per input, one child process per round",
-            "inputs": f"the {len(calls['parent'][0][kind])} {kind} inputs of "
+            "inputs": f"the {len(rounds['parent'][0]['best'][kind])} {kind} inputs of "
                       "oracle-check seed 7, --seconds 20",
-            "median_ms": compare(*([1e3 * statistics.median(c[kind]) for c in calls[k]]
+            "median_ms": compare(*([1e3 * statistics.median(r["best"][kind]) for r in rounds[k]]
                                    for k in sides)),
-            "total_s": compare(*([sum(c[kind]) for c in calls[k]] for k in sides)),
+            "total_s": compare(*([sum(r["best"][kind]) for r in rounds[k]] for k in sides)),
+            "integrand_calls": {k: count(rounds[k], "calls", kind) for k in sides},
+            "panels_evaluated": {k: count(rounds[k], "panels", kind) for k in sides},
         }
         for kind in KINDS
     }
 
 
-def end_to_end(workload: str, runs: dict[str, list]) -> dict:
-    """Summary of `perfbench/run.py` results, one per seed of SEEDS and side."""
+def end_to_end(workload: str, seeds: range, runs: dict[str, list]) -> dict:
+    """Summary of `perfbench/run.py` results, one per seed and side."""
     names = list(runs["parent"][0]["metrics"])
     return {
         "command": f"python3 perfbench/run.py --workload {workload} --seed SEED "
                    "--seconds 20 --trace 0",
-        "seeds": f"{SEEDS[0]}-{SEEDS[-1]}",
+        "seeds": f"{seeds[0]}-{seeds[-1]}",
         "correct": {k: all(x["correct"] for x in side) for k, side in runs.items()},
         "failed_ops": {k: [x["failed"] for x in side] for k, side in runs.items()},
         "metrics": {m: compare(*([x["metrics"][m]["value"] for x in runs[k]] for k in runs))
@@ -124,19 +165,26 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", default="oracle-check",
                     choices=("oracle-check", "tet-pipeline", "verify"))
-    ap.add_argument("--out", type=Path, default=Path("BENCH_oracle_nodes.json"))
+    ap.add_argument("--seeds", type=seed_block, default=seed_block("911-920"),
+                    help="end-to-end seeds FIRST-LAST (default 911-920)")
+    ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     record = {"host": f"{platform.machine()}, Python {platform.python_version()}"}
     if args.workload == "oracle-check":
         record["per_call"] = per_call(sides)
-    runs = paired(sides, SEEDS, lambda root, seed: json.loads(run(
+    runs = paired(sides, args.seeds, lambda root, seed: json.loads(run(
         root, ["perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
                "--seconds", "20", "--trace", "0"])))
-    record[args.workload.replace("-", "_")] = summary = end_to_end(args.workload, runs)
+    record[args.workload.replace("-", "_")] = summary = end_to_end(args.workload, args.seeds,
+                                                                   runs)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(summary["metrics"]["wall_s"]))
+    for name, pair in summary["metrics"].items():
+        parent, change = pair["parent"], pair["change"]
+        print(f"{name}: {parent['median']:.4g} [{parent['q1']:.4g}, {parent['q3']:.4g}] -> "
+              f"{change['median']:.4g} [{change['q1']:.4g}, {change['q3']:.4g}], "
+              f"change lower in {pair['change_lower_in']}")
     return 0
 
 
