@@ -19,8 +19,8 @@ children against their parent, as step halving does in adaptive Simpson
 rules: when the parent's value and the sum of theirs differ by more than
 the sum of their estimates, the children share the excess as error.  When
 the panel budget runs out first they raise ToleranceNotReached carrying
-the best estimate; when the integrand is not finite at a node they raise
-it at once, with value nan and error inf.  Subdivision order is a
+the best estimate; when a panel's values or rule sums are not finite they
+raise it at once, with value nan and error inf.  Subdivision order is a
 deterministic function of the inputs, so results are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call.  A
@@ -84,13 +84,14 @@ def _nodes(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, mid[..., None] + half[..., None] * _KRONROD_NODES
 
 
-def _finite(vals: np.ndarray, held: int) -> np.ndarray:
-    """Integrand values, checked before any rule sum is formed: a value that
-    is not finite leaves no estimate, and ToleranceNotReached is raised."""
-    if not np.isfinite(vals).all():
-        raise ToleranceNotReached(math.nan, math.inf, "integrand is not finite at a node "
+def _checked(kron: np.ndarray, err: np.ndarray, held: int) -> tuple[list[float], list[float]]:
+    """Values and estimates as lists; an estimate that is not finite (from a
+    value or a rule sum that is not) raises ToleranceNotReached."""
+    errs = err.tolist()
+    if not all(map(math.isfinite, errs)):
+        raise ToleranceNotReached(math.nan, math.inf, "integrand or rule sums not finite "
                                   f"({held} panels held)", panels=held)
-    return vals
+    return kron.tolist(), errs
 
 
 def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
@@ -98,14 +99,16 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     with one call f(x) on nodes of shape (n, 15); `held` counts the panels
     held with these."""
     half, x = _nodes(np.array(segs, dtype=float))
-    vals = _finite(np.asarray(f(x), dtype=float), held)
+    vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, x.shape)
     # einsum sums each row on its own, in a fixed order; a matmul would round
     # a row differently with the number of rows in the call.
-    sums = half[:, None] * np.einsum("nk,rk->nr", vals, _RULES)
-    kron = sums[:, 0]
-    return kron.tolist(), np.abs(kron - sums[:, 1]).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = half[:, None] * np.einsum("nk,rk->nr", vals, _RULES)
+        kron = sums[:, 0]
+        err = np.abs(kron - sums[:, 1])
+    return _checked(kron, err, held)
 
 
 def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, float]:
@@ -186,7 +189,7 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when `limit` panels are held first, and when the
-    integrand is not finite at a node.
+    integrand or a rule sum is not finite on a panel.
     """
     if a == b:
         return 0.0, 0.0
@@ -199,16 +202,17 @@ def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
     (n, 15, 1) and (n, 1, 15); `held` counts the panels held with these."""
     n = len(rects)
     half, nodes = _nodes(np.array(rects, dtype=float).reshape(n, 2, 2))
-    vals = _finite(np.asarray(f(nodes[:, 0, :, None], nodes[:, 1, None, :]), dtype=float), held)
+    vals = np.asarray(f(nodes[:, 0, :, None], nodes[:, 1, None, :]), dtype=float)
     if vals.shape != (n, 15, 15):  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, (n, 15, 15))
     # R V R^T holds the four tensor rules of each panel: [[KK, KG], [GK, GG]],
     # the first letter naming the rule in x.
-    sums = (half[:, 0] * half[:, 1])[:, None, None] * (_RULES @ vals @ _RULES.T)
-    kron = sums[:, 0, 0]
-    err = np.maximum(np.abs(kron - sums[:, 1, 1]),
-                     np.abs(kron - sums[:, 0, 1]) + np.abs(kron - sums[:, 1, 0]))
-    return kron.tolist(), err.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = (half[:, 0] * half[:, 1])[:, None, None] * (_RULES @ vals @ _RULES.T)
+        kron = sums[:, 0, 0]
+        err = np.maximum(np.abs(kron - sums[:, 1, 1]),
+                         np.abs(kron - sums[:, 0, 1]) + np.abs(kron - sums[:, 1, 0]))
+    return _checked(kron, err, held)
 
 
 def _quarters(rect) -> tuple:
@@ -229,7 +233,7 @@ def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when the panel budget is exhausted first, and when the
-    integrand is not finite at a node.
+    integrand or a rule sum is not finite on a panel.
     """
     rect = (float(xspan[0]), float(xspan[1]), float(yspan[0]), float(yspan[1]))
     return _refine(_panels_2d, f, rect, _quarters, tol, max_panels)

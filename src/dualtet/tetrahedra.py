@@ -15,6 +15,10 @@ and the four vertices are cached on construction.  The constants of the
 membership and sampling charts (the inverse pose and the trigonometric
 values of alpha, beta and gamma) are cached on first use.
 
+Each face of a lightlike tetrahedron is its frame normal's dual vector,
+pushed once by the pose, and an ideal edge symmetry reads the order of the
+opposite vertices off the labels.
+
 Duality swaps the kinds and keeps (alpha, beta).  The dual of an ideal
 tetrahedron with pose A is written down: the lightlike one with pose S A S,
 S = [[0, 1], [1, 0]].  The dual of a lightlike one is built from its
@@ -48,14 +52,13 @@ from .errors import (
 )
 from .gcnum import GC, _mod_sq, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
-    STANDARD_LIGHT_NORMAL_COORDS,
     BoundaryPoint,
     Geodesic,
     Plane,
     boundary_from_matrix,
     boundary_normalize,
     model_from_coords,
-    plane_from_normal,
+    standard_light_normals,
     _cross_ratio_from,
     _dual_action,
     _dual_kernel,
@@ -64,7 +67,6 @@ from .matmodel import (
     Isometry,
     Mat2,
     Point,
-    Tangent,
     SPACE_X,
     SPACE_Y,
     _canonical,
@@ -78,6 +80,7 @@ from .matmodel import (
     act,
     mat_exp_traceless,
     embed,
+    unembed,
 )
 
 KIND_LIGHTLIKE = "lightlike"
@@ -124,11 +127,6 @@ def _x4i(lam: int, i: int) -> Mat2:
     return model_from_coords(SPACE_X, _X4_COORDS[i], lam)
 
 
-def _n4j(lam: int, j: int) -> Mat2:
-    """Lightlike normal at vertex 4 of the face opposite vertex j."""
-    return model_from_coords(SPACE_X, STANDARD_LIGHT_NORMAL_COORDS[j - 1], lam)
-
-
 class _StandardFrame:
     """Exact matrices of the standard-position lightlike tetrahedron."""
 
@@ -158,14 +156,15 @@ class _StandardFrame:
         of the face opposite vertex j."""
         lam = self.lam
         al = self.alphas
+        n4 = standard_light_normals(lam)
         if i == 4:
-            return _n4j(lam, j)
+            return n4[j - 1]
         if j != 4:
-            return -_n4j(lam, j) * (gsin(lam, al[i] + al[j]) / gsin(lam, al[j]))
+            return -n4[j - 1] * (gsin(lam, al[i] + al[j]) / gsin(lam, al[j]))
         out = _x4i(lam, i)
         for k in (1, 2, 3):
             if k != i:
-                out = out - _n4j(lam, k) * (gsin(lam, al[i] + al[k]) / gsin(lam, al[k]))
+                out = out - n4[k - 1] * (gsin(lam, al[i] + al[k]) / gsin(lam, al[k]))
         return out
 
     def vertex(self, i: int) -> Mat2:
@@ -261,22 +260,16 @@ class Tetrahedron:
 
     def faces(self) -> tuple[Plane, Plane, Plane, Plane]:
         """The four face planes of a lightlike tetrahedron, f_j opposite
-        vertex j."""
+        vertex j: each frame normal n's dual vector `unembed(n)`, pushed once,
+        by the pose, or for f_4 (normal at vertex 1) by the pose after a_1."""
         if self.kind != KIND_LIGHTLIKE:
             raise DomainError("faces as lightlike planes exist for the lightlike kind")
         frame = self.frame()
-        out = []
-        origin = Point.origin(SPACE_X, self.lam)
-        # Every face moves by the pose: its dual action once for all four.
         sas = _dual_action(self.pose)
-        for j in (1, 2, 3):
-            n = Tangent(SPACE_X, _normalize_light(frame.n_dir(4, j)), Isometry.identity(self.lam))
-            out.append(plane_from_normal(origin, n)._pushed(sas))
-        a1 = frame.a_iso(1)
-        base1 = act(a1, origin)
-        n14 = Tangent(SPACE_X, _normalize_light(frame.n_dir(1, 4)), a1)
-        out.append(plane_from_normal(base1, n14)._pushed(sas))
-        return out[0], out[1], out[2], out[3]
+        f1, f2, f3 = (Plane(SPACE_X, self.lam, unembed(n, SPACE_X))._pushed(sas)
+                      for n in standard_light_normals(self.lam))
+        f4 = Plane(SPACE_X, self.lam, unembed(frame.n_dir(1, 4), SPACE_X))
+        return f1, f2, f3, f4._pushed(_dual_action(self.pose @ frame.a_iso(1)))
 
     def edge_geodesic(self, i: int, j: int) -> Geodesic:
         """Edge geodesic with g(0) at vertex i, running through vertex j."""
@@ -304,11 +297,6 @@ class _IdealChart(NamedTuple):
     k: float
     shift_re: float
     shift_im: float
-
-
-def _normalize_light(m: Mat2) -> Mat2:
-    scale = math.sqrt(m.frob_sq())
-    return m * (1.0 / scale)
 
 
 def lightlike_from_angles(lam: int, alpha: float, beta: float,
@@ -418,7 +406,7 @@ def edge_symmetry(t: Tetrahedron, edge) -> Isometry:
     i, j = edge
     if t.kind == KIND_LIGHTLIKE:
         return _edge_symmetry_lightlike(t, i, j)
-    return _edge_symmetry_ideal(t, i, j)[0]
+    return _edge_symmetry_ideal(t, i, j)
 
 
 def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
@@ -435,29 +423,34 @@ def _edge_symmetry_lightlike(t: Tetrahedron, i: int, j: int) -> Isometry:
     return t.pose @ iso @ t.pose.inv()
 
 
-def _edge_symmetry_ideal(t: Tetrahedron, i: int, j: int) -> tuple[Isometry, int, int]:
+def _edge_symmetry_ideal(t: Tetrahedron, i: int, j: int) -> Isometry:
     z_target, _ratio, _value = _shape_param(t.lam, t.alpha, t.beta, (i, j))
-    k, l = sorted(set((1, 2, 3, 4)) - {i, j})
-    yi, yj = t.vertex(i), t.vertex(j)
-    for kk, ll in ((k, l), (l, k)):
-        b = boundary_normalize(yi, yj, t.vertex(kk))
-        z = _cross_ratio_from(b, t.vertex(ll))
-        if z.isclose(z_target, 1e-7):
-            b = b.inv()
-            zero = gc(0, 0, t.lam)
-            core = Mat2(z, zero, zero, gc(1, 0, t.lam))
-            return b @ Isometry(core) @ b.inv(), kk, ll
-    raise NotATetrahedron("edge shape parameter does not match any vertex labeling")
+    k, l = edge_symmetry_mapping(t, (i, j))
+    b = boundary_normalize(t.vertex(i), t.vertex(j), t.vertex(k))
+    z = _cross_ratio_from(b, t.vertex(l))
+    # Far into lam = -1 the vertices may not carry z_target: refuse, not mislead.
+    if not z.isclose(z_target, 1e-7):
+        raise NotATetrahedron("edge shape parameter does not match the vertex labels")
+    b = b.inv()
+    zero = gc(0, 0, t.lam)
+    core = Mat2(z, zero, zero, gc(1, 0, t.lam))
+    return b @ Isometry(core) @ b.inv()
 
 
 def edge_symmetry_mapping(t: Tetrahedron, edge) -> tuple[int, int]:
     """For the ideal kind, the ordered pair (k, l) with the edge symmetry
-    taking vertex k to vertex l."""
+    taking vertex k to vertex l: shape parameters are invariant under even
+    permutations of the vertices, so (i, j, k, l) is an even permutation
+    of (1, 2, 3, 4).  The labels alone fix it; no geometry is done."""
     i, j = edge
     if t.kind != KIND_IDEAL:
         raise DomainError("mapping metadata applies to the ideal kind")
-    _iso, k, l = _edge_symmetry_ideal(t, i, j)
-    return k, l
+    rest = sorted({1, 2, 3, 4} - {i, j})
+    if len(rest) != 2:
+        raise DomainError(f"not an edge: {tuple(edge)!r}")
+    k, l = rest
+    # With k < l, (i, j, k, l) has i + j - 2 - [i < j] inversions.
+    return (k, l) if (i + j + (i < j)) % 2 == 0 else (l, k)
 
 
 # -- recovery -------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dualtet import (
     NoIntersection,
     NotATetrahedron,
     Point,
+    Tangent,
     Tetrahedron,
     act,
     arc_length,
@@ -38,6 +39,7 @@ from dualtet import (
     mat_exp_traceless,
     null_projection,
     opposite_edge_distance,
+    plane_from_normal,
     polar,
     recover_parameters,
     sample,
@@ -46,6 +48,7 @@ from dualtet import (
 )
 from dualtet.errors import NormalizationFailure, NotSpacelikeConnected
 from dualtet.geometry import (
+    _cross_ratio_from,
     _dual_kernel,
     boundary_from_matrix,
     boundary_normalize,
@@ -89,6 +92,31 @@ def test_flat_third_vertex_is_dual_number_exponential():
     assert t.vertex(3).isclose(Point("X", want), 1e-14)
 
 
+def _log_uniform_cells(rng, lam, n, hi):
+    """n parameter pairs log-uniform in [0.02, hi], redrawn at lam = 1
+    until alpha + beta < pi."""
+    out = []
+    while len(out) < n:
+        alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(hi), 2)).tolist()
+        if lam != 1 or alpha + beta < math.pi:
+            out.append((alpha, beta))
+    return out
+
+
+def _faces_through_plane_from_normal(t):
+    """The faces built from `Tangent` normals at vertices 4 and 1 through
+    `plane_from_normal`, then moved by the pose: the reference for the dual
+    vectors `Tetrahedron.faces` writes down."""
+    frame, lam = t.frame(), t.lam
+    out = []
+    for i, j in ((4, 1), (4, 2), (4, 3), (1, 4)):
+        a = frame.a_iso(i)
+        n = frame.n_dir(i, j)
+        n = Tangent("X", n * (1.0 / math.sqrt(n.frob_sq())), a)
+        out.append(plane_from_normal(act(a, Point.origin("X", lam)), n).moved(t.pose))
+    return out
+
+
 def test_all_faces_are_lightlike(rng):
     for lam in LAMBDAS:
         t = lightlike_from_angles(lam, 0.7, 0.45, random_isometry(rng, lam))
@@ -103,6 +131,16 @@ def test_faces_contain_their_vertices(rng):
         for j, face in enumerate(faces, start=1):
             for i in (1, 2, 3, 4):
                 assert face.contains(t.vertex(i), 1e-8) == (i != j)
+    # Over log-uniform cells the faces are those of the route through
+    # `plane_from_normal`, and each contains its three vertices.
+    for lam in LAMBDAS:
+        for alpha, beta in _log_uniform_cells(rng, lam, 20, 6.0):
+            t = lightlike_from_angles(lam, alpha, beta, random_isometry(rng, lam))
+            faces = t.faces()
+            for j, (face, want) in enumerate(zip(faces, _faces_through_plane_from_normal(t)), 1):
+                assert face.projectively_equal(want), (lam, alpha, beta, j)
+                for i in {1, 2, 3, 4} - {j}:
+                    assert face.contains(t.vertex(i), 1e-8), (lam, alpha, beta, i, j)
 
 
 def test_ideal_standard_vertices():
@@ -328,6 +366,22 @@ def test_lightlike_edge_symmetry_fixes_edge_setwise(rng):
             assert _on_geodesic(g, act(iso, g.eval(s)), lam)
 
 
+def _ideal_edge_symmetry_by_trial(t, i, j):
+    """The ideal edge symmetry and (k, l) found by trying both orders of the
+    opposite vertices until the cross-ratio matches the edge's shape
+    parameter: the reference for the order the labels fix."""
+    z_target = next(e.z for e in edge_data(t) if set(e.edge) == {i, j})
+    k, l = sorted({1, 2, 3, 4} - {i, j})
+    for kk, ll in ((k, l), (l, k)):
+        b = boundary_normalize(t.vertex(i), t.vertex(j), t.vertex(kk))
+        z = _cross_ratio_from(b, t.vertex(ll))
+        if z.isclose(z_target, 1e-7):
+            b = b.inv()
+            core = Mat2(z, gc(0, 0, t.lam), gc(0, 0, t.lam), gc(1, 0, t.lam))
+            return b @ Isometry(core) @ b.inv(), kk, ll
+    raise NotATetrahedron("edge shape parameter does not match any vertex labeling")
+
+
 def test_ideal_edge_symmetry(rng):
     for lam in LAMBDAS:
         t = ideal_from_angles(lam, 0.75, 0.5, random_isometry(rng, lam))
@@ -337,6 +391,31 @@ def test_ideal_edge_symmetry(rng):
             assert act(iso, t.vertex(i)).isclose(t.vertex(i), 1e-8)
             assert act(iso, t.vertex(j)).isclose(t.vertex(j), 1e-8)
             assert act(iso, t.vertex(k)).isclose(t.vertex(l), 1e-8), (lam, i, j)
+    # The labels fix the order of the opposite vertices: wherever trying both
+    # orders finds the symmetry, it is the same isometry, bit for bit.
+    compared = total = 0
+    for lam in LAMBDAS:
+        for alpha, beta in _log_uniform_cells(rng, lam, 8, 6.0):
+            t = ideal_from_angles(lam, alpha, beta, random_isometry(rng, lam))
+            for (i, j) in itertools.permutations((1, 2, 3, 4), 2):
+                total += 1
+                try:
+                    want, k, l = _ideal_edge_symmetry_by_trial(t, i, j)
+                except DualtetError:
+                    continue
+                compared += 1
+                assert edge_symmetry(t, (i, j)).rep.flat == want.rep.flat, (lam, alpha, beta, i, j)
+                assert edge_symmetry_mapping(t, (i, j)) == (k, l), (lam, alpha, beta, i, j)
+    assert compared >= 0.9 * total
+    # At lam = -1 and alpha + beta > 6 the vertices may no longer carry the
+    # shape parameter: the labels still give the order, and the symmetry,
+    # which would not hold, is refused.
+    t = ideal_from_angles(-1, 1.0, 6.0)
+    with pytest.raises(NotATetrahedron):
+        _ideal_edge_symmetry_by_trial(t, 3, 2)
+    assert edge_symmetry_mapping(t, (3, 2)) == (4, 1)
+    with pytest.raises(NotATetrahedron):
+        edge_symmetry(t, (3, 2))
 
 
 # -- duality -----------------------------------------------------------------------

@@ -336,6 +336,24 @@ def test_quadrature_2d_infinite_integrand_raises():
     assert exc.value.panels == 1
 
 
+@pytest.mark.parametrize("errstate", [
+    {}, {"over": "raise", "divide": "raise", "invalid": "raise"}], ids=["default", "oracle"])
+@pytest.mark.parametrize("quad, args", [
+    ("adaptive_quad", (lambda x: 1e307 + 0 * x, 0.0, 100.0)),
+    ("adaptive_quad_2d", (lambda x, y: 1e307 + 0 * x, (0.0, 100.0), (0.0, 1.0))),
+], ids=["1d", "2d"])
+def test_quadrature_rule_sums_that_overflow_raise(quad, args, errstate):
+    """Finite integrand values whose rule sums overflow leave no estimate:
+    ToleranceNotReached, with no warning (the test settings make one an
+    error), by default and under `volume_quadrature`'s errstate alike."""
+    from dualtet import cubature
+
+    with np.errstate(**errstate), pytest.raises(ToleranceNotReached) as exc:
+        getattr(cubature, quad)(*args)
+    assert math.isnan(exc.value.value) and exc.value.err_est == math.inf
+    assert exc.value.panels == 1
+
+
 def test_quadrature_1d_infinite_integrand_raises():
     from dualtet.cubature import adaptive_quad
 
