@@ -22,7 +22,10 @@ Each convention has one home.  Isometries act on matrices only through
 the pairing's kernels are taken only in `_dual_kernel`, which also takes a
 stack of kernels in one SVD call.  The spacelike geodesic cut out by two
 dual vectors, whether the intersection of two lightlike planes or the dual
-of a geodesic, is built only in `_spacelike_geodesic_dual_to`.
+of a geodesic, is built only in `_spacelike_geodesic_dual_to`.  Only
+`boundary_normalize` sends three points of the projective line to
+(infinity, 0, 1), for ideal vertices and for the rays of lightlike normals
+alike.
 
 Planes are handled through the duality alone.  The duality turns the
 action of A on one family into the action of S A S on the other, with
@@ -597,8 +600,8 @@ class Plane:
 
     def projectively_equal(self, other: "Plane", tol: float = PROJ_TOL) -> bool:
         return (self.space == other.space and self.lam == other.lam
-                and (np.allclose(self.dual_vec, other.dual_vec, atol=tol)
-                     or np.allclose(self.dual_vec, -other.dual_vec, atol=tol)))
+                and (np.allclose(self.dual_vec, other.dual_vec, rtol=0.0, atol=tol)
+                     or np.allclose(self.dual_vec, -other.dual_vec, rtol=0.0, atol=tol)))
 
 
 def plane_from_normal(base: Point, n: Tangent) -> Plane:
@@ -679,45 +682,20 @@ def spacelike_geodesic_to_plane_pair(g: Geodesic) -> tuple[Plane, Plane]:
 
 
 # Model coordinates of the lightlike normals n_1, n_2, n_3 of the standard
-# faces through the origin, and the labels [p : q] of their rays.
+# faces through the origin; their rays are 0, infinity and 1.
 STANDARD_LIGHT_NORMAL_COORDS = ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, -1.0, 1.0))
-STANDARD_LIGHT_NORMAL_LABELS = ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))  # values 0, inf, 1
-
-
-def _light_ray_label(space: str, rep: Mat2) -> np.ndarray:
-    """Projective label [p : q] of a lightlike model direction of the
-    spacetime family."""
-    m = np.array(rep.im_rows())
-    col1, col2 = m[:, 0], m[:, 1]
-    u = col1 if np.linalg.norm(col1) >= np.linalg.norm(col2) else col2
-    n = np.linalg.norm(u)
-    if n <= 1e-14:
-        raise DegenerateNormal("zero lightlike direction")
-    return u / n
-
-
-def _real_mobius_to(labels, targets, lam: int) -> Isometry:
-    """Real projective matrix sending three labels to three targets."""
-
-    def to_standard(trip):
-        u1, u2, u3 = (np.asarray(t, float) for t in trip)
-        d12 = u1[0] * u2[1] - u1[1] * u2[0]
-        d32 = u3[0] * u2[1] - u3[1] * u2[0]
-        d13 = u1[0] * u3[1] - u1[1] * u3[0]
-        if min(abs(d12), abs(d32), abs(d13)) < 1e-13:
-            raise Degenerate("labels are not pairwise distinct")
-        lmb, mu = d32 / d12, d13 / d12
-        binv = np.array([[lmb * u1[0], mu * u2[0]], [lmb * u1[1], mu * u2[1]]])
-        return np.linalg.inv(binv)
-
-    m = np.linalg.inv(to_standard(targets)) @ to_standard(labels)
-    return Isometry(Mat2.from_real(m.tolist(), lam))
 
 
 def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, Isometry]:
     """Common point of three pairwise-intersecting lightlike planes and an
     isometry moving it to the origin with the three normals in standard
-    position (unique up to the order-6 permutation group)."""
+    position (unique up to the order-6 permutation group).
+
+    Once the point is at the origin, a plane's normal there is
+    l*[[w4, w3 - w1], [w3 + w1, -w4]] for its dual vector w.  It is null,
+    so it has rank one, and its larger column is its ray [p : q] on the
+    projective line; `boundary_normalize` sends the rays of the three
+    normals to 0, infinity and 1, where the standard ones lie."""
     planes = (p1, p2, p3)
     lam = p1.lam
     for k, pl in enumerate(planes, start=1):
@@ -732,12 +710,14 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
     pt = Point.from_vector(v, SPACE_X, lam)
     a0 = point_sqrt(pt).inv()
     sas = _dual_action(a0)
-    labels = []
+    rays = []
     for pl in planes:
-        rep = pl._pushed(sas)._normal_rep_at_origin()
-        labels.append(_light_ray_label(SPACE_X, rep))
-    u = _real_mobius_to(labels, STANDARD_LIGHT_NORMAL_LABELS, lam)
-    return pt, u @ a0
+        w1, _w2, w3, w4 = pl._pushed(sas).dual_vec.tolist()
+        p, q = w4, w3 + w1
+        if (w3 - w1) ** 2 + w4 * w4 > p * p + q * q:
+            p, q = w3 - w1, -w4
+        rays.append(_boundary(_normalized(p, 0.0, q, 0.0, lam), lam))
+    return pt, boundary_normalize(rays[1], rays[0], rays[2]) @ a0
 
 
 def standard_light_normals(lam: int) -> tuple[Mat2, Mat2, Mat2]:

@@ -57,7 +57,9 @@ from .geometry import (
     Plane,
     boundary_from_matrix,
     boundary_normalize,
+    common_point_three_planes,
     model_from_coords,
+    plane_through_points,
     standard_light_normals,
     _cross_ratio_from,
     _dual_action,
@@ -524,8 +526,6 @@ def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, 
 
 
 def _recover_lightlike_raw(vertices, lam: int):
-    from .geometry import common_point_three_planes, plane_through_points
-
     for v in vertices:
         if not isinstance(v, Point) or v.space != SPACE_X or v.lam != lam:
             raise NotATetrahedron("lightlike vertices must be points of the spacetime family")

@@ -1,21 +1,11 @@
 import numpy as np
 import pytest
 
-from dualtet import GC, Isometry, Mat2, Point, Tangent, act
+from dualtet import Mat2, Point, Tangent, act
 from dualtet.geometry import model_from_coords, model_gram
+from dualtet.verify import random_isometry
 
 LAMBDAS = (-1, 0, 1)
-
-
-def random_isometry(rng: np.random.Generator, lam: int, scale: float = 0.5) -> Isometry:
-    """Rejection-sample an isometry near the identity."""
-    while True:
-        entries = [GC(rng.normal(0.0, scale) + (1.0 if k in (0, 3) else 0.0),
-                      rng.normal(0.0, scale), lam) for k in range(4)]
-        try:
-            return Isometry(Mat2(*entries))
-        except Exception:
-            continue
 
 
 def random_point(rng: np.random.Generator, space: str, lam: int) -> Point:

@@ -41,7 +41,7 @@ from dualtet import (
     standard_light_normals,
     unembed,
 )
-from dualtet.geometry import Plane, model_from_coords
+from dualtet.geometry import Plane, _dual_kernel, model_from_coords
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent
 
 SPACELIKE_DIAG = {lam: Mat2(gc(0, 1, lam), gc(0, 0, lam), gc(0, 0, lam), gc(0, -1, lam))
@@ -309,16 +309,68 @@ def test_common_point_standard_triple():
             assert abs(cross.traceless().frob_sq()) < 1e-14 * n_std.frob_sq()
 
 
+def _reference_common_point(planes):
+    """Common point and standard-position isometry by a second route: each
+    normal's ray [p : q] is the larger column of its model matrix at the
+    origin, and a real Mobius map on numpy 2-vectors sends the three rays
+    to the standard labels (0, inf, 1)."""
+    lam = planes[0].lam
+    v = _dual_kernel([pl.dual_vec for pl in planes])[:, 0]
+    pt = Point.from_vector(v, "X", lam)
+    a0 = point_sqrt(pt).inv()
+    labels = []
+    for pl in planes:
+        m = np.array(pl.moved(a0)._normal_rep_at_origin().im_rows())
+        col1, col2 = m[:, 0], m[:, 1]
+        u = col1 if np.linalg.norm(col1) >= np.linalg.norm(col2) else col2
+        labels.append(u / np.linalg.norm(u))
+
+    def to_standard(trip):
+        u1, u2, u3 = (np.asarray(t, float) for t in trip)
+        d12 = u1[0] * u2[1] - u1[1] * u2[0]
+        d32 = u3[0] * u2[1] - u3[1] * u2[0]
+        d13 = u1[0] * u3[1] - u1[1] * u3[0]
+        lmb, mu = d32 / d12, d13 / d12
+        return np.linalg.inv(np.array([[lmb * u1[0], mu * u2[0]], [lmb * u1[1], mu * u2[1]]]))
+
+    m = np.linalg.inv(to_standard(((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)))) @ to_standard(labels)
+    return pt, Isometry(Mat2.from_real(m.tolist(), lam)) @ a0
+
+
 def test_common_point_equivariance(rng):
+    """Moved standard triples and the first three faces of posed lightlike
+    tetrahedra: the common point and the isometry agree with the reference
+    route, and the isometry takes the point to the origin."""
     for lam in LAMBDAS:
         one = Point.origin("X", lam)
         planes = [plane_from_normal(one, Tangent("X", n))
                   for n in standard_light_normals(lam)]
-        b = random_isometry(rng, lam)
-        moved = [pl.moved(b) for pl in planes]
-        pt, a = common_point_three_planes(*moved)
-        assert pt.isclose(act(b, one), 1e-7)
-        assert act(a, pt).isclose(one, 1e-7)
+        triples = []
+        for _ in range(50):
+            b = random_isometry(rng, lam)
+            triples.append(([pl.moved(b) for pl in planes], act(b, one)))
+        while len(triples) < 100:
+            alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(3.0), 2)).tolist()
+            if lam == 1 and alpha + beta >= math.pi:
+                continue
+            t = lightlike_from_angles(lam, alpha, beta, random_isometry(rng, lam))
+            triples.append((t.faces()[:3], t.vertex(4)))
+        for moved, want in triples:
+            pt, a = common_point_three_planes(*moved)
+            ref_pt, ref_a = _reference_common_point(moved)
+            assert pt.isclose(want, 1e-7)
+            assert act(a, pt).isclose(one, 1e-7)
+            assert pt.isclose(ref_pt, 1e-9)
+            assert a.projectively_equal(ref_a, 1e-9)
+
+
+def test_plane_projective_equality_uses_its_tolerance():
+    """Unit dual vectors 2.8e-6 apart are equal at 1e-5 and not at 1e-9."""
+    p = Plane("X", 0, [0.0, 0.6, 0.8, 0.0])
+    q = Plane("X", 0, [0.0, 0.6 + 2.8e-6 * 0.8, 0.8 - 2.8e-6 * 0.6, 0.0])
+    assert np.linalg.norm(p.dual_vec - q.dual_vec) == pytest.approx(2.8e-6, rel=1e-6)
+    assert not p.projectively_equal(q, 1e-9)
+    assert p.projectively_equal(q, 1e-5)
 
 
 # -- ideal boundary ----------------------------------------------------------------

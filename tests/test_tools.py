@@ -8,18 +8,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_oracle():
-    spec = importlib.util.spec_from_file_location("bench_oracle", ROOT / "tools" / "bench_oracle.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_bench_oracle_per_call_snippet_runs():
     """Times per input, and integrand calls and panels per kind, counted
     from outside the package: at least one call per input, and at least the
     root with its halves in each integral's calls."""
-    bench = _bench_oracle()
+    bench = _tool("bench_oracle")
     got = json.loads(bench.run(ROOT, ["-c", bench.per_call_snippet(1)]))
     assert set(got["best"]) == set(got["calls"]) == set(got["panels"]) == set(bench.KINDS)
     for kind, times in got["best"].items():
@@ -47,7 +47,7 @@ def test_bench_oracle_pairs_the_named_workload(tmp_path, monkeypatch, capsys):
     """Another workload is paired end to end only, seed by seed over the
     default block, and its record keeps each side's failed ops per seed;
     every metric's pair summary is printed."""
-    bench = _bench_oracle()
+    bench = _tool("bench_oracle")
     calls = []
     monkeypatch.setattr(bench, "run", _fake_run(calls))
     sides = [tmp_path / "parent", tmp_path / "change"]
@@ -79,7 +79,7 @@ def test_bench_oracle_pairs_the_named_workload(tmp_path, monkeypatch, capsys):
 def test_bench_oracle_takes_a_seed_block_and_needs_an_out_path(tmp_path, monkeypatch):
     """--seeds FIRST-LAST picks the end-to-end seeds; without --out the
     tool refuses to run, so a bare run overwrites no committed record."""
-    bench = _bench_oracle()
+    bench = _tool("bench_oracle")
     calls = []
     monkeypatch.setattr(bench, "run", _fake_run(calls))
     sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
@@ -94,3 +94,42 @@ def test_bench_oracle_takes_a_seed_block_and_needs_an_out_path(tmp_path, monkeyp
     assert json.loads(out.read_text())["verify"]["seeds"] == "931-933"
     with pytest.raises(SystemExit):
         bench.main([*sides, "--seeds", "940-931", "--out", str(out)])
+
+
+def test_domain_sweep_tallies_every_cell():
+    """A small sweep: every drawn cell lands in one bin of alpha + beta, as
+    a recovery or as a tetrahedron not built, and every recovery is either
+    within the tolerance, further off, or a counted exception."""
+    tool = _tool("domain_sweep")
+    got = tool.sweep(posed_cells=8, order_cells=1)
+    assert list(got) == list(tool.KINDS)
+    for kind, by_lam in got.items():
+        assert list(by_lam) == [str(lam) for lam in tool.LAMBDAS]
+        for lam, bins in by_lam.items():
+            lows = [float(name.split("-")[0]) for name in bins]
+            assert lows == sorted(lows) and all(lo % tool.BIN == 0 for lo in lows)
+            if lam == "1":
+                assert max(lows) < math.pi
+            posed = [b["posed"] for b in bins.values()]
+            orders = [b["orders"] for b in bins.values()]
+            assert sum(t["runs"] + t["not_built"] for t in posed) == 8
+            assert sum(t["runs"] + 24 * t["not_built"] for t in orders) == 24
+            for t in posed + orders:
+                raised = sum(t["errors"].values()) + sum(t["other"].values())
+                assert t["within_tol"] + raised <= t["runs"]
+                assert (t["worst_error"] <= tool.TOL) == (t["within_tol"] + raised == t["runs"])
+
+
+def test_domain_sweep_prints_one_object_per_checkout(monkeypatch, capsys):
+    """The checkout is swept in a child process, with the cell counts the
+    tool's constants hold when it runs."""
+    tool = _tool("domain_sweep")
+    monkeypatch.setattr(tool, "POSED_CELLS", 2)
+    monkeypatch.setattr(tool, "ORDER_CELLS", 0)
+    assert tool.main([str(ROOT)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["posed_cells"], record["order_cells"], record["tol"]) == (2, 0, tool.TOL)
+    tallies = record[ROOT.name]["tallies"]
+    for kind in tool.KINDS:
+        posed = [b["posed"] for bins in tallies[kind].values() for b in bins.values()]
+        assert sum(t["runs"] + t["not_built"] for t in posed) == 2 * len(tool.LAMBDAS)
