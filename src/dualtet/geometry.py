@@ -68,7 +68,9 @@ from .matmodel import (
     _canonical_point_rep,
     _mat,
     _model_inner,
+    _point,
     _project_model,
+    _unembed,
     check_space,
     embed,
     mat_exp_traceless,
@@ -102,7 +104,7 @@ def _nullspace(a: np.ndarray, rtol: float = 1e-9):
 def _kernel_columns(s: np.ndarray, vh: np.ndarray, rtol: float) -> np.ndarray:
     if s.size == 0 or s[0] == 0.0:
         return np.eye(vh.shape[-1])
-    rank = int(np.sum(s > rtol * s[0]))
+    rank = int(np.count_nonzero(s > rtol * s[0]))
     return vh[rank:].T
 
 
@@ -165,7 +167,8 @@ class Geodesic:
         return self.direction.lam
 
     def eval(self, t: float) -> Point:
-        return Point(self.space, push(self.base, mat_exp_traceless(self.direction * t), self.space))
+        m = push(self.base, mat_exp_traceless(self.direction * t), self.space)
+        return _point(self.space, m.flat, m.lam)
 
     def base_point(self) -> Point:
         return self.eval(0.0)
@@ -511,11 +514,11 @@ def _cross_ratio_from(b: Isometry, y4: BoundaryPoint) -> GC:
 
 def _canonical_dual_vec(w) -> np.ndarray:
     w = np.asarray(w, float)
-    n = np.linalg.norm(w)
+    n = math.sqrt(w.dot(w))  # `np.linalg.norm(w)`, as numpy computes it for a vector
     if n == 0.0:
         raise DegenerateNormal("zero dual vector")
     w = w / n
-    for comp in w:
+    for comp in w.tolist():
         if abs(comp) > 1e-12:
             if comp < 0:
                 w = -w
@@ -564,16 +567,32 @@ class Plane:
         """The plane moved by the isometry whose `_dual_action` is `sas`;
         callers moving several planes by one isometry compute it once."""
         other = _DUAL_SPACE[self.space]
-        w = push(sas, embed(self.dual_vec, other, self.lam), other)
-        return Plane(self.space, self.lam, unembed(w, other))
+        w = push(sas, embed(self.dual_vec.tolist(), other, self.lam), other)
+        return Plane(self.space, self.lam, _unembed(w.flat, other))
 
     def is_lightlike(self) -> bool:
         """True when the induced metric is degenerate, that is, when the
-        dual vector lies on the boundary of the other family."""
-        if _point_in_span(self.space, self.lam, _dual_kernel([self.dual_vec])) is None:
+        dual vector lies on the boundary of the other family.  A plane that
+        does not meet its space raises `DegenerateNormal`.
+
+        For an X plane both tests are closed forms in the unit dual vector
+        w.  Its hull {v : -v1 w1 + v2 w2 + v3 w3 + v4 w4 = 0} meets X when
+        the largest value of X's quadric diag(-lam, 1, lam, lam) on its unit
+        vectors exceeds 1e-12 (`_point_in_span`).  At lam = 1 the hull meets
+        span(e2, e3, e4) in at least two dimensions, and at lam = -1
+        span(e1, e2) in at least one; the quadric is |v|^2 on both, so that
+        value is at least 1.  At lam = 0 it is 1 - w2^2.  The boundary test
+        is Y's quadric diag(1, -lam, -1, -1).  Y planes take the kernel and
+        its eigenvalues."""
+        lam = self.lam
+        if self.space == SPACE_X:
+            w1, w2, w3, w4 = self.dual_vec.tolist()
+            if lam == 0 and not 1.0 - w2 * w2 > 1e-12:
+                raise DegenerateNormal("plane does not meet the space")
+            return abs(w1 * w1 - lam * w2 * w2 - w3 * w3 - w4 * w4) <= BOUNDARY_TOL
+        if _point_in_span(self.space, lam, _dual_kernel([self.dual_vec])) is None:
             raise DegenerateNormal("plane does not meet the space")
-        other = _DUAL_SPACE[self.space]
-        return abs(quadric_value(self.dual_vec, other, self.lam)) <= BOUNDARY_TOL
+        return abs(quadric_value(self.dual_vec, SPACE_X, lam)) <= BOUNDARY_TOL
 
     def _normal_rep_at_origin(self) -> Mat2:
         """Model normal at the origin; the plane must pass through it."""
@@ -704,10 +723,11 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
     kern = _dual_kernel([pl.dual_vec for pl in planes])
     if kern.shape[1] != 1:
         raise NoCommonPoint("planes do not meet in a single projective point")
-    v = kern[:, 0]
-    if quadric_value(v, SPACE_X, lam) <= 1e-14:
+    v = kern[:, 0].tolist()
+    v1, v2, v3, v4 = v
+    if -lam * v1 * v1 + v2 * v2 + lam * v3 * v3 + lam * v4 * v4 <= 1e-14:
         raise NoCommonPoint("projective intersection misses the space")
-    pt = Point.from_vector(v, SPACE_X, lam)
+    pt = _point(SPACE_X, embed(v, SPACE_X, lam).flat, lam)
     a0 = point_sqrt(pt).inv()
     sas = _dual_action(a0)
     rays = []
@@ -739,7 +759,7 @@ def dualize(obj):
         w = obj.dual_vec
         other = _DUAL_SPACE[obj.space]
         if quadric_value(w, other, obj.lam) > BOUNDARY_TOL:
-            return Point.from_vector(w, other, obj.lam)
+            return _point(other, embed(w, other, obj.lam).flat, obj.lam)
         if obj.space == SPACE_X:
             try:
                 return boundary_from_matrix(embed(w, SPACE_Y, obj.lam))

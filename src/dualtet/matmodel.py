@@ -19,6 +19,12 @@ are built only where a caller reads an entry, a determinant or a trace.
 The same arithmetic is written once on bare tuples of eight numbers
 (`_matmul`, `_push`, `_canonical`, `_exp_traceless`, ...); `Mat2`, `push`,
 `Point` and the per-point chart loops of `tetrahedra` all go through it.
+
+Two trusted constructors skip the checks their callers have already made:
+`_mat` builds a matrix on eight numbers whose tag is checked, and `_point`
+a point on the eight numbers of a representative whose space and tag are
+checked, with one `_canonical` and no dataclass init.  `Mat2(...)` and
+`Point(...)` keep their checks.
 """
 
 from __future__ import annotations
@@ -435,7 +441,10 @@ def _canonical(flat: tuple, lam: int, space: str) -> tuple:
 
     The hermitian test is `_is_hermitian(flat, space, 1e-7)` written out on
     the four squared entry moduli, computed once: the involution permutes
-    them, and each Frobenius sum keeps the order of its own matrix."""
+    them, and each Frobenius sum keeps the order of its own matrix.  Each
+    comparison is made once (|x - y| is |y - x|), and one of a number with
+    itself, |x - x| <= bound, is x - x == 0.0: the bound is at least 1e-7
+    and never NaN."""
     a0, a1, b0, b1, c0, c1, d0, d1 = flat
     sq_a, sq_b = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1
     sq_c, sq_d = c0 * c0 + c1 * c1, d0 * d0 + d1 * d1
@@ -444,16 +453,14 @@ def _canonical(flat: tuple, lam: int, space: str) -> tuple:
         # flat^circ = (d0, -d1, -b0, b1, -c0, c1, a0, -a1)
         bound = 1e-7 * max(1.0, math.sqrt(sum((sq_d, sq_b, sq_c, sq_a))), math.sqrt(frob))
         hermitian = (abs(d0 - a0) <= bound and abs(-d1 - a1) <= bound
-                     and abs(-b0 - b0) <= bound and abs(b1 - b1) <= bound
-                     and abs(-c0 - c0) <= bound and abs(c1 - c1) <= bound
-                     and abs(a0 - d0) <= bound and abs(-a1 - d1) <= bound)
+                     and abs(-b0 - b0) <= bound and b1 - b1 == 0.0
+                     and abs(-c0 - c0) <= bound and c1 - c1 == 0.0)
     else:
         # flat^dag = (a0, -a1, c0, -c1, b0, -b1, d0, -d1)
         bound = 1e-7 * max(1.0, math.sqrt(sum((sq_a, sq_c, sq_b, sq_d))), math.sqrt(frob))
-        hermitian = (abs(a0 - a0) <= bound and abs(-a1 - a1) <= bound
+        hermitian = (a0 - a0 == 0.0 and abs(-a1 - a1) <= bound
                      and abs(c0 - b0) <= bound and abs(-c1 - b1) <= bound
-                     and abs(b0 - c0) <= bound and abs(-b1 - c1) <= bound
-                     and abs(d0 - d0) <= bound and abs(-d1 - d1) <= bound)
+                     and d0 - d0 == 0.0 and abs(-d1 - d1) <= bound)
     if not hermitian:
         raise NormalizationFailure(f"representative is not hermitian for space {space!r}")
     d_re = (a0 * d0 - lam * a1 * d1) - (b0 * c0 - lam * b1 * c1)
@@ -478,6 +485,15 @@ def _canonical(flat: tuple, lam: int, space: str) -> tuple:
 
 def _canonical_point_rep(m: Mat2, space: str) -> Mat2:
     return _mat(_canonical(m.flat, m.lam, space), m.lam)
+
+
+def _point(space: str, flat: tuple, lam: int) -> "Point":
+    """Point on the eight numbers of a representative whose space and tag
+    are already checked: `Point(space, _mat(flat, lam))` bit for bit, with
+    one `_canonical` and no dataclass init."""
+    p = _new(Point)
+    p.__dict__.update(space=space, rep=_mat(_canonical(flat, lam, space), lam))
+    return p
 
 
 @dataclass(frozen=True)
@@ -630,9 +646,10 @@ def act(a: Isometry, obj):
     """Apply an isometry: points via the twisted conjugation of their space,
     everything else through its own `moved` hook."""
     if isinstance(obj, Point):
-        if a.lam != obj.lam:
+        lam = a.lam
+        if lam != obj.lam:
             raise LambdaMismatch("isometry and point carry different curvature tags")
-        return Point(obj.space, push(a, obj.rep, obj.space))
+        return _point(obj.space, _push(a.rep.flat, obj.rep.flat, lam, obj.space), lam)
     if hasattr(obj, "moved"):
         return obj.moved(a)
     raise DomainError(f"cannot act on {type(obj)!r}")
@@ -696,4 +713,4 @@ def exp_point(theta: float, t: Tangent) -> Point:
     k = t.lam * sigma if t.space == SPACE_X else -sigma
     if k > 0 and theta >= 2.0 * math.pi:
         raise DomainError("theta must lie in [0, 2*pi) for a closed direction")
-    return Point(t.space, mat_exp_traceless(t.rep * theta))
+    return _point(t.space, mat_exp_traceless(t.rep * theta).flat, t.lam)

@@ -22,7 +22,8 @@ opposite vertices off the labels.
 Duality swaps the kinds and keeps (alpha, beta).  The dual of an ideal
 tetrahedron with pose A is written down: the lightlike one with pose S A S,
 S = [[0, 1], [1, 0]].  The dual of a lightlike one is built from its
-vertices by the pairing's kernels and ideal recovery.
+vertices by the pairing's kernels and ideal recovery, and its vertices are
+the images of the standard ones that recovery checked.
 
 Recovery reads (alpha, beta) off the vertices, and the relabeling they
 carry off which member of the parameters' orbit under relabeling is the
@@ -49,6 +50,7 @@ from .errors import (
     NotLightlike,
     NotSpacelikeConnected,
     PoleAt,
+    ZeroDivisor,
 )
 from .gcnum import GC, _mod_sq, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
@@ -59,7 +61,6 @@ from .geometry import (
     boundary_normalize,
     common_point_three_planes,
     model_from_coords,
-    plane_through_points,
     standard_light_normals,
     _cross_ratio_from,
     _dual_action,
@@ -74,8 +75,8 @@ from .matmodel import (
     _canonical,
     _exp_traceless,
     _frob_sq,
-    _mat,
     _neg,
+    _point,
     _push,
     _scaled,
     _traceless,
@@ -181,7 +182,7 @@ def standard_vertices(kind: str, lam: int, alpha: float, beta: float):
     validate_angles(lam, alpha, beta)
     if kind == KIND_LIGHTLIKE:
         frame = _StandardFrame(lam, alpha, beta)
-        return tuple(Point(SPACE_X, frame.vertex(i)) for i in (1, 2, 3, 4))
+        return tuple(_point(SPACE_X, frame.vertex(i).flat, lam) for i in (1, 2, 3, 4))
     gamma = -(alpha + beta)
     z = -exp_ell(lam, gamma) * (gsin(lam, beta) / gsin(lam, alpha))
     return (
@@ -299,6 +300,16 @@ class _IdealChart(NamedTuple):
     k: float
     shift_re: float
     shift_im: float
+
+
+def _tetrahedron(kind: str, lam: int, alpha: float, beta: float, pose: Isometry,
+                 vertices: tuple) -> Tetrahedron:
+    """Tetrahedron on checked parameters and the vertices that
+    `Tetrahedron(kind, lam, alpha, beta, pose)` would compute, without the
+    dataclass init."""
+    t = object.__new__(Tetrahedron)
+    t.__dict__.update(kind=kind, lam=lam, alpha=alpha, beta=beta, pose=pose, vertices=vertices)
+    return t
 
 
 def lightlike_from_angles(lam: int, alpha: float, beta: float,
@@ -508,6 +519,13 @@ def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, 
     of a tetrahedron given by its vertices (in any labeling).  The index k
     of each candidate (k, alpha, beta) names the relabeling
     `_perm_isometries(lam)[k]` the vertices carry: one pose per candidate."""
+    return _recover(vertices, kind, lam)[:3]
+
+
+def _recover(vertices, kind: str, lam: int):
+    """`recover_parameters`, and the images of the standard vertices under
+    the pose that it checked against the vertices: those of
+    `Tetrahedron(kind, lam, alpha, beta, pose)`, bit for bit."""
     check_kind(kind)
     check_lambda(lam)
     if len(vertices) != 4:
@@ -519,9 +537,9 @@ def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, 
     perms = _perm_isometries(lam)
     for k, alpha, beta in candidates:
         pose = (perms[k] @ normalizer).inv()
-        imgs = [act(pose, v) for v in standard_vertices(kind, lam, alpha, beta)]
+        imgs = tuple(act(pose, v) for v in standard_vertices(kind, lam, alpha, beta))
         if _match_sets(imgs, list(vertices)):
-            return pose, alpha, beta
+            return pose, alpha, beta, imgs
     raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
 
 
@@ -530,10 +548,16 @@ def _recover_lightlike_raw(vertices, lam: int):
         if not isinstance(v, Point) or v.space != SPACE_X or v.lam != lam:
             raise NotATetrahedron("lightlike vertices must be points of the spacetime family")
     x = list(vertices)
+    vecs = [v.vector() for v in x]
     try:
-        # The faces opposite vertices 1, 2 and 3; the common-point step
+        # The faces opposite vertices 1, 2 and 3, as `plane_through_points`
+        # builds them, from one stacked kernel call; the common-point step
         # tests that each is lightlike.
-        faces = [plane_through_points(*(x[i] for i in range(4) if i != j)) for j in range(3)]
+        faces = []
+        for kern in _dual_kernel([[vecs[i] for i in range(4) if i != j] for j in range(3)]):
+            if kern.shape[1] != 1:
+                raise Degenerate("points do not span a plane")
+            faces.append(Plane(SPACE_X, lam, kern[:, 0]))
         _pt, a = common_point_three_planes(*faces)
     except NotLightlike as exc:
         raise NotATetrahedron(f"faces opposite vertices 1, 2, 3: {exc}") from exc
@@ -542,10 +566,10 @@ def _recover_lightlike_raw(vertices, lam: int):
     angles = []
     for idx, flip in ((0, 1.0), (1, 1.0), (2, -1.0)):
         m = act(a, x[idx]).rep
-        rho = m.a * m.d.inv()  # exp(2*l*angle)
         try:
+            rho = m.a * m.d.inv()  # exp(2*l*angle)
             angles.append(flip * 0.5 * gc_angle(rho, tol=1e-6))
-        except DomainError as exc:
+        except (DomainError, ZeroDivisor) as exc:
             raise NotATetrahedron(f"vertex {idx + 1} is not in standard form: {exc}") from exc
     al, be, ga = angles
     if lam == 1:
@@ -618,9 +642,10 @@ def _recover_ideal_raw(vertices, lam: int):
     try:
         b = boundary_normalize(vertices[0], vertices[1], vertices[2])
         z = _cross_ratio_from(b, vertices[3])
-    except (NotSpacelikeConnected, Degenerate, NormalizationFailure) as exc:
+        orbit = _cross_ratio_orbit(z)
+    except (NotSpacelikeConnected, Degenerate, NormalizationFailure, ZeroDivisor) as exc:
         raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
-    for k, cand in enumerate(_cross_ratio_orbit(z)):
+    for k, cand in enumerate(orbit):
         triple = _canonical_triple_from_shape(cand, lam)
         if triple is not None:
             return b, [(k, triple[0], triple[1])]
@@ -650,7 +675,8 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     lightlike tetrahedron with the same (alpha, beta) and pose S A S, A the
     ideal pose and S = [[0, 1], [1, 0]].  The dual of a lightlike one is
     built from its vertices: four kernels of the pairing, then ideal
-    recovery of the boundary points they span."""
+    recovery of the boundary points they span, whose checked images of the
+    standard vertices are its vertices."""
     lam = t.lam
     if t.kind == KIND_IDEAL:
         return Tetrahedron(KIND_LIGHTLIKE, lam, t.alpha, t.beta, _dual_action(t.pose))
@@ -660,8 +686,8 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
             new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
         except Degenerate as exc:
             raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
-    pose, alpha, beta = recover_parameters(new_vertices, KIND_IDEAL, lam)
-    return Tetrahedron(KIND_IDEAL, lam, alpha, beta, pose)
+    pose, alpha, beta, imgs = _recover(new_vertices, KIND_IDEAL, lam)
+    return _tetrahedron(KIND_IDEAL, lam, alpha, beta, pose, imgs)
 
 
 # -- membership charts ------------------------------------------------------------
@@ -687,7 +713,7 @@ def _light_chart_point(t: Tetrahedron, r: float, a: float, b: float) -> Point:
     # model_from_coords(SPACE_X, (1, -2a, 2b), lam) on its eight numbers
     xhat = _scaled((0.0, 1.0, 0.0, -2.0 * a, 0.0, 2.0 * b, 0.0, -1.0), 1.0 / norm)
     std = _canonical(_exp_traceless(_scaled(xhat, r), lam), lam, SPACE_X)
-    return Point(SPACE_X, _mat(_push(t.pose.rep.flat, std, lam, SPACE_X), lam))
+    return _point(SPACE_X, _push(t.pose.rep.flat, std, lam, SPACE_X), lam)
 
 
 def contains(t: Tetrahedron, p: Point, tol: float = 1e-9) -> bool:
@@ -800,7 +826,7 @@ def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> P
     # [[(t^2 + |z|^2) / t, z / t], [conj(z) / t, 1 / t]]
     std = _canonical(((tval * tval + _mod_sq(z_re, z_im, lam)) / tval, 0.0,
                       z_re * s, z_im * s, z_re * s, -z_im * s, s, 0.0), lam, SPACE_Y)
-    return Point(SPACE_Y, _mat(_push(t.pose.rep.flat, std, lam, SPACE_Y), lam))
+    return _point(SPACE_Y, _push(t.pose.rep.flat, std, lam, SPACE_Y), lam)
 
 
 def sample(t: Tetrahedron, n: int, seed: int):

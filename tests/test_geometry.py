@@ -262,6 +262,60 @@ def test_plane_missing_its_space_has_no_causal_class():
         Plane("Y", 1, [1.0, 0.0, 0.0, 0.2]).is_lightlike()
 
 
+def _ref_is_lightlike(pl):
+    """`Plane.is_lightlike` through the plane's kernel and the eigenvalues of
+    its space's quadric on it, as every plane took it before the closed form
+    for X planes; the answer, or the class of the error raised."""
+    from dualtet.geometry import BOUNDARY_TOL, _point_in_span
+    from dualtet.matmodel import quadric_value
+
+    if _point_in_span(pl.space, pl.lam, _dual_kernel([pl.dual_vec])) is None:
+        return DegenerateNormal
+    other = "Y" if pl.space == "X" else "X"
+    return abs(quadric_value(pl.dual_vec, other, pl.lam)) <= BOUNDARY_TOL
+
+
+def _is_lightlike_or_error(pl):
+    try:
+        return pl.is_lightlike()
+    except DegenerateNormal:
+        return DegenerateNormal
+
+
+def test_closed_form_lightlike_test_matches_the_kernel_route():
+    """X planes are tested in closed form: at every curvature the answer, or
+    `DegenerateNormal`, is the kernel route's on random unit dual vectors,
+    on the faces of posed lightlike tetrahedra (from the frame and from
+    vertex triples), and at lam = 0 on both sides of the 1e-12 cut of
+    1 - w2^2: 1e-11 meets the space and 1e-13 does not."""
+    rng = np.random.default_rng(4949)
+    seen = {True: 0, False: 0, DegenerateNormal: 0}
+    for lam in LAMBDAS:
+        planes = [Plane("X", lam, rng.normal(size=4)) for _ in range(300)]
+        for _ in range(20):
+            a, b = np.exp(rng.uniform(math.log(0.02), math.log(1.5), 2))
+            t = lightlike_from_angles(lam, float(a), float(b), random_isometry(rng, lam))
+            v = t.vertices
+            planes += t.faces()
+            planes += [plane_through_points(*(v[i] for i in range(4) if i != j))
+                       for j in range(4)]
+        if lam == 0:
+            for gap in (1e-11, 1e-13):
+                for _ in range(20):
+                    rest = rng.normal(size=3)
+                    rest *= math.sqrt(gap) / np.linalg.norm(rest)
+                    w = [rest[0], math.sqrt(1.0 - gap), rest[1], rest[2]]
+                    pl = Plane("X", 0, w)
+                    assert (_is_lightlike_or_error(pl) is DegenerateNormal) == (gap < 1e-12), w
+                    planes.append(pl)
+            planes.append(Plane("X", 0, [0.0, 1.0, 0.0, 0.0]))
+        for pl in planes:
+            got = _is_lightlike_or_error(pl)
+            assert got == _ref_is_lightlike(pl), (lam, pl.dual_vec.tolist())
+            seen[got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_lightlike_intersection_standard_pair():
     for lam in LAMBDAS:
         one = Point.origin("X", lam)

@@ -1,7 +1,7 @@
 import copy
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from dualtet.matmodel import (
     _is_hermitian,
     _model_inner,
     _neg,
+    _point,
     _scaled,
     _unembed,
     is_hermitian,
@@ -724,3 +725,41 @@ def test_fused_canonical_matches_two_pass_reference():
                 assert (_bits_or_error(_canonical, flat, lam, space)
                         == _bits_or_error(_ref_canonical_two_pass, flat, lam, space)), flat
     assert min(sides.values()) > 100, sides
+
+
+def test_trusted_point_matches_checked_point():
+    """`_point` skips the dataclass init and the space check of `Point`,
+    not its canonicalisation: on hermitian representatives (ints, signed
+    zeros, NaNs and infinities among them), on ones kicked off the form and
+    on pushed points, it gives `Point(...)`'s representative bit for bit,
+    or the error `Point(...)` raises, and an equal, equally hashed, frozen
+    point."""
+    rng = np.random.default_rng(5555)
+
+    def num():
+        if rng.integers(12) == 0:
+            return float(rng.choice([math.nan, math.inf, -math.inf]))
+        return _draw_number(rng)
+
+    built = 0
+    for lam in LAMBDAS:
+        for space in ("X", "Y"):
+            for _ in range(150):
+                p, q, r, s = num(), num(), num(), num()
+                herm = ((p, q, 0, r, 0, s, p, -q) if space == "X"
+                        else (p, 0, r, s, r, -s, q, 0))
+                kicked = list(herm)
+                kicked[int(rng.integers(8))] = num()
+                pushed = push(random_isometry(rng, lam), random_point(rng, space, lam).rep, space)
+                for flat in (herm, tuple(kicked), pushed.flat):
+                    want = _bits_or_error(lambda: Point(space, Mat2.from_flat(flat, lam)).rep)
+                    assert _bits_or_error(lambda: _point(space, flat, lam).rep) == want, flat
+                    if isinstance(want, list):
+                        got, ref = _point(space, flat, lam), Point(space, Mat2.from_flat(flat, lam))
+                        assert (got.space, got.lam) == (space, lam)
+                        if not any(math.isnan(x) for x in got.rep.flat):
+                            assert got == ref and hash(got) == hash(ref)
+                        with pytest.raises(FrozenInstanceError):
+                            got.space = "Y"
+                        built += 1
+    assert built > 500, built

@@ -46,7 +46,7 @@ from dualtet import (
     standard_vertices,
     to_descriptor,
 )
-from dualtet.errors import NormalizationFailure, NotSpacelikeConnected
+from dualtet.errors import NormalizationFailure, NotSpacelikeConnected, ZeroDivisor
 from dualtet.geometry import (
     _cross_ratio_from,
     _dual_kernel,
@@ -62,6 +62,7 @@ from dualtet.tetrahedra import (
     _canonical_triple_from_shape,
     _match_sets,
     _perm_isometries,
+    pose_from_rows,
 )
 from conftest import LAMBDAS, random_isometry, random_point
 
@@ -1218,6 +1219,103 @@ def test_stacked_dual_kernels_match_separate_calls():
             assert got.shape == want.shape
             hexed = [[x.hex() for x in k.ravel().tolist()] for k in (got, want)]
             assert hexed[0] == hexed[1]
+
+
+def _draw_cell(rng, lam, hi=6.0):
+    while True:
+        alpha, beta = np.exp(rng.uniform(math.log(0.02), math.log(hi), 2)).tolist()
+        if lam != 1 or alpha + beta < math.pi:
+            return alpha, beta
+
+
+def test_lightlike_dual_reuses_the_images_recovery_checked():
+    """The ideal dual of a lightlike tetrahedron takes as its vertices the
+    images of the standard vertices that recovery checked: its pose,
+    parameters, vertices, samples and membership answers are those of a
+    fresh `Tetrahedron(...)` rebuild, bit for bit."""
+    rng = np.random.default_rng(5454)
+    built = 0
+    for lam in LAMBDAS:
+        for _ in range(12):
+            alpha, beta = _draw_cell(rng, lam)
+            t = lightlike_from_angles(lam, alpha, beta, random_isometry(rng, lam))
+            try:
+                d = dualize_tet(t)
+            except DualtetError:
+                continue
+            fresh = Tetrahedron("ideal", lam, d.alpha, d.beta, d.pose)
+            assert _recovered_hex(lambda: d) == _recovered_hex(lambda: fresh), (lam, alpha, beta)
+            assert d == fresh and type(d.vertices) is tuple
+            assert _hex_or_error(sample, d, 5, 1) == _hex_or_error(sample, fresh, 5, 1)
+            probes = [random_point(rng, "Y", lam) for _ in range(5)] + sample(fresh, 5, 2)
+            assert ([_hex_or_error(contains, d, p) for p in probes]
+                    == [_hex_or_error(contains, fresh, p) for p in probes])
+            built += 1
+    assert built >= 30, built
+
+
+def test_lightlike_recovery_faces_match_plane_through_points(monkeypatch):
+    """Lightlike recovery takes its three faces from one stacked kernel
+    call: they are the planes of three `plane_through_points` calls, bit for
+    bit, on shuffled posed tetrahedra and on vertex sets that are no
+    tetrahedron; where a triple spans no plane, recovery stops before the
+    common point, as `plane_through_points` raises `Degenerate`."""
+    from dualtet import tetrahedra
+
+    seen = []
+
+    def spy(*planes):
+        seen.append(planes)
+        return common_point_three_planes(*planes)
+
+    monkeypatch.setattr(tetrahedra, "common_point_three_planes", spy)
+    rng = np.random.default_rng(5656)
+    for lam in LAMBDAS:
+        for _ in range(8):
+            alpha, beta = _draw_cell(rng, lam)
+            t = lightlike_from_angles(lam, alpha, beta, random_isometry(rng, lam))
+            shuffled = [t.vertices[k] for k in rng.permutation(4).tolist()]
+            garbage = [random_point(rng, "X", lam) for _ in range(4)]
+            repeated = [shuffled[0], shuffled[0], shuffled[1], shuffled[2]]
+            for verts in (shuffled, garbage, repeated):
+                seen.clear()
+                try:
+                    recover_parameters(verts, "lightlike", lam)
+                except NotATetrahedron:
+                    pass
+                try:
+                    want = [plane_through_points(*(verts[i] for i in range(4) if i != j))
+                            for j in range(3)]
+                except Degenerate:
+                    assert seen == [] and verts is repeated
+                    continue
+                assert len(seen) == 1
+                for got, ref in zip(seen[0], want):
+                    assert (got.space, got.lam) == (ref.space, ref.lam)
+                    assert ([x.hex() for x in got.dual_vec.tolist()]
+                            == [x.hex() for x in ref.dual_vec.tolist()]), (lam, alpha, beta)
+
+
+def test_recovery_turns_zero_divisors_into_not_a_tetrahedron():
+    """At lam = -1 a split-complex number can lose its unit modulus to
+    cancellation inside recovery (|z|^2 of 1 read off entries of 2e6 to 2e7).
+    Both recovery steps then raise `NotATetrahedron`, chained to the
+    `ZeroDivisor`: the ideal one on vertex orders of ideal cells, where the
+    normalizing isometry or the cross-ratio's orbit meets one, and the
+    lightlike one on a posed lightlike cell."""
+    for alpha, beta, order in ((0.8094849685168787, 7.709359834706593, (1, 2, 3, 0)),
+                               (8.731152141981035, 9.45365162902661, (1, 2, 0, 3))):
+        t = ideal_from_angles(-1, alpha, beta)
+        with pytest.raises(NotATetrahedron) as info:
+            recover_parameters([t.vertices[j] for j in order], "ideal", -1)
+        assert isinstance(info.value.__cause__, ZeroDivisor), (alpha, beta)
+    flat = (1.9093552719891673, -0.04254394910221881, -0.31981065330918035, 0.43988505475914397,
+            0.5883891573780017, -0.4864173612620989, 0.4003594341351024, 0.517552034494892)
+    pose = pose_from_rows([[flat[0:2], flat[2:4]], [flat[4:6], flat[6:8]]], -1)
+    t = lightlike_from_angles(-1, 9.48676070227875, 5.90250097309482, pose)
+    with pytest.raises(NotATetrahedron) as info:
+        recover_parameters(t.vertices, "lightlike", -1)
+    assert isinstance(info.value.__cause__, ZeroDivisor)
 
 
 def test_lightlike_chart_at_a_pole_of_gtan():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,22 @@ def test_domain_sweep_prints_one_object_per_checkout(monkeypatch, capsys):
     for kind in tool.KINDS:
         posed = [b["posed"] for bins in tallies[kind].values() for b in bins.values()]
         assert sum(t["runs"] + t["not_built"] for t in posed) == 2 * len(tool.LAMBDAS)
+
+
+def test_bench_ab_compares_a_checkout_with_itself(monkeypatch, capsys):
+    """A tiny A/A run: both sides import this checkout under names of their
+    own, build the same tet-pipeline inputs, and agree on every op's
+    fingerprint and failure; `dualtet` in `sys.modules` is left as it was."""
+    tool = _tool("bench_ab")
+    monkeypatch.setattr(tool, "SEEDS", (7,))
+    monkeypatch.setattr(tool, "ROUNDS", 2)
+    monkeypatch.setattr(tool, "SECONDS", 0.3)
+    before = sys.modules.get("dualtet")
+    assert tool.main([str(ROOT), str(ROOT)]) == 0
+    assert sys.modules.get("dualtet") is before
+    seed_line, verdict = capsys.readouterr().out.splitlines()
+    assert seed_line.startswith("seed 7: op-time ratio ")
+    assert "fingerprints identical on 3/3 ops" in seed_line
+    failed = seed_line.rsplit("failed ops ", 1)[1].split(" -> ")
+    assert failed[0] == failed[1]
+    assert verdict == "every fingerprint matches"
