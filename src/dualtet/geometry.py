@@ -51,6 +51,7 @@ from .errors import (
     LambdaMismatch,
     NoCommonPoint,
     NoIntersection,
+    NormalizationFailure,
     NotComparable,
     NotLightlike,
     NotSpacelikeConnected,
@@ -213,7 +214,7 @@ def _arc_length_data(p: Point, q: Point):
     m = ainv @ q.rep @ ainv
     try:
         m = _canonical_point_rep(m, p.space)
-    except Exception as exc:  # noqa: BLE001 - surface as comparability failure
+    except NormalizationFailure as exc:
         raise NotComparable(f"pair does not bound a geodesic segment: {exc}") from exc
     s_part = m.traceless()
     nsq = _model_inner(p.space, s_part, s_part)

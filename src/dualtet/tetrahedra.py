@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +46,8 @@ from .errors import (
     DomainError,
     DualtetError,
     NoIntersection,
-    NormalizationFailure,
     NotATetrahedron,
-    NotLightlike,
-    NotSpacelikeConnected,
     PoleAt,
-    ZeroDivisor,
 )
 from .gcnum import GC, _mod_sq, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
 from .geometry import (
@@ -525,21 +522,28 @@ def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, 
 def _recover(vertices, kind: str, lam: int):
     """`recover_parameters`, and the images of the standard vertices under
     the pose that it checked against the vertices: those of
-    `Tetrahedron(kind, lam, alpha, beta, pose)`, bit for bit."""
+    `Tetrahedron(kind, lam, alpha, beta, pose)`, bit for bit.  Every failure
+    is `NotATetrahedron`, chained to the library error (or the kernel SVD's
+    `LinAlgError`) that stopped it."""
     check_kind(kind)
     check_lambda(lam)
     if len(vertices) != 4:
         raise NotATetrahedron("need exactly four vertices")
-    if kind == KIND_LIGHTLIKE:
-        normalizer, candidates = _recover_lightlike_raw(vertices, lam)
-    else:
-        normalizer, candidates = _recover_ideal_raw(vertices, lam)
-    perms = _perm_isometries(lam)
-    for k, alpha, beta in candidates:
-        pose = (perms[k] @ normalizer).inv()
-        imgs = tuple(act(pose, v) for v in standard_vertices(kind, lam, alpha, beta))
-        if _match_sets(imgs, list(vertices)):
-            return pose, alpha, beta, imgs
+    try:
+        if kind == KIND_LIGHTLIKE:
+            normalizer, candidates = _recover_lightlike_raw(vertices, lam)
+        else:
+            normalizer, candidates = _recover_ideal_raw(vertices, lam)
+        perms = _perm_isometries(lam)
+        for k, alpha, beta in candidates:
+            pose = (perms[k] @ normalizer).inv()
+            imgs = tuple(act(pose, v) for v in standard_vertices(kind, lam, alpha, beta))
+            if _match_sets(imgs, list(vertices)):
+                return pose, alpha, beta, imgs
+    except NotATetrahedron:
+        raise
+    except (DualtetError, np.linalg.LinAlgError) as exc:
+        raise NotATetrahedron(f"vertex set is not a {kind} tetrahedron: {exc}") from exc
     raise NotATetrahedron("vertices are not an isometric image of a standard tetrahedron")
 
 
@@ -548,29 +552,14 @@ def _recover_lightlike_raw(vertices, lam: int):
         if not isinstance(v, Point) or v.space != SPACE_X or v.lam != lam:
             raise NotATetrahedron("lightlike vertices must be points of the spacetime family")
     x = list(vertices)
-    vecs = [v.vector() for v in x]
-    try:
-        # The faces opposite vertices 1, 2 and 3, as `plane_through_points`
-        # builds them, from one stacked kernel call; the common-point step
-        # tests that each is lightlike.
-        faces = []
-        for kern in _dual_kernel([[vecs[i] for i in range(4) if i != j] for j in range(3)]):
-            if kern.shape[1] != 1:
-                raise Degenerate("points do not span a plane")
-            faces.append(Plane(SPACE_X, lam, kern[:, 0]))
-        _pt, a = common_point_three_planes(*faces)
-    except NotLightlike as exc:
-        raise NotATetrahedron(f"faces opposite vertices 1, 2, 3: {exc}") from exc
-    except Exception as exc:  # noqa: BLE001
-        raise NotATetrahedron(f"vertex set is degenerate: {exc}") from exc
+    # The faces opposite vertices 1, 2 and 3, bit for bit as from
+    # `plane_through_points`; the common-point step tests them for lightlike.
+    kernels = islice(_triple_kernels([v.vector() for v in x]), 3)
+    _pt, a = common_point_three_planes(*(Plane(SPACE_X, lam, kern) for kern in kernels))
     angles = []
     for idx, flip in ((0, 1.0), (1, 1.0), (2, -1.0)):
         m = act(a, x[idx]).rep
-        try:
-            rho = m.a * m.d.inv()  # exp(2*l*angle)
-            angles.append(flip * 0.5 * gc_angle(rho, tol=1e-6))
-        except (DomainError, ZeroDivisor) as exc:
-            raise NotATetrahedron(f"vertex {idx + 1} is not in standard form: {exc}") from exc
+        angles.append(flip * 0.5 * gc_angle(m.a * m.d.inv(), tol=1e-6))  # exp(2*l*angle)
     al, be, ga = angles
     if lam == 1:
         # Each angle is known modulo pi only; enumerate representative
@@ -631,7 +620,7 @@ def _canonical_triple_from_shape(z: GC, lam: int) -> tuple[float, float, float] 
         if not z.isclose(expect, 1e-7):
             return None
         return al, be, ga
-    except Exception:  # noqa: BLE001 - candidate simply fails
+    except DualtetError:  # this orbit member is not canonical; try the next
         return None
 
 
@@ -639,13 +628,9 @@ def _recover_ideal_raw(vertices, lam: int):
     for v in vertices:
         if not isinstance(v, BoundaryPoint) or v.lam != lam:
             raise NotATetrahedron("ideal vertices must be boundary points")
-    try:
-        b = boundary_normalize(vertices[0], vertices[1], vertices[2])
-        z = _cross_ratio_from(b, vertices[3])
-        orbit = _cross_ratio_orbit(z)
-    except (NotSpacelikeConnected, Degenerate, NormalizationFailure, ZeroDivisor) as exc:
-        raise NotATetrahedron(f"vertices do not span an ideal tetrahedron: {exc}") from exc
-    for k, cand in enumerate(orbit):
+    b = boundary_normalize(vertices[0], vertices[1], vertices[2])
+    z = _cross_ratio_from(b, vertices[3])
+    for k, cand in enumerate(_cross_ratio_orbit(z)):
         triple = _canonical_triple_from_shape(cand, lam)
         if triple is not None:
             return b, [(k, triple[0], triple[1])]
@@ -658,11 +643,11 @@ def _recover_ideal_raw(vertices, lam: int):
 def _triple_kernels(vecs):
     """For each i, the kernel of the pairing with the three vectors other
     than vecs[i]: four 3-point kernels from one stacked SVD.  Each is
-    checked to be one projective point as it is taken."""
+    checked to be one projective point (the three span a plane) as taken."""
     stack = [[vecs[j] for j in range(4) if j != i] for i in range(4)]
     for kern in _dual_kernel(stack):
         if kern.shape[1] != 1:
-            raise NotATetrahedron("dual planes do not meet in a single projective point")
+            raise NotATetrahedron("three of the vertices do not span a plane")
         yield kern[:, 0]
 
 

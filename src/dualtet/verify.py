@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .cubature import adaptive_quad
+from .errors import DualtetError, NormalizationFailure
 from .gcnum import GC, gcos, gsin
 from .geometry import (
     BoundaryPoint,
@@ -65,7 +66,7 @@ def random_isometry(rng: np.random.Generator, lam: int, scale: float = 0.5) -> I
                       rng.normal(0.0, scale), lam) for k in range(4)]
         try:
             return Isometry(Mat2(*entries))
-        except Exception:  # noqa: BLE001 - rejection sampling
+        except NormalizationFailure:  # rejection sampling
             continue
 
 
@@ -203,14 +204,14 @@ def suite_geometry(rng: np.random.Generator):
         try:
             fourth = BoundaryPoint.from_value(z)
             base = cross_ratio(*pts, fourth)
-        except Exception:  # noqa: BLE001 - resample degenerate draws
+        except DualtetError:  # resample degenerate draws
             continue
         moved = [bp.moved(a) for bp in pts + [fourth]]
         z2 = cross_ratio(*moved)
         ok_equi &= base.isclose(z2, 1e-9)
         try:
             orbit = _cross_ratio_orbit(base)
-        except Exception:  # noqa: BLE001
+        except DualtetError:
             continue
         found = [cross_ratio(*trip, fourth) for trip in itertools.permutations(pts)]
         for v in found:

@@ -71,8 +71,9 @@ def _bernoulli_exact(n: int) -> Fraction:
 
 def bernoulli(n: int) -> float:
     """Bernoulli number B_n for even n up to 60 (B_0 included)."""
-    if n != 0 and (n % 2 != 0 or n < 2 or n > 60):
-        raise DomainError(f"need an even index in [2, 60] (or 0), got {n}")
+    # bool is a subclass of int, so test the exact type.
+    if type(n) is not int or (n != 0 and (n % 2 != 0 or n < 2 or n > 60)):
+        raise DomainError(f"need an even int index in [2, 60] (or 0), got {n!r}")
     return float(_bernoulli_exact(n))
 
 
@@ -102,7 +103,9 @@ def _horner(coeffs: tuple[float, ...], u):
 def clausen(lam: int, x: float) -> float:
     """Curvature-indexed Clausen function; odd, and 2*pi-periodic for
     lam = 1.  For lam = +-1 it is 2 F(lam, x/2) - x log|2 s_lam(x/2)|,
-    or the dilogarithm form for lam = -1 and |x| >= _LI2_FROM."""
+    or the dilogarithm form for lam = -1 and |x| >= _LI2_FROM.  At x = +-inf
+    it is its limit for lam = 0 and -1; for lam = 1, which has none, it
+    raises DomainError."""
     check_lambda(lam)
     sign = -1.0 if x < 0 else 1.0
     x = abs(x)
@@ -111,6 +114,8 @@ def clausen(lam: int, x: float) -> float:
     if lam == 0:
         return sign * x * (1.0 - math.log(x))
     if lam == 1:
+        if x == math.inf:
+            raise DomainError("the periodic cl(1, x) has no limit as |x| grows")
         x = math.remainder(x, 2.0 * math.pi)
         if x < 0:
             sign, x = -sign, -x
@@ -158,9 +163,9 @@ def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int)
     if not (0 < alpha < math.inf and 0 < beta < math.inf and math.isfinite(lam)):
         raise DomainError(f"need finite alpha, beta > 0 and finite lam, got "
                           f"({alpha}, {beta}, {lam})")
-    if not 1 <= k_order < len(_COT_COEFFS):
-        raise DomainError(f"series order must lie in [1, {len(_COT_COEFFS) - 1}] "
-                          f"(the Bernoulli table), got {k_order}")
+    if type(k_order) is not int or not 1 <= k_order < len(_COT_COEFFS):
+        raise DomainError(f"series order must be an int in [1, {len(_COT_COEFFS) - 1}] "
+                          f"(the Bernoulli table), got {k_order!r}")
     if lam != 0.0 and (alpha + beta) * math.sqrt(abs(lam)) >= math.pi:
         warnings.warn(
             f"series evaluated outside its convergence domain: "

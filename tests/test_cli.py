@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -224,7 +225,14 @@ def test_missing_file_exit_4(capsys):
     json.dumps({"schema_version": "1", "lambda": 0.7, "kind": "lightlike", "alpha": 0.8,
                 "beta": 0.6}),
     "{not json",
-], ids=["pose_shape", "missing_alpha", "fractional_lambda", "not_json"])
+    json.dumps([{"schema_version": "1", "lambda": 0, "kind": "lightlike", "alpha": 0.8,
+                 "beta": 0.6}]),
+    json.dumps({"schema_version": "2", "lambda": 0, "kind": "lightlike", "alpha": 0.8,
+                "beta": 0.6}),
+    json.dumps({"schema_version": "1", "lambda": 0, "kind": "lightlike", "alpha": "x",
+                "beta": 0.6}),
+], ids=["pose_shape", "missing_alpha", "fractional_lambda", "not_json", "json_list",
+        "schema_version_2", "alpha_not_a_number"])
 def test_info_malformed_descriptor_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -272,6 +280,43 @@ def test_build_with_pose_file(tmp_path, capsys):
     t = from_descriptor(desc)
     _pose, a, b = recover_parameters(t.vertices, "lightlike", -1)
     assert a == pytest.approx(0.6, abs=1e-9) and b == pytest.approx(0.4, abs=1e-9)
+
+
+def test_verify_unknown_suite_exit_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suites", "gcnum,nope")
+    assert code == 2 and out == ""
+    assert "unknown suites: ['nope']" in err
+
+
+def test_volume_text_format(capsys):
+    code, out, _ = run_cli(capsys, "volume", "--lambda", "0", "--kind", "lightlike",
+                           "--alpha", "1", "--beta", "1", "--oracle", "off",
+                           "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "kind = 'lightlike'"
+    assert "closed_form = 0.6666666666666666" in lines and "oracle = None" in lines
+
+
+def test_volume_discrepancy_above_tol_exit_1(monkeypatch, capsys):
+    """Exit 1 when |closed form - oracle| exceeds --tol; the report is
+    still printed."""
+    from dualtet import cli
+    from dualtet.volumes import volume_report
+
+    def off_by(delta):
+        def report(*args, **kwargs):
+            rep = volume_report(*args, **kwargs)
+            return dataclasses.replace(rep, oracle=rep.closed_form + delta)
+        return report
+
+    argv = ("volume", "--lambda", "0", "--kind", "ideal", "--alpha", "1", "--beta", "1",
+            "--tol", "1e-6")
+    for delta, want in ((2e-6, 1), (5e-7, 0)):
+        monkeypatch.setattr(cli, "volume_report", off_by(delta))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == want, delta
+        assert json.loads(out)["oracle"] - json.loads(out)["closed_form"] == pytest.approx(delta)
 
 
 def test_verify_full_run_exits_clean(capsys):

@@ -36,3 +36,36 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_import_no_unused_names(path):
     assert unused_imports(path.read_text()) == []
+
+
+CATCH_ALLS = {"Exception", "BaseException"}
+
+
+def catch_all_handlers(source: str) -> list[int]:
+    """Lines of `except:` clauses and of those that name `Exception` or
+    `BaseException`, alone or in a tuple."""
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return [node.id] if isinstance(node, ast.Name) else []
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler)
+            and (node.type is None or CATCH_ALLS & set(names(node.type)))]
+
+
+def test_catch_all_handlers_are_found():
+    src = ("try:\n    pass\nexcept:\n    pass\n"
+           "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n"
+           "try:\n    pass\nexcept builtins.BaseException:\n    pass\n"
+           "try:\n    pass\nexcept (KeyError, TypeError) as exc:\n    pass\n")
+    assert catch_all_handlers(src) == [3, 7, 11]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_catch_no_exception_they_do_not_name(path):
+    """A library error is caught by its class, so a bug is never turned
+    into one: no module catches everything."""
+    assert catch_all_handlers(path.read_text()) == []

@@ -1318,6 +1318,69 @@ def test_recovery_turns_zero_divisors_into_not_a_tetrahedron():
     assert isinstance(info.value.__cause__, ZeroDivisor)
 
 
+
+def _raiser(exc):
+    def stand_in(*args, **kwargs):
+        raise exc
+
+    return stand_in
+
+
+@pytest.mark.parametrize("kind, lam, target", [
+    ("lightlike", 0, "common_point_three_planes"),
+    ("ideal", -1, "polar"),
+], ids=["lightlike_common_point", "ideal_polar"])
+def test_recovery_lets_errors_from_outside_the_library_through(monkeypatch, kind, lam, target):
+    """Recovery turns library errors into `NotATetrahedron`, and nothing
+    else: a `TypeError` raised inside it, by a stand-in for the lightlike
+    common-point step or for the `polar` that reads the ideal parameters
+    off an orbit member, surfaces as that `TypeError`."""
+    from dualtet import tetrahedra
+
+    t = Tetrahedron(kind, lam, 0.9, 0.3)
+    monkeypatch.setattr(tetrahedra, target, _raiser(TypeError("not a library error")))
+    with pytest.raises(TypeError, match="not a library error"):
+        recover_parameters(t.vertices, kind, lam)
+
+
+@pytest.mark.parametrize("kind, target, error", [
+    ("lightlike", "_dual_kernel", np.linalg.LinAlgError("SVD did not converge")),
+    ("lightlike", "common_point_three_planes", NotATetrahedron("passed through as it is")),
+    ("ideal", "boundary_normalize", NormalizationFailure("no normalizing isometry")),
+    ("lightlike", "standard_vertices", DomainError("while checking a candidate")),
+    ("ideal", "standard_vertices", DomainError("while checking a candidate")),
+], ids=["kernel_svd", "not_a_tetrahedron", "normalizing", "lightlike_check", "ideal_check"])
+def test_recovery_chains_library_errors_to_not_a_tetrahedron(monkeypatch, kind, target, error):
+    """Every error that stops recovery on four vertices is `NotATetrahedron`:
+    a library error or the kernel SVD's `LinAlgError`, raised while
+    normalizing the vertices, reading the parameters or checking a
+    candidate, is its cause, and a `NotATetrahedron` passes unchanged."""
+    from dualtet import tetrahedra
+
+    lam = 0
+    t = Tetrahedron(kind, lam, 0.9, 0.3)
+    monkeypatch.setattr(tetrahedra, target, _raiser(error))
+    with pytest.raises(NotATetrahedron) as info:
+        recover_parameters(t.vertices, kind, lam)
+    if isinstance(error, NotATetrahedron):
+        assert info.value is error
+    else:
+        assert info.value.__cause__ is error
+
+
+def test_moved_composes_the_pose(rng):
+    """`t.moved(a)` is the tetrahedron with pose a @ pose: its vertices are
+    the images of t's under a, and recovery reads t's parameters off them."""
+    for lam in LAMBDAS:
+        for kind in ("lightlike", "ideal"):
+            t = Tetrahedron(kind, lam, 0.7, 0.4, random_isometry(rng, lam))
+            a = random_isometry(rng, lam)
+            moved = t.moved(a)
+            assert moved == Tetrahedron(kind, lam, 0.7, 0.4, a @ t.pose)
+            assert all(v.isclose(act(a, w), 1e-9) for v, w in zip(moved.vertices, t.vertices))
+            _pose, ra, rb = recover_parameters(moved.vertices, kind, lam)
+            assert (ra, rb) == (pytest.approx(0.7, abs=1e-9), pytest.approx(0.4, abs=1e-9))
+
 def test_lightlike_chart_at_a_pole_of_gtan():
     """At lam = 1 an angle of pi/2 is a pole of gtan.  The chart's term for
     that angle is its cotangent, 0, so the tetrahedron samples and contains

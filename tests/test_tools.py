@@ -138,18 +138,23 @@ def test_domain_sweep_prints_one_object_per_checkout(monkeypatch, capsys):
 
 def test_bench_ab_compares_a_checkout_with_itself(monkeypatch, capsys):
     """A tiny A/A run: both sides import this checkout under names of their
-    own, build the same tet-pipeline inputs, and agree on every op's
-    fingerprint and failure; `dualtet` in `sys.modules` is left as it was."""
+    own, build the same inputs, and agree on every op's fingerprint and
+    failure; `dualtet` in `sys.modules` is left as it was.  A `verify` op
+    runs in-process, so no child process is started."""
     tool = _tool("bench_ab")
     monkeypatch.setattr(tool, "SEEDS", (7,))
     monkeypatch.setattr(tool, "ROUNDS", 2)
     monkeypatch.setattr(tool, "SECONDS", 0.3)
+    monkeypatch.setattr("subprocess.Popen", None)
     before = sys.modules.get("dualtet")
-    assert tool.main([str(ROOT), str(ROOT)]) == 0
-    assert sys.modules.get("dualtet") is before
-    seed_line, verdict = capsys.readouterr().out.splitlines()
-    assert seed_line.startswith("seed 7: op-time ratio ")
-    assert "fingerprints identical on 3/3 ops" in seed_line
-    failed = seed_line.rsplit("failed ops ", 1)[1].split(" -> ")
-    assert failed[0] == failed[1]
-    assert verdict == "every fingerprint matches"
+    for workload, ops in (("tet-pipeline", 3), ("verify", 1)):
+        assert tool.main([str(ROOT), str(ROOT), "--workload", workload]) == 0
+        assert sys.modules.get("dualtet") is before
+        seed_line, verdict = capsys.readouterr().out.splitlines()
+        assert seed_line.startswith("seed 7: op-time ratio ")
+        assert f"fingerprints identical on {ops}/{ops} ops" in seed_line
+        failed = seed_line.rsplit("failed ops ", 1)[1].split(" -> ")
+        assert failed[0] == failed[1]
+        if workload == "verify":  # a child process would have failed without `Popen`
+            assert failed == ["0", "0"]
+        assert verdict == "every fingerprint matches"

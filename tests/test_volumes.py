@@ -132,6 +132,25 @@ def test_clausen_is_flat_at_subnormal_arguments(lam, x):
     assert got == pytest.approx(clausen(0, x), rel=1e-12)
 
 
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_circular_clausen_at_infinity_raises_domain_error(x):
+    # cl(1, x) is periodic and not constant, so it has no limit at infinity.
+    with pytest.raises(DomainError):
+        clausen(1, x)
+
+
+@pytest.mark.parametrize("lam", [-1, 0])
+def test_clausen_at_infinity_is_its_limit(lam):
+    # cl(lam, x) ~ -x^2/4 (lam = -1) or -x log x (lam = 0), and it is odd.
+    assert clausen(lam, math.inf) == -math.inf
+    assert clausen(lam, -math.inf) == math.inf
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_clausen_of_nan_is_nan(lam):
+    assert math.isnan(clausen(lam, math.nan))
+
 # -- closed-form volumes -------------------------------------------------------------
 
 
@@ -194,6 +213,13 @@ def test_bernoulli_values():
         bernoulli(62)
 
 
+@pytest.mark.parametrize("n", [4.0, False, True, np.int64(4)])
+def test_bernoulli_index_must_be_an_int(n):
+    # 4.0 would reach range() and raise TypeError; False would return B_0.
+    with pytest.raises(DomainError):
+        bernoulli(n)
+
+
 def test_series_first_order_is_flat_volume(rng):
     for lam in (-1.0, -0.3, 0.0, 0.7, 1.0):
         a, b = rng.uniform(0.1, 1.0, 2)
@@ -227,6 +253,18 @@ def test_series_order_limited_by_coefficient_table():
         lightlike_volume(1, a, b), rel=1e-14)
     with pytest.raises(DomainError):
         lightlike_volume_series(1.0, a, b, 31)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, True, np.int64(2)])
+def test_series_order_must_be_an_int(order):
+    # range() would raise TypeError on 2.5, and True would count as order 1.
+    with pytest.raises(DomainError):
+        lightlike_volume_series(1, 0.1, 0.1, order)
+
+
+def test_volume_report_series_order_must_be_an_int():
+    with pytest.raises(DomainError):
+        volume_report("lightlike", 1, 0.1, 0.1, with_oracle=False, series_order=2.5)
 
 
 def test_series_second_order_coefficients():

@@ -2,6 +2,7 @@
 
     python tools/bench_ab.py PARENT CHANGE
     python tools/bench_ab.py PARENT CHANGE --workload oracle-check
+    python tools/bench_ab.py PARENT CHANGE --workload verify
 
 Each checkout's `src/dualtet` is imported under a name of its own, and its
 `perfbench/workloads.py` beside it with that copy as `dualtet`, so both
@@ -13,6 +14,8 @@ sum of the change's least times over the parent's), how many ops have the
 same fingerprint (the workload's `fingerprint`, or the class of the error
 raised) on both sides, and each side's failed ops as the workload's
 `check` counts them.  The exit status is 1 when some fingerprint differs.
+On `verify` each op is `cli.main(["verify", "--seed", ...])` in-process,
+not a child process, and its fingerprint is the check rows it prints.
 
 This complements the benchmark and does not replace it.  The two sides
 share one process, one interpreter and one stretch of host time, so an A/A
@@ -88,6 +91,7 @@ def compare_seed(sides: dict, workload_name: str, seed: int) -> dict:
     """Least op times, fingerprints and failed ops of both sides at `seed`."""
     loads = {name: wl.WORKLOADS[workload_name](seed, SECONDS) for name, wl in sides.items()}
     for workload in loads.values():
+        workload.in_process = True  # read by `verify` alone
         workload.warm_up()
     n = len(next(iter(loads.values())).inputs)
     best = {name: [float("inf")] * n for name in sides}
@@ -117,7 +121,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", default="tet-pipeline", choices=("tet-pipeline", "oracle-check"))
+    ap.add_argument("--workload", default="tet-pipeline",
+                    choices=("tet-pipeline", "oracle-check", "verify"))
     args = ap.parse_args(argv)
     sides = {"parent": load_side(args.parent.resolve(), "dualtet_parent"),
              "change": load_side(args.change.resolve(), "dualtet_change")}
