@@ -20,21 +20,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import DomainError, DualtetError, ToleranceNotReached
-from .tetrahedra import (
-    Tetrahedron,
-    edge_data,
-    dualize_tet,
-    from_descriptor,
-    pose_from_rows,
-    recover_parameters,
-    to_descriptor,
-)
-from .verify import SUITES, run_suites
-from .volumes import volume_report
+
+# Each subcommand imports the modules it uses when it runs, so `--version`,
+# `--help` and `volume` without --in load neither the geometry stack nor,
+# for the first two, numpy.
+
+# The names of `verify.SUITES`, in its order, for --suites and its help.
+SUITE_NAMES = ("gcnum", "matmodel", "geometry", "tetrahedra", "volumes")
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -58,7 +52,9 @@ class _IOFailure(Exception):
     pass
 
 
-def _descriptor_json(tet: Tetrahedron) -> str:
+def _descriptor_json(tet) -> str:
+    from .tetrahedra import to_descriptor
+
     return json.dumps(to_descriptor(tet), indent=2, sort_keys=True) + "\n"
 
 
@@ -78,13 +74,19 @@ def _flag_params(args) -> tuple[str, int, float, float]:
     return args.kind, args.lam, args.alpha, args.beta
 
 
-def _load_tet(args) -> Tetrahedron:
+def _load_tet(args):
+    from .tetrahedra import Tetrahedron, from_descriptor
+
     if getattr(args, "infile", None):
         return from_descriptor(_read_json(args.infile))
     return Tetrahedron(*_flag_params(args))
 
 
-def _summary(tet: Tetrahedron) -> str:
+def _summary(tet) -> str:
+    import numpy as np
+
+    from .tetrahedra import edge_data
+
     lines = [
         f"kind={tet.kind} lambda={tet.lam} alpha={tet.alpha!r} beta={tet.beta!r} "
         f"gamma={tet.gamma!r}",
@@ -108,6 +110,8 @@ def _summary(tet: Tetrahedron) -> str:
 
 
 def cmd_build(args) -> int:
+    from .tetrahedra import Tetrahedron, pose_from_rows
+
     pose = pose_from_rows(_read_json(args.pose), args.lam) if args.pose else None
     tet = Tetrahedron(args.kind, args.lam, args.alpha, args.beta, pose)
     if args.out:
@@ -121,6 +125,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from .tetrahedra import recover_parameters
+
     tet = _load_tet(args)
     pose, alpha, beta = recover_parameters(tet.vertices, tet.kind, tet.lam)
     out = _summary(tet)
@@ -130,6 +136,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from .volumes import volume_report
+
     # Flags give the parameters directly: a volume needs no vertices.
     if args.infile:
         tet = _load_tet(args)
@@ -155,13 +163,17 @@ def cmd_volume(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .tetrahedra import dualize_tet
+
     tet = _load_tet(args)
     dual = dualize_tet(tet)
     _write_text(args.out, _descriptor_json(dual))
     return EXIT_OK
 
 
-def _chart_coords(tet: Tetrahedron) -> list[np.ndarray]:
+def _chart_coords(tet) -> list:
+    import numpy as np
+
     coords = []
     for v in tet.vertices:
         vec = v.vector() if tet.kind == "lightlike" else v.vec4()
@@ -204,6 +216,8 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .volumes import volume_report
+
     n = args.grid
     lo, hi = args.amin, args.amax
     rows = ["lambda,kind,alpha,beta,volume"]
@@ -224,9 +238,11 @@ def cmd_plot(args) -> int:
 def cmd_verify(args) -> int:
     names = set(args.suites.split(",")) if args.suites else None
     if names:
-        unknown = names - set(SUITES)
+        unknown = names - set(SUITE_NAMES)
         if unknown:
             raise DualtetError(f"unknown suites: {sorted(unknown)}")
+    from .verify import run_suites
+
     results = run_suites(args.seed, names)
     failed = 0
     for suite, name, ok, detail in results:
@@ -312,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--suites", help="comma-separated subset of "
-                                    + ",".join(SUITES))
+                                    + ",".join(SUITE_NAMES))
     p.set_defaults(fn=cmd_verify)
     return ap
 

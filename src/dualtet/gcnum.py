@@ -33,6 +33,26 @@ def check_lambda(lam: int) -> int:
     return lam
 
 
+# The two families of tetrahedra and the (lam, alpha, beta) domain they
+# share; kept here so the volumes need no geometry to check their inputs.
+KIND_LIGHTLIKE = "lightlike"
+KIND_IDEAL = "ideal"
+
+
+def check_kind(kind: str) -> str:
+    if kind not in (KIND_LIGHTLIKE, KIND_IDEAL):
+        raise DomainError(f"kind must be 'lightlike' or 'ideal', got {kind!r}")
+    return kind
+
+
+def validate_angles(lam: int, alpha: float, beta: float):
+    check_lambda(lam)
+    if not (0 < alpha < math.inf and 0 < beta < math.inf):
+        raise DomainError(f"parameters must be positive and finite, got ({alpha}, {beta})")
+    if lam == 1 and alpha + beta >= math.pi:
+        raise DomainError(f"alpha + beta must stay below pi for lam = 1, got {alpha + beta}")
+
+
 def check_same_lambda(a: "GC", b: "GC") -> int:
     if a.lam != b.lam:
         raise LambdaMismatch(f"mixed curvature tags {a.lam} and {b.lam}")

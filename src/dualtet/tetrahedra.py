@@ -49,7 +49,23 @@ from .errors import (
     NotATetrahedron,
     PoleAt,
 )
-from .gcnum import GC, _mod_sq, check_lambda, exp_ell, gacot, gc, gc_angle, gcos, gsin, gtan, polar
+from .gcnum import (
+    GC,
+    KIND_IDEAL,
+    KIND_LIGHTLIKE,
+    _mod_sq,
+    check_kind,
+    check_lambda,
+    exp_ell,
+    gacot,
+    gc,
+    gc_angle,
+    gcos,
+    gsin,
+    gtan,
+    polar,
+    validate_angles,
+)
 from .geometry import (
     BoundaryPoint,
     Geodesic,
@@ -83,9 +99,6 @@ from .matmodel import (
     unembed,
 )
 
-KIND_LIGHTLIKE = "lightlike"
-KIND_IDEAL = "ideal"
-
 # Opposite-edge pairing; each entry lists the two edges sharing one value.
 EDGE_PAIRS = (
     (frozenset({1, 2}), frozenset({3, 4})),
@@ -96,20 +109,6 @@ EDGE_PAIRS = (
 EDGE_ORDER = ((1, 2), (3, 4), (3, 1), (2, 4), (2, 3), (1, 4))
 
 SCHEMA_VERSION = "1"
-
-
-def check_kind(kind: str) -> str:
-    if kind not in (KIND_LIGHTLIKE, KIND_IDEAL):
-        raise DomainError(f"kind must be 'lightlike' or 'ideal', got {kind!r}")
-    return kind
-
-
-def validate_angles(lam: int, alpha: float, beta: float):
-    check_lambda(lam)
-    if not (0 < alpha < math.inf and 0 < beta < math.inf):
-        raise DomainError(f"parameters must be positive and finite, got ({alpha}, {beta})")
-    if lam == 1 and alpha + beta >= math.pi:
-        raise DomainError(f"alpha + beta must stay below pi for lam = 1, got {alpha + beta}")
 
 
 def _alphas(alpha: float, beta: float) -> dict[int, float]:

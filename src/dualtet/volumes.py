@@ -49,8 +49,15 @@ import numpy as np
 
 from .cubature import adaptive_quad
 from .errors import ConvergenceWarning, DomainError, ToleranceNotReached
-from .gcnum import check_lambda, gcos, gsin
-from .tetrahedra import KIND_IDEAL, KIND_LIGHTLIKE, check_kind, validate_angles
+from .gcnum import (
+    KIND_IDEAL,
+    KIND_LIGHTLIKE,
+    check_kind,
+    check_lambda,
+    gcos,
+    gsin,
+    validate_angles,
+)
 
 # -- Bernoulli numbers ---------------------------------------------------------
 
@@ -156,6 +163,12 @@ def lightlike_volume(lam: int, alpha: float, beta: float) -> float:
     return (ideal_volume(lam, alpha, beta) + log_sum) / lam
 
 
+def _check_series_order(k_order: int):
+    if type(k_order) is not int or not 1 <= k_order < len(_COT_COEFFS):
+        raise DomainError(f"series order must be an int in [1, {len(_COT_COEFFS) - 1}] "
+                          f"(the Bernoulli table), got {k_order!r}")
+
+
 def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int) -> float:
     """Bernoulli power series for the lightlike volume around zero
     curvature; `lam` may be any real here.  Emits ConvergenceWarning outside
@@ -163,9 +176,7 @@ def lightlike_volume_series(lam: float, alpha: float, beta: float, k_order: int)
     if not (0 < alpha < math.inf and 0 < beta < math.inf and math.isfinite(lam)):
         raise DomainError(f"need finite alpha, beta > 0 and finite lam, got "
                           f"({alpha}, {beta}, {lam})")
-    if type(k_order) is not int or not 1 <= k_order < len(_COT_COEFFS):
-        raise DomainError(f"series order must be an int in [1, {len(_COT_COEFFS) - 1}] "
-                          f"(the Bernoulli table), got {k_order!r}")
+    _check_series_order(k_order)
     if lam != 0.0 and (alpha + beta) * math.sqrt(abs(lam)) >= math.pi:
         warnings.warn(
             f"series evaluated outside its convergence domain: "
@@ -502,10 +513,13 @@ def volume_report(kind: str, lam: int, alpha: float, beta: float,
                   with_oracle: bool = True, tol: float = 1e-8,
                   series_order: int | None = None) -> VolumeReport:
     """Closed form next to the quadrature oracle and (optionally) the
-    series, with their relative discrepancy."""
+    series, with their relative discrepancy.  The kind and the series
+    order are checked before anything is computed."""
     check_kind(kind)
-    if series_order is not None and kind != KIND_LIGHTLIKE:
-        raise DomainError("the curvature series applies to the lightlike kind")
+    if series_order is not None:
+        if kind != KIND_LIGHTLIKE:
+            raise DomainError("the curvature series applies to the lightlike kind")
+        _check_series_order(series_order)
     closed = (ideal_volume if kind == KIND_IDEAL else lightlike_volume)(lam, alpha, beta)
     oracle = oracle_err = rel = series = None
     if with_oracle:

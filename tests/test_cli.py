@@ -301,7 +301,7 @@ def test_volume_text_format(capsys):
 def test_volume_discrepancy_above_tol_exit_1(monkeypatch, capsys):
     """Exit 1 when |closed form - oracle| exceeds --tol; the report is
     still printed."""
-    from dualtet import cli
+    from dualtet import volumes
     from dualtet.volumes import volume_report
 
     def off_by(delta):
@@ -313,7 +313,7 @@ def test_volume_discrepancy_above_tol_exit_1(monkeypatch, capsys):
     argv = ("volume", "--lambda", "0", "--kind", "ideal", "--alpha", "1", "--beta", "1",
             "--tol", "1e-6")
     for delta, want in ((2e-6, 1), (5e-7, 0)):
-        monkeypatch.setattr(cli, "volume_report", off_by(delta))
+        monkeypatch.setattr(volumes, "volume_report", off_by(delta))
         code, out, _ = run_cli(capsys, *argv)
         assert code == want, delta
         assert json.loads(out)["oracle"] - json.loads(out)["closed_form"] == pytest.approx(delta)

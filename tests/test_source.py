@@ -1,13 +1,13 @@
 """Source checks on the package modules, with `ast` only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dualtet"
-# `__init__` imports names to re-export them.
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,8 +64,42 @@ def test_catch_all_handlers_are_found():
     assert catch_all_handlers(src) == [3, 7, 11]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_modules_catch_no_exception_they_do_not_name(path):
     """A library error is caught by its class, so a bug is never turned
     into one: no module catches everything."""
     assert catch_all_handlers(path.read_text()) == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Each import outside a function body, as "module" or
+    "module: name, ...", relative modules with their leading dots."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                names = ", ".join(alias.name for alias in child.names)
+                found.append(f"{'.' * child.level}{child.module or ''}: {names}")
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_imports_are_found():
+    src = ("import os.path\nfrom . import x\nif y:\n    from .a import b, c\n"
+           "def f():\n    import numpy\nclass C:\n    def g(self):\n        from .z import w\n")
+    assert module_level_imports(src) == ["os.path", ".: x", ".a: b, c"]
+
+
+def test_cli_imports_only_stdlib_and_errors_at_module_level():
+    """`dualtet --version` and `--help` need no numpy and no geometry: each
+    subcommand imports its modules when it runs."""
+    for name in module_level_imports((SRC / "cli.py").read_text()):
+        module = name.split(":")[0]
+        assert (name == ".: __version__" or module == ".errors"
+                or module.split(".")[0] in sys.stdlib_module_names), name

@@ -158,3 +158,28 @@ def test_bench_ab_compares_a_checkout_with_itself(monkeypatch, capsys):
         if workload == "verify":  # a child process would have failed without `Popen`
             assert failed == ["0", "0"]
         assert verdict == "every fingerprint matches"
+
+
+def test_bench_ab_sides_run_their_own_modules(tmp_path):
+    """Each side's workloads reach that side's own `validate_angles` and
+    `volume_report`, however its package loads its modules, and loading a
+    side changes no `dualtet.*` key of `sys.modules`."""
+    import shutil
+
+    tool = _tool("bench_ab")
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "dualtet", other / "src" / "dualtet")
+    shutil.copytree(ROOT / "perfbench", other / "perfbench")
+    before = {key: mod for key, mod in sys.modules.items() if tool._is_dualtet(key)}
+    try:
+        for root, name in ((other, "dualtet_other"), (ROOT, "dualtet_root")):
+            side = tool.load_side(root, name)
+            src = root / "src" / "dualtet"
+            assert Path(side.validate_angles.__code__.co_filename) == src / "gcnum.py"
+            assert Path(side.dualtet.volume_report.__code__.co_filename) == src / "volumes.py"
+            assert {key: mod for key, mod in sys.modules.items()
+                    if tool._is_dualtet(key)} == before
+    finally:
+        for key in [key for key in sys.modules if key.startswith(("dualtet_other",
+                                                                   "dualtet_root"))]:
+            del sys.modules[key]

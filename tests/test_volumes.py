@@ -267,6 +267,20 @@ def test_volume_report_series_order_must_be_an_int():
         volume_report("lightlike", 1, 0.1, 0.1, with_oracle=False, series_order=2.5)
 
 
+def test_volume_report_checks_series_order_before_computing(monkeypatch):
+    """A bad series order is refused before the closed form or the oracle runs."""
+    from dualtet import volumes
+
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before the series order was checked")
+
+    for name in ("lightlike_volume", "volume_quadrature"):
+        monkeypatch.setattr(volumes, name, fail)
+    for order in (2.5, 0, 31):
+        with pytest.raises(DomainError, match="series order"):
+            volume_report("lightlike", -1, 2.0, 3.0, with_oracle=True, series_order=order)
+
+
 def test_series_second_order_coefficients():
     # The quadratic-in-curvature correction is driven by B4 = -1/30.
     a, b = 0.3, 0.2

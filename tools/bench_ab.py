@@ -47,26 +47,33 @@ def _exec(name: str, path: Path, package_dir: Path | None = None):
     return module
 
 
+def _is_dualtet(key: str, name: str = "dualtet") -> bool:
+    return key == name or key.startswith(name + ".")
+
+
 def load_side(root: Path, name: str):
     """The `workloads` module of checkout `root`, running on that checkout's
-    `src/dualtet` imported as package `name`.  While `workloads.py` is
-    executed, the package and its modules stand in for `dualtet` and
-    `dualtet.*` in `sys.modules`; what was there before is put back."""
+    `src/dualtet` imported as package `name`.  Every module of the package
+    is imported first, so whatever `workloads.py` imports from `dualtet.*`
+    comes from this checkout even where the package loads its modules on
+    first use.  While `workloads.py` is executed, the package and its
+    modules stand in for `dualtet` and `dualtet.*` in `sys.modules`;
+    afterwards those keys are as they were before."""
     src = root / "src" / "dualtet"
     _exec(name, src / "__init__.py", src)
-    importlib.import_module(f"{name}.cli")
+    for path in sorted(src.glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"{name}.{path.stem}")
     aliases = {"dualtet" + key[len(name):]: mod for key, mod in list(sys.modules.items())
-               if key == name or key.startswith(name + ".")}
-    saved = {key: sys.modules.get(key) for key in aliases}
+               if _is_dualtet(key, name)}
+    saved = {key: mod for key, mod in sys.modules.items() if _is_dualtet(key)}
     sys.modules.update(aliases)
     try:
         return _exec(f"{name}_workloads", root / "perfbench" / "workloads.py")
     finally:
-        for key, mod in saved.items():
-            if mod is None:
-                del sys.modules[key]
-            else:
-                sys.modules[key] = mod
+        for key in [key for key in sys.modules if _is_dualtet(key)]:
+            del sys.modules[key]
+        sys.modules.update(saved)
 
 
 def _run(workload, inp):
