@@ -36,7 +36,11 @@ finite, or its arithmetic raises FloatingPointError, the segments asked for
 are evaluated alone, so that an error is raised where one call per split
 would raise it.  In 2d the root and its four children share the first call
 (five panels), and the four children of each later split share one.  In 1d,
-f gets nodes of shape (n, 15) and returns values broadcastable to (n, 15).
+f gets read-only nodes of shape (n, 15) and returns values broadcastable
+to (n, 15); the nodes and half-widths of a batch are cached by its tuple
+of segments, since integrals over one interval share their first batch
+and often later ones, and an integrand may cache its own node-dependent
+terms by those nodes.
 In 2d, f(x, y) gets broadcastable node arrays of shapes (n, 15, 1) and
 (n, 1, 15) and returns values broadcastable to (n, 15, 15); a part that
 depends on x alone is thus computed on 15 nodes per panel, not 225.
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +89,15 @@ def _nodes(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return half, mid[..., None] + half[..., None] * _KRONROD_NODES
 
 
+@lru_cache(maxsize=64)
+def _segment_nodes(segs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """_nodes of segments ((a, b), ...), read-only: the arrays are shared by
+    every integral whose batch has these segments (see above)."""
+    half, x = _nodes(np.array(segs, dtype=float))
+    half.flags.writeable = x.flags.writeable = False
+    return half, x
+
+
 def _checked(kron: np.ndarray, err: np.ndarray, held: int) -> tuple[list[float], list[float]]:
     """Values and estimates as lists; an estimate that is not finite (from a
     value or a rule sum that is not) raises ToleranceNotReached."""
@@ -96,9 +110,9 @@ def _checked(kron: np.ndarray, err: np.ndarray, held: int) -> tuple[list[float],
 
 def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     """Values and error estimates of the rule on n segments [(a, b), ...],
-    with one call f(x) on nodes of shape (n, 15); `held` counts the panels
-    held with these."""
-    half, x = _nodes(np.array(segs, dtype=float))
+    with one call f(x) on read-only nodes of shape (n, 15); `held` counts
+    the panels held with these."""
+    half, x = _segment_nodes(tuple(segs))
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, x.shape)

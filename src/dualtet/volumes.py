@@ -27,9 +27,14 @@ lam = -1.  Sidi's sin^2 substitution phi(u) = u - sin(2 pi u)/(2 pi)
 (ISNM 112, 1993), whose Jacobian 2 sin(pi u)^2 vanishes to second order at
 both ends, widens them: the ideal angle gets it twice, and each half of
 the lightlike t, which has a kink at t = 0, gets it once.  Both integrands
-are written so that nothing cancels at a corner.  The map depends on the
-nodes alone, and those are the Kronrod nodes of dyadic panels of [0, 1]
-whatever the cell, so it is cached by node set across integrals.
+are written so that nothing cancels at a corner.  The nodes are the
+Kronrod nodes of dyadic panels of [0, 1] whatever the cell (most calls
+are on the root's seven panels), so what depends on them alone is
+computed once per node set and cached across integrals (_node_cached,
+keyed on the bytes and shape of the nodes, which hands back read-only
+arrays already in the caller's shape): the Sidi maps with their
+Jacobians, the lightlike t = +-(pi/4) phi(u), and the cell-free terms of
+the lightlike integrand, the sines and cosines of t and their sums.
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -42,8 +47,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,18 +67,22 @@ from .gcnum import (
 # -- Bernoulli numbers ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_exact(n: int) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * _bernoulli_exact(j)
-    return -acc / (n + 1)
+def _tangent_numbers(n: int) -> list[int]:
+    """Tangent numbers T[k], tan x = sum_k T[k] x^(2k-1) / (2k-1)!, for
+    k = 1..n (T[0] = 0), by the integer recurrence of Knuth & Buckholtz
+    (Math. Comp. 21, 1967)."""
+    t = [0, 1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+# B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), formed as int / int, which
+# Python rounds correctly.
+_TANGENT = _tangent_numbers(30)
 
 
 def bernoulli(n: int) -> float:
@@ -81,7 +90,10 @@ def bernoulli(n: int) -> float:
     # bool is a subclass of int, so test the exact type.
     if type(n) is not int or (n != 0 and (n % 2 != 0 or n < 2 or n > 60)):
         raise DomainError(f"need an even int index in [2, 60] (or 0), got {n!r}")
-    return float(_bernoulli_exact(n))
+    if n == 0:
+        return 1.0
+    k = n // 2
+    return (-1) ** (k - 1) * 2 * k * _TANGENT[k] / (4 ** k * (4 ** k - 1))
 
 
 # -- generalized Clausen function ----------------------------------------------
@@ -89,8 +101,9 @@ def bernoulli(n: int) -> float:
 # Taylor coefficients 4^k B_2k (-1)^k / (2k+1)!, k = 0..30, of the primitive
 # F(lam, y) = integral_0^y x/t_lam(x) dx = y * sum_k c_k (lam y^2)^k.  The
 # series has radius pi in |y|*sqrt|lam|; its terms shrink by (y/pi)^2.
-_COT_COEFFS = tuple(float(Fraction(4 ** k * (-1) ** k) * _bernoulli_exact(2 * k)
-                          / math.factorial(2 * k + 1)) for k in range(31))
+# With B_2k in tangent numbers, c_k = -2k T_k / ((4^k - 1) (2k+1)!) for k >= 1.
+_COT_COEFFS = (1.0, *(-2 * k * _TANGENT[k] / ((4 ** k - 1) * math.factorial(2 * k + 1))
+                      for k in range(1, 31)))
 # 1/n^2, n = 1..14: Li2(q) to double precision for q <= exp(-_LI2_FROM).
 _LI2_COEFFS = tuple(1.0 / (n * n) for n in range(1, 15))
 _LI2_FROM = 3.0
@@ -210,13 +223,14 @@ _TINY = np.finfo(float).tiny
 
 
 def _node_cached(node_map):
-    """node_map(u) for float nodes u, memoized on the bytes of u (see the
-    module docstring).  The arrays returned are shared between callers,
-    hence read-only, and shaped like u."""
+    """node_map(u) for float nodes u, memoized on the bytes and the shape of
+    u (see the module docstring).  The arrays returned are shared between
+    callers, hence read-only, and are those node_map made from an array of
+    u's shape: a lookup reshapes nothing."""
 
     @lru_cache(maxsize=64)
-    def cached(key: bytes) -> tuple[np.ndarray, ...]:
-        out = node_map(np.frombuffer(key))
+    def cached(key: bytes, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        out = node_map(np.frombuffer(key).reshape(shape))
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -224,13 +238,12 @@ def _node_cached(node_map):
     @wraps(node_map)
     def lookup(u):
         u = np.asarray(u, dtype=float)
-        return tuple(arr.reshape(u.shape) for arr in cached(u.tobytes()))
+        return cached(u.tobytes(), u.shape)
 
     lookup.cache_clear = cached.cache_clear
     return lookup
 
 
-@_node_cached
 def _sin2(u):
     """Sidi's sin^2 map phi(u) = u - sin(2 pi u) / (2 pi) of [0, 1] onto
     itself, and its derivative 2 sin(pi u)^2, which vanishes to second order
@@ -247,8 +260,8 @@ def _sin2(u):
 @_node_cached
 def _sin2_twice(u):
     """phi(phi(u)) and its derivative: nodes cluster like u^9 at both ends."""
-    p, dp = _sin2.__wrapped__(u)
-    q, dq = _sin2.__wrapped__(p)
+    p, dp = _sin2(u)
+    q, dq = _sin2(p)
     return q, dq * dp
 
 
@@ -369,27 +382,16 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
         y_m = 0.5 * math.exp(-sigma) / d
         y_e = -2.0 / math.expm1(-2.0 * sigma)  # e^sigma / sinh sigma
 
-    def ads_y(sin_t, cos_t, sin_s, cos_s, half_sum, half_diff):
-        y = (y_p * (sin_t + sin_s)
-             + np.sin(half_diff) * (y_q * np.cos(half_sum) + y_e * np.sin(half_sum))
-             + y_m * (cos_t + cos_s))
-        # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma);
-        # nan there makes the cubature raise ToleranceNotReached instead of
-        # dividing by zero.
-        return np.where(y >= _TINY, y, np.nan)
-
     def f(t):
-        att = np.abs(t)
-        sin_t, cos_t = np.sin(t), np.cos(t)
-        w0, w1 = np.abs(sin_t), cos_t  # sin|t|, cos|t|
-        dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)  # w1 - w0
+        # What depends on t alone is computed once per node set.
+        tt = _t_terms(t)
+        sin_t, cos_t, dw = tt.sin_t, tt.cos_t, tt.dw  # dw = w1 - w0
+        w0, w1 = tt.w0, cos_t  # sin|t|, cos|t|
         big_a = a * sin_t + b * cos_t
         h = dk * np.abs(b * sin_t - a * cos_t) * dw
         if lam != -1:
-            pos_t = t >= 0.0
-            s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
-            p0 = np.where(pos_t, p_pos, p_neg) * w0 + b * cos_t
-            p1 = half_pm * (p * s_plus - s_minus) + one_b * cos_t
+            p0 = np.where(tt.pos_t, p_pos, p_neg) * w0 + b * cos_t
+            p1 = half_pm * (p * tt.s_plus - tt.s_minus) + one_b * cos_t
         if lam == 0:
             return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2)
         # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and
@@ -402,7 +404,7 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
             r1_w0 = dk * _over_x(np.arctan, dk * w0 / p1_pos) / p1_pos
             if not pos.all():
                 r1_w0[~pos] = np.arctan2(dk * w0[~pos], p1[~pos]) / w0[~pos]
-            big_d = p0 * p1 + dk * dk * (1.0 - w0 * w1)
+            big_d = p0 * p1 + dk * dk * tt.one_w01
             pos = big_d > 0.0  # true wherever h is small
             d_pos = np.where(pos, big_d, 1.0)
             fc = _over_x(np.arctan, h / d_pos)
@@ -410,17 +412,21 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
             if not pos.all():
                 integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
         else:
-            y0 = ads_y(sin_t, cos_t, w0, w1, 0.5 * (att + t), 0.5 * (att - t))
-            y1 = ads_y(sin_t, cos_t, w1, w0, 0.5 * (0.5 * math.pi - att + t),
-                       0.5 * (0.5 * math.pi - att - t))
+            # y at s = |t| and at s = pi/2 - |t|, stacked on a leading axis.
+            y = (y_p * tt.sin_sum + tt.sin_hd * (y_q * tt.cos_hs + y_e * tt.sin_hs)
+                 + y_m * tt.cos_sum)
+            # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma);
+            # nan there makes the cubature raise ToleranceNotReached instead of
+            # dividing by zero.
+            y0, y1 = np.where(y >= _TINY, y, np.nan)
             p0, p1 = dk * (y0 + w1), dk * (y1 + w0)
-            r0 = 0.5 * np.log1p(2.0 * w1 / y0)
-            r1_w0 = _over_x(np.log1p, 2.0 * w0 / y1) / y1
-            q01 = (dk ** 4 * y0 * (y0 + 2.0 * w1)) * (y1 * (y1 + 2.0 * w0))  # Q0 Q1
+            r0 = 0.5 * np.log1p(tt.two_w1 / y0)
+            r1_w0 = _over_x(np.log1p, tt.two_w0 / y1) / y1
+            q01 = (dk ** 4 * y0 * (y0 + tt.two_w1)) * (y1 * (y1 + tt.two_w0))  # Q0 Q1
             big_d = np.sqrt(q01 + h * h)
             w_int = (big_d + h) / q01 * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
             integral, fc = dw * w_int, big_d * w_int
-        ends = w1 * r1_w0 - (w0 / w1) * r0
+        ends = w1 * r1_w0 - tt.w0_w1 * r0
         v_int = ends - dk * big_a * integral
         # Where both u = 1/x are small, r and the w integral are their flat
         # parts u and I0 plus O(u^3) tails; the flat parts cancel exactly,
@@ -428,17 +434,66 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
         flat = (dk * w1 < _TAIL_BELOW * p0) & (dk * w0 < _TAIL_BELOW * p1)
         if flat.any():
             sel = slice(None) if flat.all() else flat
-            p0, p1, w0, w1, big_d = (arr[sel] for arr in (p0, p1, w0, w1, big_d))
+            p0, p1, w0, w1, big_d, one_w01 = (arr[sel] for arr in (p0, p1, w0, w1, big_d,
+                                                                   tt.one_w01))
             # u0, u1 < _TAIL_BELOW here; h / D need not be.
             x = np.stack((dk * w1 / p0, dk * w0 / p1, h[sel] / big_d))
             tail0, tail1, tail = _odd_tail(lam, np.minimum(x, _TAIL_BELOW))
             tail = np.where(x[2] < _TAIL_BELOW, tail, fc[sel] - 1.0)
             v_int[sel] = dk * (w1 * tail1 / p1 - w0 * tail0 / p0
                                - big_a[sel] * dw[sel] / big_d
-                               * (tail - lam * dk * dk * (1.0 - w0 * w1) / (p0 * p1)))
+                               * (tail - lam * dk * dk * one_w01 / (p0 * p1)))
         return v_int / (2.0 * lam)
 
     return f
+
+
+class _TTerms(NamedTuple):
+    """The terms of the lightlike v integral that depend on t alone."""
+    sin_t: np.ndarray
+    cos_t: np.ndarray  # also w1 = cos|t|
+    w0: np.ndarray  # sin|t|
+    dw: np.ndarray  # w1 - w0
+    pos_t: np.ndarray  # t >= 0
+    s_plus: np.ndarray  # S = sin t + cos t
+    s_minus: np.ndarray  # D' = cos t - sin t
+    one_w01: np.ndarray  # 1 - w0 w1
+    w0_w1: np.ndarray  # w0 / w1
+    two_w0: np.ndarray
+    two_w1: np.ndarray
+    # At lam = -1, y's terms at s = |t| (row 0) and s = pi/2 - |t| (row 1):
+    sin_sum: np.ndarray  # sin t + sin s
+    cos_sum: np.ndarray  # cos t + cos s
+    sin_hd: np.ndarray  # sin delta
+    cos_hs: np.ndarray  # cos h'
+    sin_hs: np.ndarray  # sin h'
+
+
+@_node_cached
+def _t_terms(t) -> _TTerms:
+    """The terms of _lightlike_v_integral that depend on t alone.  Each is
+    the expression the integrand would form, in the same order, so the
+    cache changes no bit of its values."""
+    att = np.abs(t)
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    w0, w1 = np.abs(sin_t), cos_t
+    dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)
+    pos_t = t >= 0.0
+    s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
+    half_sum = np.stack((0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t)))
+    half_diff = np.stack((0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t)))
+    return _TTerms(sin_t, cos_t, w0, dw, pos_t, s_plus, s_minus,
+                   1.0 - w0 * w1, w0 / w1, 2.0 * w0, 2.0 * w1,
+                   np.stack((sin_t + w0, sin_t + w1)), np.stack((cos_t + w1, cos_t + w0)),
+                   np.sin(half_diff), np.cos(half_sum), np.sin(half_sum))
+
+
+@_node_cached
+def _lightlike_nodes(u):
+    """t = +-(pi/4) phi(u), stacked, and the Jacobian (pi/4) phi'(u)."""
+    p, dp = _sin2(u)
+    t = (0.25 * math.pi) * p
+    return np.stack((t, -t)), (0.25 * math.pi) * dp
 
 
 def _lightlike_oracle(lam: int, alpha: float, beta: float):
@@ -451,9 +506,8 @@ def _lightlike_oracle(lam: int, alpha: float, beta: float):
     f = _lightlike_v_integral(lam, alpha, beta)
 
     def g(u):
-        p, dp = _sin2(u)
-        t = (0.25 * math.pi) * p
-        return f(np.stack((t, -t))).sum(axis=0) * ((0.25 * math.pi) * dp)
+        t, jac = _lightlike_nodes(u)
+        return f(t).sum(axis=0) * jac
 
     return g
 

@@ -17,16 +17,20 @@ def _tool(name: str):
 
 
 def test_bench_oracle_per_call_snippet_runs():
-    """Times per input, and integrand calls and panels per kind, counted
-    from outside the package: at least one call per input, and at least the
-    root with its halves in each integral's calls."""
+    """Times per input, and integrand calls, panels, node sets and calls
+    on the root set per kind, counted from outside the package: at least
+    one call per input, at least the root with its halves in each
+    integral's calls, and every integral's first call on the one root set."""
     bench = _tool("bench_oracle")
     got = json.loads(bench.run(ROOT, ["-c", bench.per_call_snippet(1)]))
-    assert set(got["best"]) == set(got["calls"]) == set(got["panels"]) == set(bench.KINDS)
+    fields = ("best", "calls", "panels", "node_sets", "root_set_calls")
+    assert all(set(got[field]) == set(bench.KINDS) for field in fields)
     for kind, times in got["best"].items():
         assert times and all(0.0 < t < math.inf for t in times)
         assert got["calls"][kind] >= len(times)
         assert got["panels"][kind] >= 3 * len(times)
+        assert 1 <= got["node_sets"][kind] <= got["calls"][kind]
+        assert len(times) <= got["root_set_calls"][kind] <= got["calls"][kind]
 
 
 def _fake_run(calls):

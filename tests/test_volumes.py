@@ -213,6 +213,19 @@ def test_bernoulli_values():
         bernoulli(62)
 
 
+def test_tangent_number_tables_match_fractions():
+    """B_2k and the series coefficients 4^k B_2k (-1)^k / (2k+1)!, formed from
+    integer tangent numbers, are bit for bit the correctly rounded values of
+    the Fractions."""
+    from dualtet.volumes import _COT_COEFFS
+
+    exact = [bernoulli_akiyama_tanigawa(2 * k) for k in range(31)]
+    want = [float(Fraction(4 ** k * (-1) ** k) * b / math.factorial(2 * k + 1))
+            for k, b in enumerate(exact)]
+    assert [c.hex() for c in _COT_COEFFS] == [c.hex() for c in want]
+    assert [bernoulli(2 * k).hex() for k in range(31)] == [float(b).hex() for b in exact]
+
+
 @pytest.mark.parametrize("n", [4.0, False, True, np.int64(4)])
 def test_bernoulli_index_must_be_an_int(n):
     # 4.0 would reach range() and raise TypeError; False would return B_0.
@@ -603,13 +616,23 @@ def _outcome(quad, f, *args):
         return exc.value, exc.err_est, exc.panels
 
 
+def _clear_node_caches():
+    from dualtet.cubature import _segment_nodes
+    from dualtet.volumes import _lightlike_nodes, _sin2_twice, _t_terms
+
+    for node_map in (_segment_nodes, _sin2_twice, _lightlike_nodes, _t_terms):
+        node_map.cache_clear()
+
+
 @pytest.mark.parametrize("kind", ["ideal", "lightlike"])
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_oracle_panels_do_not_depend_on_their_batch(kind, lam):
     """A panel's (value, estimate) is bit-identical whether it is evaluated
     alone or with others, at any place in the batch: the integrand's series
-    and the rule sums are formed row by row."""
-    from dualtet.cubature import _panels_1d
+    and the rule sums are formed row by row.  The integrand's values on a
+    node set are the same bits from cleared caches as from warm ones, after
+    other cells, kinds and curvatures have used them."""
+    from dualtet.cubature import _nodes, _panels_1d
     from dualtet.volumes import _odd_tail
 
     if lam != 0:
@@ -622,11 +645,18 @@ def test_oracle_panels_do_not_depend_on_their_batch(kind, lam):
     for a, b in ((0.3, 0.9), (0.05, 0.08), (0.09, 1.45)):
         f = _oracle_integrand(kind, lam, a, b)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _clear_node_caches()
+            nodes = _nodes(np.array(segs))[1]
+            cold = f(nodes).tobytes()
             alone = [tuple(x[0] for x in _panels_1d(f, [seg], 1)) for seg in segs]
             for n in (2, 3, 6, 7):
                 for start in range(len(segs) - n + 1):
                     vals, errs = _panels_1d(f, segs[start:start + n], n)
                     assert list(zip(vals, errs)) == alone[start:start + n], (a, b, n, start)
+            for other in ("ideal", "lightlike"):
+                for other_lam in LAMBDAS:
+                    _oracle_integrand(other, other_lam, b, a)(nodes)
+            assert f(nodes).tobytes() == cold, (a, b)
 
 
 # Cells skewed about 16 times both ways, next to the reference cells.
@@ -841,7 +871,8 @@ _CACHE_CELLS = [(0.3, 0.4), (0.09, 1.45), (1.45, 0.09), (0.02, 0.33)]
 
 
 def test_node_map_cache_keeps_oracle_values():
-    from dualtet.volumes import _sin2, _sin2_twice
+    from dualtet.cubature import _nodes, _segment_nodes
+    from dualtet.volumes import _lightlike_nodes, _sin2_twice, _t_terms
 
     def quadratures(cold):
         got = []
@@ -849,18 +880,36 @@ def test_node_map_cache_keeps_oracle_values():
             for lam in LAMBDAS:
                 for a, b in _CACHE_CELLS:
                     if cold:
-                        _sin2.cache_clear()
-                        _sin2_twice.cache_clear()
+                        _clear_node_caches()
                     got.append(volume_quadrature(kind, lam, a, b))
         return got
 
     cold = quadratures(cold=True)
     assert quadratures(cold=False) == cold
-    # The maps hand the same arrays to every integral, so none may be written.
-    for node_map in (_sin2, _sin2_twice):
-        for arr in node_map(np.linspace(0.0, 1.0, 15)[None, :]):
-            with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+    # The maps hand the same arrays to every integral, so none may be
+    # written.  They come back in the caller's shape, leading axes
+    # included, and the same bytes in another shape are an entry of their own.
+    u = np.linspace(0.0, 0.75, 15)
+    for node_map in (_sin2_twice, _lightlike_nodes, _t_terms):
+        seen = []
+        for shape in ((15,), (1, 15), (3, 5)):
+            out = node_map(u.reshape(shape))
+            assert node_map(u.reshape(shape)) is out
+            assert all(out is not other for other in seen)
+            seen.append(out)
+            for arr in out:
+                assert arr.shape[arr.ndim - len(shape):] == shape
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 1.0
+    # The cubature's segment nodes are those of `_nodes`, shared read-only.
+    segs = ((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))
+    half, x = _segment_nodes(segs)
+    want_half, want_x = _nodes(np.array(segs))
+    assert half.tobytes() == want_half.tobytes() and x.tobytes() == want_x.tobytes()
+    assert _segment_nodes(segs)[1] is x
+    for arr in (half, x):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 # Cells whose nodes leave the float range: theta underflows to 0 in the

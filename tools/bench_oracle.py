@@ -15,7 +15,10 @@ alternates which checkout runs first:
   timed as the least of REPEATS calls, in one child process per round,
   ROUNDS rounds; the ideal and lightlike inputs are reported separately,
   with the integrand calls and panels evaluated over one pass of them,
-  counted from outside the package by wrapping each kind's oracle;
+  the distinct node sets those calls were made on, and the calls made on
+  the root set (the nodes of each integral's first call, the same for
+  every input), counted from outside the package by wrapping each kind's
+  oracle;
 * end to end: `perfbench/run.py --workload WORKLOAD --seconds 20 --trace 0`
   on each seed of --seeds (911-920 by default), its metrics as printed
   (gauge-scaled times) and its failed ops per seed.
@@ -51,9 +54,10 @@ def seed_block(text: str) -> range:
 
 def per_call_snippet(repeats: int) -> str:
     """Python source that prints, as JSON, the least of `repeats` timed
-    calls for each oracle-check input ("best", keyed by kind), and the
-    integrand calls and panels evaluated per kind over one untimed pass, in
-    which each kind's oracle is wrapped; run it from a checkout's root."""
+    calls for each oracle-check input ("best", keyed by kind), and per kind
+    over one untimed pass, in which each kind's oracle is wrapped: the
+    integrand calls, the panels evaluated, the distinct node sets and the
+    calls on the root set; run it from a checkout's root."""
     return f"""
 import json, sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -63,12 +67,21 @@ from workloads import OracleCheck
 inputs = OracleCheck(7, 20.0).inputs
 calls = {{kind: 0 for kind in {KINDS!r}}}
 panels = dict(calls)
+node_sets = {{kind: {{}} for kind in {KINDS!r}}}
+roots = {{kind: set() for kind in {KINDS!r}}}
 def counting(kind, oracle):
     def wrapped(*args):
         f = oracle(*args)
+        first = True
         def counted(x):
+            nonlocal first
+            key = (x.shape, x.tobytes())
+            if first:
+                roots[kind].add(key)
+                first = False
             calls[kind] += 1
             panels[kind] += x.shape[0]
+            node_sets[kind][key] = node_sets[kind].get(key, 0) + 1
             return f(x)
         return counted
     return wrapped
@@ -87,7 +100,10 @@ for kind, lam, alpha, beta, _order in inputs:
         dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
         times.append(time.perf_counter() - t)
     best[kind].append(min(times))
-print(json.dumps({{"best": best, "calls": calls, "panels": panels}}))
+print(json.dumps({{"best": best, "calls": calls, "panels": panels,
+                  "node_sets": {{kind: len(sets) for kind, sets in node_sets.items()}},
+                  "root_set_calls": {{kind: sum(node_sets[kind][key] for key in roots[kind])
+                                     for kind in {KINDS!r}}}}}))
 """
 
 
@@ -140,6 +156,8 @@ def per_call(sides: dict[str, Path]) -> dict:
             "total_s": compare(*([sum(r["best"][kind]) for r in rounds[k]] for k in sides)),
             "integrand_calls": {k: count(rounds[k], "calls", kind) for k in sides},
             "panels_evaluated": {k: count(rounds[k], "panels", kind) for k in sides},
+            "node_sets": {k: count(rounds[k], "node_sets", kind) for k in sides},
+            "root_set_calls": {k: count(rounds[k], "root_set_calls", kind) for k in sides},
         }
         for kind in KINDS
     }
