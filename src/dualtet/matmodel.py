@@ -18,7 +18,17 @@ results are those of entrywise `GC` arithmetic bit for bit.  Scalar `GC`s
 are built only where a caller reads an entry, a determinant or a trace.
 The same arithmetic is written once on bare tuples of eight numbers
 (`_matmul`, `_push`, `_canonical`, `_exp_traceless`, ...); `Mat2`, `push`,
-`Point` and the per-point chart loops of `tetrahedra` all go through it.
+`act` and `Point` all go through it.
+
+A hermitian matrix is also written as its four independent entries
+(`_herm`, `_unherm`): (a0, a1, b1, c1) on X and (a0, d0, b0, b1) on Y.  On
+them the push by an isometry is a real 4x4 matrix (`_action`, built by
+`_push`ing the four basis matrices), and it multiplies determinants by
+|det A|^2, so the per-point chart loops of `tetrahedra` scale a pushed point
+by a factor carried from |det A| (`_abs_det`) and the point's own det
+(`_herm_det`), both formed from exact products summed by `math.fsum`, not
+by one recomputed from the pushed entries.  `_signed` is the sign rule of
+`_canonical`, shared with those loops.
 
 Two trusted constructors skip the checks their callers have already made:
 `_mat` builds a matrix on eight numbers whose tag is checked, and `_point`
@@ -112,6 +122,11 @@ def _circ(flat: tuple) -> tuple:
 def _dag(flat: tuple) -> tuple:
     a0, a1, b0, b1, c0, c1, d0, d1 = flat
     return (a0, -a1, c0, -c1, b0, -b1, d0, -d1)
+
+
+def _adj(flat: tuple) -> tuple:
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    return (d0, d1, -b0, -b1, -c0, -c1, a0, a1)
 
 
 def _traceless(flat: tuple) -> tuple:
@@ -283,8 +298,7 @@ class Mat2:
         return _mat(_dag(self.flat), self.lam)
 
     def adj(self) -> "Mat2":
-        a0, a1, b0, b1, c0, c1, d0, d1 = self.flat
-        return _mat((d0, d1, -b0, -b1, -c0, -c1, a0, a1), self.lam)
+        return _mat(_adj(self.flat), self.lam)
 
     def inv(self) -> "Mat2":
         return self.adj() * self.det().inv()
@@ -470,16 +484,20 @@ def _canonical(flat: tuple, lam: int, space: str) -> tuple:
         raise NormalizationFailure("determinant is not real")
     if d_re <= 1e-14 * scale:
         raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
-    flat = _scaled(flat, 1.0 / math.sqrt(d_re))
+    return _signed(_scaled(flat, 1.0 / math.sqrt(d_re)), space)
+
+
+def _signed(flat: tuple, space: str) -> tuple:
+    """The representative of the sign tr >= 0; a trace within 1e-12 of 0
+    is a tie, broken by the sign of the first coordinate (`_unembed`)
+    beyond 1e-12."""
     t = flat[0] + flat[6]
     if t < 0:
-        flat = _neg(flat)
-    elif abs(t) <= 1e-12:
+        return _neg(flat)
+    if abs(t) <= 1e-12:
         for comp in _unembed(flat, space):
             if abs(comp) > 1e-12:
-                if comp < 0:
-                    flat = _neg(flat)
-                break
+                return _neg(flat) if comp < 0 else flat
     return flat
 
 
@@ -491,8 +509,14 @@ def _point(space: str, flat: tuple, lam: int) -> "Point":
     """Point on the eight numbers of a representative whose space and tag
     are already checked: `Point(space, _mat(flat, lam))` bit for bit, with
     one `_canonical` and no dataclass init."""
+    return _canonical_point(space, _canonical(flat, lam, space), lam)
+
+
+def _canonical_point(space: str, flat: tuple, lam: int) -> "Point":
+    """Point on the eight numbers of a representative that is canonical
+    already, with no dataclass init."""
     p = _new(Point)
-    p.__dict__.update(space=space, rep=_mat(_canonical(flat, lam, space), lam))
+    p.__dict__.update(space=space, rep=_mat(flat, lam))
     return p
 
 
@@ -653,6 +677,113 @@ def act(a: Isometry, obj):
     if hasattr(obj, "moved"):
         return obj.moved(a)
     raise DomainError(f"cannot act on {type(obj)!r}")
+
+
+# -- hermitian entries and carried determinants -----------------------------------
+#
+# A hermitian matrix of X is fixed by `circ`: d = conj(a), b = l*b1 and
+# c = l*c1, so four entries (a0, a1, b1, c1) determine it.  One of Y is fixed
+# by `dag`: a and d are real and c = conj(b), so (a0, d0, b0, b1).  The push
+# m -> A m A^* is a real-linear map on these entries, and it multiplies
+# det m by |det A|^2.  A point pushed by A is therefore scaled to det 1 by a
+# factor carried from |det A| and det m, not by one recomputed from pushed
+# entries, where det = 1 is a difference of products of size |m|^2 that
+# cancels.  Sums of these products are formed without rounding: Dekker's
+# TwoProduct with Veltkamp's split makes each product exact as p + e, and
+# `math.fsum` rounds their sum once (Ogita, Rump and Oishi 2005).
+
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+
+
+def _exact_dot(*pairs) -> float:
+    """The sum of x * y over the pairs, rounded once; nan when a term leaves
+    the float range."""
+    terms = []
+    for x, y in pairs:
+        p = x * y
+        c = _SPLITTER * x
+        xh = c - (c - x)
+        xl = x - xh
+        c = _SPLITTER * y
+        yh = c - (c - y)
+        yl = y - yh
+        terms += (p, xl * yl - (((p - xh * yh) - xl * yh) - xh * yl))
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # inf - inf, or a partial sum past the range
+        return math.nan
+
+
+def _herm(flat: tuple, space: str) -> tuple:
+    """The four entries of the hermitian part of a representative: an entry
+    stored twice is the mean of its two copies."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = flat
+    if space == SPACE_X:
+        return ((a0 + d0) * 0.5, (a1 - d1) * 0.5, b1, c1)
+    return (a0, d0, (b0 + c0) * 0.5, (b1 - c1) * 0.5)
+
+
+def _unherm(h: tuple, space: str) -> tuple:
+    """The eight numbers of the hermitian matrix with entries h."""
+    if space == SPACE_X:
+        a0, a1, b1, c1 = h
+        return (a0, a1, 0.0, b1, 0.0, c1, a0, -a1)
+    a0, d0, b0, b1 = h
+    return (a0, 0.0, b0, b1, b0, -b1, d0, 0.0)
+
+
+def _herm_det(h: tuple, lam: int, space: str) -> float:
+    """det of the hermitian matrix with entries h, rounded once."""
+    if space == SPACE_X:
+        a0, a1, b1, c1 = h  # a0^2 + lam a1^2 + lam b1 c1
+        return _exact_dot((a0, a0), (a1, lam * a1), (b1, lam * c1))
+    a0, d0, b0, b1 = h  # a0 d0 - b0^2 - lam b1^2
+    return _exact_dot((a0, d0), (b0, -b0), (b1, -lam * b1))
+
+
+def _abs_det(a: tuple, lam: int) -> float:
+    """|det A|, with |det A|^2 formed from compensated parts of det A: its
+    real and imaginary parts, or at lam = -1 their sum and difference (the
+    determinants of A's two real factors, whose product is |det A|^2), each
+    one `_exact_dot` of the exact products of A's entries."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = a
+    if lam == -1:
+        plus = _exact_dot((a0, d0), (a1, d1), (a0, d1), (a1, d0),
+                          (b0, -c0), (b1, -c1), (b0, -c1), (b1, -c0))
+        minus = _exact_dot((a0, d0), (a1, d1), (a0, -d1), (a1, -d0),
+                           (b0, -c0), (b1, -c1), (b0, c1), (b1, c0))
+        sq = plus * minus
+    else:
+        re = _exact_dot((a0, d0), (a1, -lam * d1), (b0, -c0), (b1, lam * c1))
+        sq = re * re
+        if lam == 1:
+            im = _exact_dot((a0, d1), (a1, d0), (b0, -c1), (b1, -c0))
+            sq += im * im
+    if not 0.0 < sq < math.inf:
+        raise NormalizationFailure(f"|det|^2 = {sq} is not positive: not an isometry")
+    return math.sqrt(sq)
+
+
+_UNIT_ENTRIES = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+
+
+def _action(a: tuple, lam: int, space: str) -> tuple:
+    """The push m -> A m A^* of `space` on hermitian entries, as four rows
+    of four floats: column k is the hermitian part of `_push` of the k-th
+    basis matrix."""
+    cols = [_herm(_push(a, _unherm(e, space), lam, space), space) for e in _UNIT_ENTRIES]
+    return tuple(tuple(float(col[i]) for col in cols) for i in range(4))
+
+
+def _acted(rows: tuple, h: tuple, s: float) -> tuple:
+    """The entries of the action `rows` applied to h, each divided by s."""
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+    x0, x1, x2, x3 = h
+    return ((m00 * x0 + m01 * x1 + m02 * x2 + m03 * x3) / s,
+            (m10 * x0 + m11 * x1 + m12 * x2 + m13 * x3) / s,
+            (m20 * x0 + m21 * x1 + m22 * x2 + m23 * x3) / s,
+            (m30 * x0 + m31 * x1 + m32 * x2 + m33 * x3) / s)
 
 
 # -- exponential --------------------------------------------------------------

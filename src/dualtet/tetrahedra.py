@@ -12,8 +12,14 @@ shearing distance (ideal kind).
 A tetrahedron is stored as (kind, lam, alpha, beta, pose): `pose` is the
 isometry carrying the standard-position configuration to the actual one,
 and the four vertices are cached on construction.  The constants of the
-membership and sampling charts (the inverse pose and the trigonometric
-values of alpha, beta and gamma) are cached on first use.
+membership and sampling charts are cached on first use: the trigonometric
+values of alpha, beta and gamma, the 4x4 actions of the pose and of its
+adjugate on the hermitian entries of the tetrahedron's space, and
+|det pose|.  `sample` writes each chart point as its hermitian entries, of
+det 1 by construction, and moves it by the pose's action divided by
+|det pose|; `contains` moves a point back by the adjugate's action divided
+by |det pose| sqrt(det p), so neither recomputes a determinant from pushed
+entries.
 
 Each face of a lightlike tetrahedron is its frame normal's dual vector,
 pushed once by the pose, and an ideal edge symmetry reads the order of the
@@ -46,6 +52,7 @@ from .errors import (
     DomainError,
     DualtetError,
     NoIntersection,
+    NormalizationFailure,
     NotATetrahedron,
     PoleAt,
 )
@@ -85,14 +92,16 @@ from .matmodel import (
     Point,
     SPACE_X,
     SPACE_Y,
-    _canonical,
-    _exp_traceless,
-    _frob_sq,
-    _neg,
+    _abs_det,
+    _acted,
+    _action,
+    _adj,
+    _canonical_point,
+    _herm,
+    _herm_det,
     _point,
-    _push,
-    _scaled,
-    _traceless,
+    _signed,
+    _unherm,
     act,
     mat_exp_traceless,
     embed,
@@ -237,8 +246,18 @@ class Tetrahedron:
     # Chart constants of `sample` and `contains`, computed on first use.
 
     @cached_property
-    def _inv_pose_flat(self) -> tuple:
-        return self.pose.inv().rep.flat
+    def _pose_action(self) -> tuple:
+        """The pose's push on the hermitian entries of the tetrahedron's space."""
+        return _action(self.pose.rep.flat, self.lam, self.space)
+
+    @cached_property
+    def _adj_action(self) -> tuple:
+        """The push of the pose's adjugate, |det pose|^2 times the inverse's."""
+        return _action(_adj(self.pose.rep.flat), self.lam, self.space)
+
+    @cached_property
+    def _abs_det_pose(self) -> float:
+        return _abs_det(self.pose.rep.flat, self.lam)
 
     @cached_property
     def _light_tans(self) -> tuple[float, float, float]:
@@ -252,7 +271,9 @@ class Tetrahedron:
         lam = self.lam
         s_gamma = gsin(lam, self.gamma)
         k = gsin(lam, self.beta) / gsin(lam, self.alpha)
-        return _IdealChart(gsin(lam, self.alpha), s_gamma, k, gcos(lam, self.gamma) * k, s_gamma * k)
+        null = (math.exp(self.gamma) * k, math.exp(-self.gamma) * k) if lam == -1 else (0.0, 0.0)
+        return _IdealChart(gsin(lam, self.alpha), s_gamma, k, gcos(lam, self.gamma) * k, s_gamma * k,
+                           *null)
 
     def moved(self, a: Isometry) -> "Tetrahedron":
         return Tetrahedron(self.kind, self.lam, self.alpha, self.beta, a @ self.pose)
@@ -289,13 +310,17 @@ def _tan_or_inf(lam: int, x: float) -> float:
 
 class _IdealChart(NamedTuple):
     """Constants of the ideal membership chart: s(alpha), s(gamma), the
-    ratio k = s(beta)/s(alpha), and exp_ell(gamma) * k as (re, im)."""
+    ratio k = s(beta)/s(alpha), and exp_ell(gamma) * k as (re, im); at
+    lam = -1 also as its null coordinates re + im = exp(gamma) * k and
+    re - im = exp(-gamma) * k (0 elsewhere)."""
 
     s_alpha: float
     s_gamma: float
     k: float
     shift_re: float
     shift_im: float
+    shift_plus: float
+    shift_minus: float
 
 
 def _tetrahedron(kind: str, lam: int, alpha: float, beta: float, pose: Isometry,
@@ -691,46 +716,66 @@ def _light_chart_r(t: Tetrahedron, a: float, b: float) -> float:
 
 def _light_chart_point(t: Tetrahedron, r: float, a: float, b: float) -> Point:
     """The pose applied to exp(r * xhat), xhat the unit chart direction
-    model_from_coords(X, (1, -2a, 2b)) / sqrt(1 - 4ab)."""
-    lam = t.lam
-    norm = math.sqrt(max(1.0 - 4.0 * a * b, 1e-300))
-    # model_from_coords(SPACE_X, (1, -2a, 2b), lam) on its eight numbers
-    xhat = _scaled((0.0, 1.0, 0.0, -2.0 * a, 0.0, 2.0 * b, 0.0, -1.0), 1.0 / norm)
-    std = _canonical(_exp_traceless(_scaled(xhat, r), lam), lam, SPACE_X)
-    return _point(SPACE_X, _push(t.pose.rep.flat, std, lam, SPACE_X), lam)
+    model_from_coords(X, (1, -2a, 2b)) / sqrt(1 - 4ab).  Since
+    xhat^2 = -lam, the exponential is gcos(r) + gsin(r) xhat, of det 1; the
+    chart's radius stays below 19 at lam = -1, so cosh does not overflow."""
+    s = gsin(t.lam, r) / math.sqrt(max(1.0 - 4.0 * a * b, 1e-300))
+    return _posed_point(t, (gcos(t.lam, r), s, -2.0 * a * s, 2.0 * b * s))
+
+
+def _posed_point(t: Tetrahedron, h: tuple) -> Point:
+    """The pose applied to the chart point with hermitian entries h, whose
+    det is 1 by construction: the pose's action divided by |det pose|, with
+    `_canonical`'s sign."""
+    space = t.space
+    m = _acted(t._pose_action, h, t._abs_det_pose)
+    return _canonical_point(space, _signed(_unherm(m, space), space), t.lam)
 
 
 def contains(t: Tetrahedron, p: Point, tol: float = 1e-9) -> bool:
     """Membership test via inversion of the global parametrization chart.
 
-    The point is pulled back by the inverse pose and the chart inverted on
-    its eight numbers; the inverse pose and the chart's trigonometric
-    constants are computed once per tetrahedron, on first use.
+    The point is pulled back by the pose (`_pull_back`) and the chart
+    inverted on its four hermitian entries; the pose's actions, |det pose|
+    and the chart's trigonometric constants are computed once per
+    tetrahedron, on first use.
     """
+    try:
+        finite = 0 <= tol < math.inf
+    except TypeError:  # not a number
+        finite = False
+    if not finite:
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+    m = _pull_back(t, p)
     if t.kind == KIND_LIGHTLIKE:
-        return _contains_lightlike(t, p, tol)
-    return _contains_ideal(t, p, tol)
+        return _light_chart_inside(t, m, tol)
+    return _ideal_chart_inside(t, m, tol)
 
 
-def _pulled_back(t: Tetrahedron, p: Point, space: str) -> tuple:
-    """Canonical representative of the pose's inverse applied to p."""
-    if p.space != space or p.lam != t.lam:
+def _pull_back(t: Tetrahedron, p: Point) -> tuple:
+    """Hermitian entries of det 1 of the pose's inverse applied to p: the
+    adjugate's action on p's hermitian part, divided by
+    |det pose| sqrt(det p), with det p rounded once."""
+    space, lam = t.space, t.lam
+    if p.space != space or p.lam != lam:
         raise DomainError("point lives in the wrong space")
-    return _canonical(_push(t._inv_pose_flat, p.rep.flat, t.lam, space), t.lam, space)
+    h = _herm(p.rep.flat, space)
+    det = _herm_det(h, lam, space)
+    if not 0.0 < det < math.inf:
+        raise NormalizationFailure(f"representative has non-positive determinant {det}")
+    return _acted(t._adj_action, h, t._abs_det_pose * math.sqrt(det))
 
 
-def _contains_lightlike(t: Tetrahedron, p: Point, tol: float) -> bool:
-    m = _pulled_back(t, p, SPACE_X)
+def _light_chart_inside(t: Tetrahedron, m: tuple, tol: float) -> bool:
+    """The lightlike chart inverted on pulled-back entries (a0, a1, b1, c1)."""
     lam = t.lam
-    scale = math.sqrt(_frob_sq(m))
-    s_part = _traceless(m)
-    if math.sqrt(_frob_sq(s_part)) <= tol * scale:
+    c, m1, m2, m3 = m
+    scale = math.sqrt(2.0 * (c * c + m1 * m1) + m2 * m2 + m3 * m3)
+    if math.sqrt(2.0 * m1 * m1 + m2 * m2 + m3 * m3) <= tol * scale:
         return True  # the vertex at the origin
     # Orient the representative so the radial sine coefficient is positive.
-    if s_part[1] < 0:
-        m, s_part = _neg(m), _neg(s_part)
-    c = 0.5 * (m[0] + m[6])
-    m1, m2, m3 = s_part[1], s_part[3], s_part[5]
+    if m1 < 0:
+        c, m1, m2, m3 = -c, -m1, -m2, -m3
     if m1 <= tol * scale:
         return False
     a = -m2 / (2.0 * m1)
@@ -762,14 +807,14 @@ def _ideal_chart_tmin(t: Tetrahedron, r: float, theta: float) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def _contains_ideal(t: Tetrahedron, p: Point, tol: float) -> bool:
-    m = _pulled_back(t, p, SPACE_Y)
+def _ideal_chart_inside(t: Tetrahedron, m: tuple, tol: float) -> bool:
+    """The horospherical chart inverted on pulled-back entries (a0, d0, b0, b1)."""
     lam = t.lam
-    if not m[6] > 0:
-        m = _neg(m)
-    _a_re, _a_im, b_re, b_im, _c_re, _c_im, d_re, d_im = m
-    size = math.sqrt(_frob_sq(m))
-    if abs(d_re) <= 1e-12 * size or abs(d_im) > 1e-9 * size:
+    a0, d_re, b_re, b_im = m
+    if not d_re > 0:
+        d_re, b_re, b_im = -d_re, -b_re, -b_im
+    size = math.sqrt(a0 * a0 + d_re * d_re + 2.0 * (b_re * b_re + b_im * b_im))
+    if abs(d_re) <= 1e-12 * size:
         raise ChartInversionFailure("horospherical chart breaks down at this point")
     tval = 1.0 / d_re
     chart = t._ideal_chart
@@ -804,25 +849,34 @@ def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> P
     lam = t.lam
     chart = t._ideal_chart
     # z = exp_ell(theta - beta) * r - exp_ell(gamma) * k
-    z_re = gcos(lam, theta - t.beta) * r - chart.shift_re
-    z_im = gsin(lam, theta - t.beta) * r - chart.shift_im
+    if lam == -1:
+        # In null coordinates z+- = z.re +- z.im, each from its own
+        # exponential: |z|^2 = z+ z-, where z.re^2 - z.im^2 would cancel.
+        e = math.exp(theta - t.beta)
+        z_plus, z_minus = e * r - chart.shift_plus, r / e - chart.shift_minus
+        z_re, z_im = (z_plus + z_minus) * 0.5, (z_plus - z_minus) * 0.5
+        mod_sq = z_plus * z_minus
+    else:
+        z_re = gcos(lam, theta - t.beta) * r - chart.shift_re
+        z_im = gsin(lam, theta - t.beta) * r - chart.shift_im
+        mod_sq = _mod_sq(z_re, z_im, lam)
     s = 1.0 / tval
-    # [[(t^2 + |z|^2) / t, z / t], [conj(z) / t, 1 / t]]
-    std = _canonical(((tval * tval + _mod_sq(z_re, z_im, lam)) / tval, 0.0,
-                      z_re * s, z_im * s, z_re * s, -z_im * s, s, 0.0), lam, SPACE_Y)
-    return _point(SPACE_Y, _push(t.pose.rep.flat, std, lam, SPACE_Y), lam)
+    # [[(t^2 + |z|^2) / t, z / t], [conj(z) / t, 1 / t]], of det 1
+    return _posed_point(t, ((tval * tval + mod_sq) / tval, s, z_re * s, z_im * s))
 
 
 def sample(t: Tetrahedron, n: int, seed: int):
     """Deterministic interior samples drawn uniformly in chart coordinates.
 
-    Draws 3n uniforms at once, three per point, and maps each point
-    through the chart and the pose on its eight numbers; the chart's
-    trigonometric constants are computed once per tetrahedron, on first
-    use.
+    Draws 3n uniforms at once, three per point, writes each chart point
+    as its four hermitian entries, and moves it by the pose's action on
+    them; the action, |det pose| and the chart's trigonometric constants
+    are computed once per tetrahedron, on first use.
     """
     if type(n) is not int or n < 0:
         raise DomainError(f"the number of samples must be an int >= 0, got {n!r}")
+    if type(seed) is not int or seed < 0:
+        raise DomainError(f"the seed must be an int >= 0, got {seed!r}")
     draws = iter(np.random.default_rng(seed).random(3 * n).tolist())
     out = []
     if t.kind == KIND_LIGHTLIKE:

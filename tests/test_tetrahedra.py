@@ -57,14 +57,17 @@ from dualtet.geometry import (
     plane_through_points,
 )
 from dualtet.gcnum import gc_angle
-from dualtet.matmodel import embed, quadric_value
+from dualtet.matmodel import _herm, embed, quadric_value
 from dualtet.tetrahedra import (
     _canonical_triple_from_shape,
+    _ideal_chart_inside,
+    _light_chart_inside,
     _match_sets,
     _perm_isometries,
     pose_from_rows,
 )
 from conftest import LAMBDAS, random_isometry, random_point
+from test_tools import _tool
 
 V4_PERMS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
@@ -746,9 +749,10 @@ def _ref_ideal_chart_point(t, theta, r, tval):
     return act(t.pose, Point("Y", mat))
 
 
-def _ref_sample(t, n, seed):
-    """`sample` as it was written before the chart constants were cached:
-    one draw call and one chain of `Mat2`s and `Point`s per point."""
+def _ref_chart_coords(t, n, seed):
+    """Chart coordinates of the points of `sample(t, n, seed)`, one draw
+    call per coordinate: (r, a, b) of the lightlike chart, (theta, r, tval)
+    of the ideal one."""
     rng = np.random.default_rng(seed)
     out = []
     if t.kind == "lightlike":
@@ -756,20 +760,27 @@ def _ref_sample(t, n, seed):
             a, b = rng.random(2)
             if a + b > 1.0:
                 a, b = 1.0 - a, 1.0 - b
-            r = rng.random() * _ref_light_chart_r(t, a, b)
-            out.append(_ref_light_chart_point(t, r, a, b))
+            out.append((rng.random() * _ref_light_chart_r(t, a, b), a, b))
         return out
     while len(out) < n:
         theta = -t.alpha * rng.random()
         r = rng.random() * _ref_ideal_chart_limits(t, theta)
         u = rng.random()
-        tval = (_ref_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)
-        out.append(_ref_ideal_chart_point(t, theta, r, tval))
+        out.append((theta, r, (_ref_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)))
     return out
 
 
+def _ref_sample(t, n, seed):
+    """`sample` as it was written before the chart constants were cached and
+    the pose's action carried determinants: one chain of `Mat2`s and
+    `Point`s per point, each recomputing its determinant."""
+    chart = _ref_light_chart_point if t.kind == "lightlike" else _ref_ideal_chart_point
+    return [chart(t, *coords) for coords in _ref_chart_coords(t, n, seed)]
+
+
 def _ref_contains(t, p, tol=1e-9):
-    """`contains` as it was written before the chart constants were cached."""
+    """`contains` as it was written before the chart constants were cached
+    and the pose's action carried determinants."""
     lam = t.lam
     if t.kind == "lightlike":
         if p.space != "X" or p.lam != lam:
@@ -865,9 +876,27 @@ def _chart_probes(t, rng):
     return points
 
 
+def _exact_contains(mpref, t, p, tol=1e-9):
+    """The chart inverted on the 50-digit pull-back of p, rounded to doubles."""
+    if p.space != t.space:
+        return DomainError
+    ref = mpref.pull_back(t.pose.rep.flat, t.lam, t.space, p.rep.flat)
+    inside = _light_chart_inside if t.kind == "lightlike" else _ideal_chart_inside
+    return _hex_or_error(inside, t, _herm(tuple(float(x) for x in ref), t.space), tol)
+
+
 def test_sample_and_contains_match_per_point_reference():
+    """Every sample point lies within 1e-11 of the 50-digit chart point at
+    its chart coordinates, relative to its size (the route that recomputed
+    determinants lost up to 1e-4 here), and raises where that route raised.
+    `contains` answers as that route does, except on probes where the
+    decision on the exact pull-back sides with it: one distinct probe on
+    this draw (at lam = -1, alpha + beta = 2.98, the ideal chart point of
+    r = 0 and t = 1, which the route before called inside)."""
+    mpref = _tool("mpref")
     rng = np.random.default_rng(4242)
     seen = {True: 0, False: 0, "raises": 0}
+    sided_with_exact = set()
     for lam in LAMBDAS:
         for kind in ("lightlike", "ideal"):
             space, other = ("X", "Y") if kind == "lightlike" else ("Y", "X")
@@ -877,10 +906,18 @@ def test_sample_and_contains_match_per_point_reference():
                     if lam != 1 or alpha + beta < math.pi:
                         break
                 t = Tetrahedron(kind, lam, float(alpha), float(beta), random_isometry(rng, lam))
+                cell = (lam, kind, float(alpha), float(beta))
                 seed = int(rng.integers(2**31 - 1))
                 want = _hex_or_error(_ref_sample, t, 20, seed)
-                assert _hex_or_error(sample, t, 20, seed) == want, (lam, kind, alpha, beta)
-                points = [] if isinstance(want, type) else _ref_sample(t, 20, seed)
+                if isinstance(want, type):
+                    assert _hex_or_error(sample, t, 20, seed) == want, cell
+                    points = []
+                else:
+                    coords = _ref_chart_coords(t, 20, seed)
+                    for p, c in zip(sample(t, 20, seed), coords, strict=True):
+                        ref = mpref.chart_point(kind, lam, t.alpha, t.beta, t.pose.rep.flat, c)
+                        assert mpref.rel_error(p.rep.flat, ref) <= 1e-11, (cell, c)
+                    points = _ref_sample(t, 20, seed)
                 points += _chart_probes(t, rng)
                 points += [random_point(rng, space, lam) for _ in range(20)]
                 points += [random_point(rng, other, lam)]
@@ -889,9 +926,12 @@ def test_sample_and_contains_match_per_point_reference():
                                                   gc(0, -1, -1), gc(0, 0, -1))))
                 for p in points:
                     got = _hex_or_error(contains, t, p)
-                    assert got == _hex_or_error(_ref_contains, t, p), (lam, kind, alpha, beta)
+                    if got != _hex_or_error(_ref_contains, t, p):
+                        assert got == _exact_contains(mpref, t, p), cell
+                        sided_with_exact.add((cell, p.rep.flat))
                     seen[got if isinstance(got, bool) else "raises"] += 1
     assert min(seen.values()) > 0, seen
+    assert len(sided_with_exact) <= 1, sided_with_exact
 
 
 def test_sample_and_contains_give_python_types(rng):
@@ -935,6 +975,28 @@ def test_sample_count_must_be_an_exact_nonnegative_int():
                 sample(t, bad, seed=1)
         assert sample(t, 0, seed=1) == []
         assert len(sample(t, 3, seed=1)) == 3
+
+
+def test_sample_seed_must_be_an_exact_nonnegative_int():
+    for kind in ("lightlike", "ideal"):
+        t = Tetrahedron(kind, -1, 0.8, 0.6)
+        for bad in (-1, 1.5, "x", True, None, np.int64(3)):
+            with pytest.raises(DomainError):
+                sample(t, 3, seed=bad)
+        assert len(sample(t, 3, seed=0)) == len(sample(t, 3, seed=2**70)) == 3
+
+
+def test_contains_tolerance_must_be_finite_and_nonnegative(rng):
+    for kind in ("lightlike", "ideal"):
+        t = Tetrahedron(kind, -1, 0.8, 0.6, random_isometry(rng, -1))
+        inner = sample(t, 1, seed=3)[0]
+        # a point far outside: nan once made the lightlike chart divide by zero
+        far = act(random_isometry(rng, -1, 3.0), Point.origin(t.space, -1))
+        for bad in (math.nan, math.inf, -math.inf, -1e-9, "1e-9", None, 1j):
+            for p in (inner, far):
+                with pytest.raises(DomainError):
+                    contains(t, p, bad)
+        assert contains(t, inner, 0) and contains(t, inner, np.float64(1e-9))
 
 
 # -- recovery and duality against the route that repeated its work ------------------

@@ -187,3 +187,76 @@ def test_bench_ab_sides_run_their_own_modules(tmp_path):
         for key in [key for key in sys.modules if key.startswith(("dualtet_other",
                                                                    "dualtet_root"))]:
             del sys.modules[key]
+
+
+def test_mpref_push_and_determinants_are_exact():
+    """The 50-digit push of double inputs multiplies det by |det A|^2 to far
+    below double precision, and agrees with the library's push and
+    compensated |det A| to double precision."""
+    import numpy as np
+
+    from dualtet.matmodel import _abs_det, _push
+    from dualtet.verify import random_isometry
+
+    mpref = _tool("mpref")
+    rng = np.random.default_rng(5)
+    for lam in (-1, 0, 1):
+        for space in ("X", "Y"):
+            a = random_isometry(rng, lam, 2.0).rep.flat
+            m = tuple(rng.normal(size=8).tolist())
+            pushed = mpref.push(a, m, lam, space)
+            d_push, d_m = mpref.det(pushed, lam), mpref.det(m, lam)
+            sq = mpref.abs_det_sq(a, lam)
+            for got, want in zip(d_push, (sq * d_m[0], sq * d_m[1])):
+                assert abs(got - want) <= mpref.mp.mpf(10) ** -40 * (1 + abs(want))
+            lib = _push(a, m, lam, space)
+            scale = max(abs(float(x)) for x in pushed)
+            assert all(abs(x - float(y)) <= 1e-14 * scale for x, y in zip(lib, pushed))
+            assert _abs_det(a, lam) == pytest.approx(float(mpref.mp.sqrt(sq)), rel=1e-15)
+
+
+def test_mpref_pull_back_inverts_chart_point():
+    """The pull-back of a posed chart point is the unposed one, and the
+    library's sample points and pull-backs are within 1e-12 of the
+    reference."""
+    import numpy as np
+
+    import dualtet
+    from dualtet.matmodel import _unherm
+    from dualtet.tetrahedra import _pull_back
+    from dualtet.verify import random_isometry
+
+    mpref = _tool("mpref")
+    rng = np.random.default_rng(6)
+    identity = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    for lam in (-1, 0, 1):
+        for kind in mpref.KINDS:
+            t = dualtet.Tetrahedron(kind, lam, 0.7, 1.1, random_isometry(rng, lam))
+            points = dualtet.sample(t, 3, 9)
+            for p, coords in zip(points, mpref.chart_coords(t, 3, 9)):
+                ref = mpref.chart_point(kind, lam, t.alpha, t.beta, t.pose.rep.flat, coords)
+                assert abs(mpref.det(ref, lam)[0] - 1) < mpref.mp.mpf(10) ** -40
+                assert mpref.rel_error(p.rep.flat, ref) <= 1e-12
+                std = mpref.chart_point(kind, lam, t.alpha, t.beta, identity, coords)
+                back = mpref.pull_back(t.pose.rep.flat, lam, t.space, ref)
+                assert mpref.rel_error([float(x) for x in back], std) <= 1e-15
+                exact = mpref.pull_back(t.pose.rep.flat, lam, t.space, p.rep.flat)
+                assert mpref.rel_error(_unherm(_pull_back(t, p), t.space), exact) <= 1e-12
+
+
+def test_mpref_sweep_bins_and_verdicts():
+    """A tiny sweep fills every bin of kind, lam and size (no lam = 1 cell
+    reaches SPLIT), and compared with itself meets every verdict."""
+    mpref = _tool("mpref")
+    got = mpref.sweep(cells_per_bin=1, samples=2)
+    want = {mpref.bin_name(kind, lam, size) for kind in mpref.KINDS for lam in mpref.LAMBDAS
+            for size in (0.0, mpref.SPLIT) if lam != 1 or size < mpref.SPLIT}
+    assert set(got) == want
+    for tally in got.values():
+        assert tally["cells"] == 1
+        assert tally["points"] + 2 * sum(tally["raised"].values()) == 2
+        for what in ("sample", "pull_back"):
+            assert list(tally[what]) == [name for name, _q in mpref.QUANTILES]
+    verdicts = mpref.verdicts(got, got)
+    assert all(v["sample_ok"] and v["pull_back_ok"] and not v["pull_back_higher"]
+               for v in verdicts.values())
