@@ -25,25 +25,20 @@ deterministic function of the inputs, so results are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call.  A
 call costs about the same for seven panels as for three, so in 1d each call
-evaluates the segments the loop asks for together with their halves, and
-keeps the halves until the integral ends: the first call holds the root,
-its halves and its quarters (seven panels), a split whose halves are known
-makes no call, and any other split evaluates its two halves and their four
-halves (six panels).  A panel's rule sums are formed row by row, in a fixed
-order, so its value and estimate do not depend on which panels share its
-call, and the result is that of one call per split.  Where a half is not
-finite, or its arithmetic raises FloatingPointError, the segments asked for
-are evaluated alone, so that an error is raised where one call per split
-would raise it.  In 2d the root and its four children share the first call
-(five panels), and the four children of each later split share one.  In 1d,
-f gets read-only nodes of shape (n, 15) and returns values broadcastable
-to (n, 15); the nodes and half-widths of a batch are cached by its tuple
-of segments, since integrals over one interval share their first batch
-and often later ones, and an integrand may cache its own node-dependent
-terms by those nodes.
-In 2d, f(x, y) gets broadcastable node arrays of shapes (n, 15, 1) and
-(n, 1, 15) and returns values broadcastable to (n, 15, 15); a part that
-depends on x alone is thus computed on 15 nodes per panel, not 225.
+evaluates the segments the loop asks for together with their halves, kept
+until the integral ends: the first call holds the root, its halves and its
+quarters, a split whose halves are known makes no call, and any other
+evaluates its two halves and their four halves.  A panel's rule sums are
+formed row by row, in a fixed order, so the result is that of one call per
+split; where a half is not finite, or its arithmetic raises
+FloatingPointError, the segments asked for are evaluated alone.  The 1-D
+rule sums raise no floating-point error under any errstate (an einsum, then
+Python floats), so no errstate is set per call.  In 1d, f gets read-only
+nodes of shape (n, 15), cached by the batch's segments (an integrand may
+cache its own terms by them), and returns values broadcastable to (n, 15).
+In 2d the root and its four children share the first call, and the four
+children of each later split share one: f(x, y) gets node arrays of shapes
+(n, 15, 1) and (n, 1, 15) and returns values broadcastable to (n, 15, 15).
 """
 
 from __future__ import annotations
@@ -58,24 +53,18 @@ from .errors import ToleranceNotReached
 
 # 15-point Kronrod nodes (ascending) with embedded 7-point Gauss subset.
 _KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
+    -0.991455371120813, -0.949107912342759, -0.864864423359769, -0.741531185599394,
+    -0.586087235467691, -0.405845151377397, -0.207784955007898, 0.0, 0.207784955007898,
+    0.405845151377397, 0.586087235467691, 0.741531185599394, 0.864864423359769,
+    0.949107912342759, 0.991455371120813])
 _KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
+    0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+    0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267, 0.140653259715525,
+    0.104790010322250, 0.063092092629979, 0.022935322010529])
 _GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+    0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469,
+    0.381830050505119, 0.279705391489277, 0.129484966168870])
 # Row 0: Kronrod weights; row 1: Gauss weights on the odd Kronrod nodes.
 _RULES = np.zeros((2, 15))
 _RULES[0] = _KRONROD_WEIGHTS
@@ -98,14 +87,13 @@ def _segment_nodes(segs: tuple) -> tuple[np.ndarray, np.ndarray]:
     return half, x
 
 
-def _checked(kron: np.ndarray, err: np.ndarray, held: int) -> tuple[list[float], list[float]]:
-    """Values and estimates as lists; an estimate that is not finite (from a
-    value or a rule sum that is not) raises ToleranceNotReached."""
-    errs = err.tolist()
+def _checked(kron: list[float], errs: list[float], held: int) -> tuple[list[float], list[float]]:
+    """Values and estimates; an estimate that is not finite (from a value or
+    a rule sum that is not) raises ToleranceNotReached."""
     if not all(map(math.isfinite, errs)):
         raise ToleranceNotReached(math.nan, math.inf, "integrand or rule sums not finite "
                                   f"({held} panels held)", panels=held)
-    return kron.tolist(), errs
+    return kron, errs
 
 
 def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
@@ -116,13 +104,12 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != x.shape:  # broadcast_to costs a few us even when it is a no-op
         vals = np.broadcast_to(vals, x.shape)
-    # einsum sums each row on its own, in a fixed order; a matmul would round
-    # a row differently with the number of rows in the call.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = half[:, None] * np.einsum("nk,rk->nr", vals, _RULES)
-        kron = sums[:, 0]
-        err = np.abs(kron - sums[:, 1])
-    return _checked(kron, err, held)
+    # einsum sums each row on its own, in a fixed order (a matmul would round a
+    # row differently with the number of rows in the call), and raises no
+    # floating-point error; Python floats overflow to inf without raising.
+    half, sums = half.tolist(), np.einsum("nk,rk->nr", vals, _RULES).tolist()
+    kron = [h * k for h, (k, _) in zip(half, sums)]
+    return _checked(kron, [abs(k - h * g) for k, h, (_, g) in zip(kron, half, sums)], held)
 
 
 def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, float]:
@@ -168,16 +155,16 @@ def _halves(seg) -> tuple:
 
 def _lookahead_1d():
     """A `panels` for `_refine` in 1d that evaluates the segments asked for
-    together with their halves, and keeps the halves' values and estimates
-    for the rest of one integral, so that a later split of one of these
-    segments needs no call (see above)."""
+    with the halves of the last two (those a split makes), and keeps each
+    pair of halves for the rest of one integral, keyed by the first, so
+    that a later split of their segment needs no call (see above)."""
     known = {}
 
     def panels(f, segs, held: int) -> tuple[list[float], list[float]]:
-        if all(seg in known for seg in segs):
-            vals, errs = zip(*(known.pop(seg) for seg in segs))
-            return list(vals), list(errs)
-        batch = list(dict.fromkeys([*segs, *(h for seg in segs for h in _halves(seg))]))
+        halves = known.pop(segs[0], None)
+        if halves is not None:
+            return halves
+        batch = (*segs, *_halves(segs[-2]), *_halves(segs[-1]))
         try:
             vals, errs = _panels_1d(f, batch, held)
         except (ToleranceNotReached, FloatingPointError):
@@ -185,7 +172,8 @@ def _lookahead_1d():
             # those alone, which raises exactly where one call per split does.
             return _panels_1d(f, segs, held)
         n = len(segs)
-        known.update(zip(batch[n:], zip(vals[n:], errs[n:])))
+        known[batch[n]] = vals[n:n + 2], errs[n:n + 2]
+        known[batch[n + 2]] = vals[n + 2:], errs[n + 2:]
         return vals[:n], errs[:n]
 
     return panels
@@ -194,12 +182,8 @@ def _lookahead_1d():
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
                   limit: int = 2000) -> tuple[float, float]:
     """Integrate a vectorized scalar function over [a, b] to absolute
-    tolerance `tol`; see the module docstring for the integrand contract.
-
-    Each integrand call also evaluates the halves of the segments it is
-    made for (see the module docstring), so a split whose halves are known
-    makes no call; value, error bound and subdivision order are those of
-    one call per split.
+    tolerance `tol`, with the lookahead and integrand contract of the
+    module docstring.
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when `limit` panels are held first, and when the
@@ -226,7 +210,7 @@ def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:
         kron = sums[:, 0, 0]
         err = np.maximum(np.abs(kron - sums[:, 1, 1]),
                          np.abs(kron - sums[:, 0, 1]) + np.abs(kron - sums[:, 1, 0]))
-    return _checked(kron, err, held)
+    return _checked(kron.tolist(), err.tolist(), held)
 
 
 def _quarters(rect) -> tuple:
@@ -238,12 +222,7 @@ def _quarters(rect) -> tuple:
 def adaptive_quad_2d(f, xspan, yspan, tol: float = 1e-8,
                      max_panels: int = 20000) -> tuple[float, float]:
     """Integrate a vectorized f(x, y) over a rectangle to absolute
-    tolerance `tol`.
-
-    f is called with broadcastable node arrays of shapes (n, 15, 1) and
-    (n, 1, 15) and must return an array broadcastable to (n, 15, 15); the
-    four children of a split are evaluated in one call (n = 4), and the
-    root with its four children in the first (n = 5).
+    tolerance `tol`, with the integrand contract of the module docstring.
 
     Raises ToleranceNotReached (carrying the best value, error bound and
     panel count) when the panel budget is exhausted first, and when the

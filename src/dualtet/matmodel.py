@@ -411,8 +411,10 @@ class Isometry:
         rep, lam = self.rep, self.rep.lam
         d_re, d_im = _det(rep.flat, lam)
         m = _mod_sq(d_re, d_im, lam)
-        if m <= 1e-24 * max(1.0, rep.frob_sq() ** 2):
-            raise NormalizationFailure(f"|det|^2 = {m} is not positive: not an isometry")
+        bound = 1e-24 * max(1.0, rep.frob_sq() ** 2)
+        if m <= bound:
+            raise NormalizationFailure(f"|det|^2 = {m} is not above 1e-24 max(1, |A|_F^2)^2 "
+                                       f"= {bound}: not an isometry")
         # Scale so |det|^2 = 1; a real positive factor keeps the class.
         # Skipped when already normalized so reloading a representative is
         # bit-stable.
@@ -760,7 +762,7 @@ def _abs_det(a: tuple, lam: int) -> float:
             im = _exact_dot((a0, d1), (a1, d0), (b0, -c1), (b1, -c0))
             sq += im * im
     if not 0.0 < sq < math.inf:
-        raise NormalizationFailure(f"|det|^2 = {sq} is not positive: not an isometry")
+        raise NormalizationFailure(f"|det|^2 = {sq} is not in (0, inf): not an isometry")
     return math.sqrt(sq)
 
 

@@ -11,30 +11,20 @@ power series (Horner's rule on precomputed float coefficients), convergent
 after reducing x to [-pi, pi] for lam = 1; for lam = -1 and |x| >= 3 the
 dilogarithm form pi^2/6 - x^2/4 - Li2(exp(-x)) takes over, its series
 converging geometrically (Lewin, Polylogarithms and Associated Functions,
-1981, ch. 4).  The ideal volume is
-(cl(2a) + cl(2b) + cl(2g))/2 with g = -(a + b); the lightlike volume is
-the ideal volume plus sine-log terms, divided by the curvature, collapsing
-to a*b*(a+b)/3 in the flat case.
+1981, ch. 4).  The ideal volume is (cl(2a) + cl(2b) + cl(2g))/2 with
+g = -(a + b); the lightlike volume is the ideal volume plus sine-log terms,
+divided by the curvature, collapsing to a*b*(a+b)/3 in the flat case.
 
-An independent oracle integrates the invariant volume forms over the
-explicit chart parametrizations by adaptive 1-D quadrature, never touching
-the Clausen evaluations: each chart density is integrated in closed form
-along one axis, w for the ideal chart (see _ideal_oracle) and v for the
-lightlike one (see _lightlike_v_integral), leaving the ideal angle or the
-lightlike t.  Those integrands have thin layers at their ends, whose width
-shrinks with s(beta)/s(alpha) on skewed cells and with e^-(alpha+beta) at
-lam = -1.  Sidi's sin^2 substitution phi(u) = u - sin(2 pi u)/(2 pi)
-(ISNM 112, 1993), whose Jacobian 2 sin(pi u)^2 vanishes to second order at
-both ends, widens them: the ideal angle gets it twice, and each half of
-the lightlike t, which has a kink at t = 0, gets it once.  Both integrands
-are written so that nothing cancels at a corner.  The nodes are the
-Kronrod nodes of dyadic panels of [0, 1] whatever the cell (most calls
-are on the root's seven panels), so what depends on them alone is
-computed once per node set and cached across integrals (_node_cached,
-keyed on the bytes and shape of the nodes, which hands back read-only
-arrays already in the caller's shape): the Sidi maps with their
-Jacobians, the lightlike t = +-(pi/4) phi(u), and the cell-free terms of
-the lightlike integrand, the sines and cosines of t and their sums.
+An independent oracle integrates each chart density in closed form along
+one axis (see _ideal_oracle and _lightlike_v_integral) and the rest by
+adaptive 1-D quadrature, never touching the Clausen evaluations, with
+Sidi's sin^2 substitution (ISNM 112, 1993) widening the thin layers at the
+ends.  Its nodes are the Kronrod nodes of dyadic panels of [0, 1] whatever
+the cell (most calls are on the root's seven panels), so what depends on
+them alone is cached across integrals (_node_cached, keyed on their bytes
+and shape).  Each lightlike node at lam = +-1 takes one of two branches,
+the general sum or, where 1/x < 1/2 at both ends, its tails alone, as a
+Pade form.
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -48,7 +38,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from functools import lru_cache, wraps
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,15 +96,16 @@ _COT_COEFFS = (1.0, *(-2 * k * _TANGENT[k] / ((4 ** k - 1) * math.factorial(2 * 
 # 1/n^2, n = 1..14: Li2(q) to double precision for q <= exp(-_LI2_FROM).
 _LI2_COEFFS = tuple(1.0 / (n * n) for n in range(1, 15))
 _LI2_FROM = 3.0
+_LOG2 = math.log(2.0)
 
 
 def _horner(coeffs: tuple[float, ...], u):
-    """sum_k coeffs[k] u^k for a float u, or for each element of an array
-    u on its own: an element's value does not depend on the array it sits
-    in, as it would through a matmul."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc *= u  # in place once acc is an array of its own
+    """sum_k coeffs[k] u^k (two or more coefficients) for a float u, or for
+    each element of an array u on its own: an element's value does not
+    depend on the array it sits in, as it would through a matmul."""
+    acc = coeffs[-1] * u + coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= u  # in place, acc being an array of its own
         acc += c
     return acc
 
@@ -170,10 +160,17 @@ def lightlike_volume(lam: int, alpha: float, beta: float) -> float:
     if lam == 0:
         return alpha * beta * (alpha + beta) / 3.0
     gamma = -(alpha + beta)
-    log_sum = (alpha * math.log(abs(gsin(lam, alpha)))
-               + beta * math.log(abs(gsin(lam, beta)))
-               + gamma * math.log(abs(gsin(lam, gamma))))
+    log_sum = (alpha * _log_gsin(lam, alpha) + beta * _log_gsin(lam, beta)
+               + gamma * _log_gsin(lam, gamma))
     return (ideal_volume(lam, alpha, beta) + log_sum) / lam
+
+
+def _log_gsin(lam: int, x: float) -> float:
+    """log|s(x)|; at lam = -1 and |x| >= 20 as |x| - log 2 + log1p(-e^-2|x|),
+    which stays finite where sinh overflows (past |x| ~ 710)."""
+    if lam == -1 and abs(x) >= 20.0:
+        return abs(x) - _LOG2 + math.log1p(-math.exp(-2.0 * abs(x)))
+    return math.log(abs(gsin(lam, x)))
 
 
 def _check_series_order(k_order: int):
@@ -288,21 +285,43 @@ def _ideal_oracle(lam: int, alpha: float, beta: float):
 
 def _over_x(fn, x):
     """fn(x) / x, and its limit 1 at x = 0 (fn is arctan or log1p)."""
+    if np.count_nonzero(x) == x.size:
+        return fn(x) / x
     return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-# fn(x) / x - 1 = sum_k (-lam)^k x^2k / (2k + 1), k >= 1, for fn = arctan
-# (lam = 1) or artanh (lam = -1): 26 terms reach double precision below
-# x = _TAIL_BELOW.
-_TAIL_SERIES = {lam: tuple((-lam) ** k / (2.0 * k + 1.0) for k in range(1, 27)) for lam in (1, -1)}
+def _positive(x):
+    """x with 1 where it is not > 0, and the mask of those (None if none)."""
+    pos = x > 0.0
+    if np.count_nonzero(pos) == x.size:
+        return x, None
+    return np.where(pos, x, 1.0), ~pos
+
+
+# fn(x) / x - 1 = x^2 S(x^2), S(z) = sum_k (-lam)^k z^(k-1) / (2k + 1), k >= 1, for fn
+# = arctan (lam = 1) or artanh (lam = -1), as x^2 N(x^2) / M(x^2) for x <= _TAIL_BELOW:
+# (N, M) is the [6/6] (lam = 1) or [7/7] (lam = -1) Pade approximant of S.
+_TAIL_PADE = {
+    1: ((-0.3333333333333333, -0.9111111111111111, -0.9206349206349206, -0.4195077064642282,
+         -0.08299558734341343, -0.005371812694467157, -9.947464773788896e-06),
+        (1.0, 3.3333333333333335, 4.333333333333333, 2.763285024154589, 0.8881987577639752,
+         0.1308924485125858, 0.006416296495714991)),
+    -1: ((0.3333333333333333, -1.0795698924731183, 1.3606546956936278, -0.8392864499649817,
+          0.2603978232454317, -0.03701965845410252, 0.001767686391825935,
+          -2.1687464912821173e-06),
+         (1.0, -3.838709677419355, 5.956618464961068, -4.780002471882338, 2.103201087628229,
+          -0.49379503796488855, 0.05486611532943206, -0.002062635914640303))}
 _TAIL_BELOW = 0.5
 
 
 def _odd_tail(lam: int, x):
-    """fn(x) / x - 1 as the series above, for 0 <= x <= _TAIL_BELOW, where
-    the difference loses its digits as x goes to 0."""
-    x2 = x * x
-    return x2 * _horner(_TAIL_SERIES[lam], x2)
+    """fn(x) / x - 1 for 0 <= x <= _TAIL_BELOW, where the difference loses
+    its digits as x goes to 0, as the Pade form above: within 4e-16 (lam = 1)
+    and 6e-16 (lam = -1) of 50-digit arctan and artanh on [1e-4, 1/2], in
+    half the array operations of the 26-term series (3e-16)."""
+    num, den = _TAIL_PADE[lam]
+    z = x * x
+    return z * _horner(num, z) / _horner(den, z)
 
 
 def _lightlike_v_integral(lam: int, alpha: float, beta: float):
@@ -314,20 +333,16 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
     P = A + c sin s, A = a sin t + b cos t, where p = s(alpha) / s(beta),
     a, c = (p -+ 1/p) / 2, b, d = c(sigma), s(sigma) with
     sigma = alpha + beta, and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
-    With w = sin s, the ends are w0 = sin|t| and w1 = cos|t|, and P0, P1
-    are the values of P there.
-
-    At lam = 0 the v integral is d^3 (w1 - w0) (P0 + P1) / (6 (P0 P1)^2).
-    Otherwise g'(r) dr = -dx / (x^2 + lam)^2, and with
+    With w = sin s, the ends are w0 = sin|t| and w1 = cos|t|, where P is P0
+    and P1.  At lam = 0 the v integral is
+    d^3 (w1 - w0) (P0 + P1) / (6 (P0 P1)^2).  Otherwise
+    g'(r) dr = -dx / (x^2 + lam)^2, and with
     Q = d^2 cos(s)^2 (x^2 + lam) = P^2 + lam d^2 (1 - w^2), integration by
-    parts gives
-
-        [tan(s) r] / (2 lam) - A d / (2 lam) integral dw / Q
-
-    between s = |t| and s = pi/2 - |t|: the s(2r) half of [tan(s) g]
-    cancels the rational part of the w integral exactly.  With
-    D = P0 P1 + lam d^2 (1 - w0 w1) and h = d |b sin t - a cos t| (w1 - w0),
-    D^2 + lam h^2 = Q0 Q1, and the w integral is
+    parts gives [tan(s) r] / (2 lam) - A d / (2 lam) integral dw / Q between
+    s = |t| and s = pi/2 - |t| (the s(2r) half of [tan(s) g] cancels the
+    rational part of the w integral).  With D = P0 P1 + lam d^2 (1 - w0 w1)
+    and h = d |b sin t - a cos t| (w1 - w0), D^2 + lam h^2 = Q0 Q1, and the
+    w integral is
 
         lam = 1:  (w1 - w0) atan2(h, D) / h,
         lam = -1: (w1 - w0) log1p(2 h (D + h) / (Q0 Q1)) / (2 h),
@@ -344,28 +359,26 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
     r = log1p(2 cos s / y) / 2, and D = sqrt(Q0 Q1 + h^2).
 
     On small cells r and the w integral are O(r) while the v integral is
-    O(r^3), so the sum above cancels.  With u = 1/x (r = arctan u, or
-    artanh u at lam = -1) and I0 = (w1 - w0) / (P0 P1) = integral dw / P^2,
-    [tan(s) u] = A d I0 exactly, so where u < 1/2 at both ends the v
-    integral is [tan(s) (r - u)] - A d (I - I0), with r - u = u T(u),
-    T(u) = fn(u) / u - 1 summed as a series, and
-
-        I - I0 = (w1 - w0) [T(h / D) - lam d^2 (1 - w0 w1) / (P0 P1)] / D.
+    O(r^3), so that sum cancels.  With u = 1/x (r = arctan u, or artanh u)
+    and I0 = (w1 - w0) / (P0 P1) = integral dw / P^2, [tan(s) u] = A d I0
+    exactly, so at a flat node, where u < 1/2 at both ends, the v integral
+    is [tan(s) (r - u)] - A d (I - I0), with r - u = u T(u),
+    T(u) = fn(u) / u - 1 (_odd_tail) and
+    I - I0 = (w1 - w0) [T(h / D) - lam d^2 (1 - w0 w1) / (P0 P1)] / D.
+    P, A, h and D are formed on every node; r, the w integral and the ends
+    only on the nodes that are not flat, and the tails only on those that
+    are, so a call whose nodes are all flat (small cells) forms no r.
 
     P0 and P1 are regrouped so that only a real change of sign cancels.
     With S = sin t + cos t, D' = cos t - sin t (both >= 0, the small one
     formed as sqrt(2) sin(pi/4 - |t|)) and p+- = p^(+-1) for t >= 0 and
-    t < 0,
-
-        P0 = p+- sin|t| + b cos t,
-        P1 = (p - 1) / (2p) (p S - D') + 2 c(sigma/2)^2 cos t,
-
-    which keep their digits on skewed cells, where p or 1/p is large, and
-    as sigma -> pi at lam = 1, where c + b -> 0.  At t = 0, tan(s) r at
-    s = pi/2 is its limit.  The code divides a, b, A and P by
-    k = max(d, 1), and h, D and Q by k^2, which keeps every product in
-    range for large sigma at lam = -1 and for tiny sigma; d / k is what is
-    left of d.
+    t < 0, P0 = p+- sin|t| + b cos t and
+    P1 = (p - 1) / (2p) (p S - D') + 2 c(sigma/2)^2 cos t keep their digits
+    on skewed cells, where p or 1/p is large, and as sigma -> pi at lam = 1,
+    where c + b -> 0.  At t = 0, tan(s) r at s = pi/2 is its limit.  The
+    code divides a, b, A and P by k = max(d, 1), and h, D and Q by k^2,
+    which keeps every product in range for large sigma at lam = -1 and for
+    tiny sigma; d / k is what is left of d.
     """
     s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
     p = s_a / s_b
@@ -382,110 +395,114 @@ def _lightlike_v_integral(lam: int, alpha: float, beta: float):
         y_m = 0.5 * math.exp(-sigma) / d
         y_e = -2.0 / math.expm1(-2.0 * sigma)  # e^sigma / sinh sigma
 
+    # Each branch reads the first 8 rows of the t terms (see _t_terms) and `cell`:
+    # u's numerators d cos s at both ends (0-1), h (2), P at both ends (3-4),
+    # D (5), A (6), and at lam = -1 Q0 Q1 (7) and y at both ends (8-9).
+    # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and the w
+    # integral are fn(x) / x at small x, so t = 0 and h = 0 give their limits.
+    def general(rows, cell):
+        w1, dw, w0_w1 = rows[1], rows[3], rows[5]
+        (e0, e1, h, p0, p1, big_d, big_a), rest = cell[:7], cell[7:]
+        if lam == -1:
+            q01, y0, y1 = rest
+            r0 = 0.5 * np.log1p(rows[6] / y0)
+            r1_w0 = _over_x(np.log1p, rows[7] / y1) / y1
+            integral = dw * ((big_d + h) / q01
+                             * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01))
+        else:
+            r0 = np.arctan2(e0, p0)
+            p1_pos, bad = _positive(p1)  # P1 > 0 wherever sin|t| is small
+            r1_w0 = dk * _over_x(np.arctan, e1 / p1_pos) / p1_pos
+            if bad is not None:
+                r1_w0[bad] = np.arctan2(e1[bad], p1[bad]) / rows[0][bad]
+            d_pos, bad = _positive(big_d)  # D > 0 wherever h is small
+            integral = dw * _over_x(np.arctan, h / d_pos) / d_pos
+            if bad is not None:
+                integral[bad] = dw[bad] * np.arctan2(h[bad], big_d[bad]) / h[bad]
+        return w1 * r1_w0 - w0_w1 * r0 - dk * big_a * integral
+
+    # Where both u = 1/x are small, r and the w integral are their flat parts u
+    # and I0 plus O(u^3) tails; the flat parts cancel exactly, so the tails are
+    # summed alone (see above).  Should h / D reach 1/2, T(h / D) is fn / x - 1.
+    def flat_tails(rows, cell):
+        x = cell[:3] / cell[3:6]  # u at both ends, h / D
+        tails = _odd_tail(lam, np.minimum(x, _TAIL_BELOW))
+        if not x[2].max() < _TAIL_BELOW:  # unseen: h / D < max(u) in every sweep so far
+            far = ~(x[2] < _TAIL_BELOW)
+            tails[2][far] = (np.arctan if lam == 1 else np.arctanh)(x[2][far]) / x[2][far] - 1.0
+        ends = rows[:2] * tails[:2] / cell[3:5]  # sin(s) T(u) / P at both ends
+        return dk * (ends[1] - ends[0] - cell[6] * rows[3] / cell[5]
+                     * (tails[2] - lam * dk * dk * rows[4] / (cell[3] * cell[4])))
+
     def f(t):
         # What depends on t alone is computed once per node set.
-        tt = _t_terms(t)
-        sin_t, cos_t, dw = tt.sin_t, tt.cos_t, tt.dw  # dw = w1 - w0
-        w0, w1 = tt.w0, cos_t  # sin|t|, cos|t|
-        big_a = a * sin_t + b * cos_t
-        h = dk * np.abs(b * sin_t - a * cos_t) * dw
-        if lam != -1:
-            p0 = np.where(tt.pos_t, p_pos, p_neg) * w0 + b * cos_t
-            p1 = half_pm * (p * tt.s_plus - tt.s_minus) + one_b * cos_t
-        if lam == 0:
-            return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2)
-        # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and
-        # the w integral are written as x -> fn(x) / x at small x, where
-        # fn(x) / x -> 1, so that t = 0 and h = 0 give their limits.
-        if lam == 1:
-            r0 = np.arctan2(dk * w1, p0)
-            pos = p1 > 0.0  # true wherever sin|t| is small
-            p1_pos = np.where(pos, p1, 1.0)
-            r1_w0 = dk * _over_x(np.arctan, dk * w0 / p1_pos) / p1_pos
-            if not pos.all():
-                r1_w0[~pos] = np.arctan2(dk * w0[~pos], p1[~pos]) / w0[~pos]
-            big_d = p0 * p1 + dk * dk * tt.one_w01
-            pos = big_d > 0.0  # true wherever h is small
-            d_pos = np.where(pos, big_d, 1.0)
-            fc = _over_x(np.arctan, h / d_pos)
-            integral = dw * fc / d_pos
-            if not pos.all():
-                integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
+        (terms,) = _t_terms(t)
+        rows, cos_t, sin_t = terms[:8], terms[1], terms[8]
+        dw, b_cos = rows[3], b * cos_t  # w1 - w0
+        cell = np.empty((7 if lam != -1 else 10, *t.shape))
+        big_p = cell[3:5]  # P at both ends
+        if lam == -1:
+            y = cell[8:]
+            np.add(y_p * terms[12:14] + terms[14:16] * (y_q * terms[16:18] + y_e * terms[18:20]),
+                   y_m * terms[20:22], out=y)
+            # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma): nan
+            # there makes the cubature raise ToleranceNotReached, not divide by zero.
+            y[y < _TINY] = np.nan
+            np.multiply(dk, y + rows[1:3], out=big_p)
+            y0, y1 = y
+            np.multiply(dk ** 4 * y0 * (y0 + rows[6]), y1 * (y1 + rows[7]), out=cell[7])
         else:
-            # y at s = |t| and at s = pi/2 - |t|, stacked on a leading axis.
-            y = (y_p * tt.sin_sum + tt.sin_hd * (y_q * tt.cos_hs + y_e * tt.sin_hs)
-                 + y_m * tt.cos_sum)
-            # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma);
-            # nan there makes the cubature raise ToleranceNotReached instead of
-            # dividing by zero.
-            y0, y1 = np.where(y >= _TINY, y, np.nan)
-            p0, p1 = dk * (y0 + w1), dk * (y1 + w0)
-            r0 = 0.5 * np.log1p(tt.two_w1 / y0)
-            r1_w0 = _over_x(np.log1p, tt.two_w0 / y1) / y1
-            q01 = (dk ** 4 * y0 * (y0 + tt.two_w1)) * (y1 * (y1 + tt.two_w0))  # Q0 Q1
-            big_d = np.sqrt(q01 + h * h)
-            w_int = (big_d + h) / q01 * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
-            integral, fc = dw * w_int, big_d * w_int
-        ends = w1 * r1_w0 - tt.w0_w1 * r0
-        v_int = ends - dk * big_a * integral
-        # Where both u = 1/x are small, r and the w integral are their flat
-        # parts u and I0 plus O(u^3) tails; the flat parts cancel exactly,
-        # so the tails are summed alone (see above).
-        flat = (dk * w1 < _TAIL_BELOW * p0) & (dk * w0 < _TAIL_BELOW * p1)
-        if flat.any():
-            sel = slice(None) if flat.all() else flat
-            p0, p1, w0, w1, big_d, one_w01 = (arr[sel] for arr in (p0, p1, w0, w1, big_d,
-                                                                   tt.one_w01))
-            # u0, u1 < _TAIL_BELOW here; h / D need not be.
-            x = np.stack((dk * w1 / p0, dk * w0 / p1, h[sel] / big_d))
-            tail0, tail1, tail = _odd_tail(lam, np.minimum(x, _TAIL_BELOW))
-            tail = np.where(x[2] < _TAIL_BELOW, tail, fc[sel] - 1.0)
-            v_int[sel] = dk * (w1 * tail1 / p1 - w0 * tail0 / p0
-                               - big_a[sel] * dw[sel] / big_d
-                               * (tail - lam * dk * dk * one_w01 / (p0 * p1)))
+            np.add(np.where(terms[9], p_pos, p_neg) * terms[0], b_cos, out=big_p[0])
+            np.add(half_pm * (p * terms[10] - terms[11]), one_b * cos_t, out=big_p[1])
+            if lam == 0:
+                p0, p1 = big_p
+                return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2)
+        np.multiply(dk, rows[1:3], out=cell[:2])
+        h = np.multiply(dk * np.abs(b * sin_t - a * cos_t), dw, out=cell[2])
+        if lam == 1:
+            np.add(big_p[0] * big_p[1], dk * dk * rows[4], out=cell[5])
+        else:
+            np.sqrt(cell[7] + h * h, out=cell[5])
+        np.add(a * sin_t, b_cos, out=cell[6])
+        flat = cell[:2] < _TAIL_BELOW * big_p
+        flat = flat[0] & flat[1]
+        n_flat = np.count_nonzero(flat)
+        if n_flat == flat.size:
+            v_int = flat_tails(rows, cell)
+        elif n_flat == 0:
+            v_int = general(rows, cell)
+        else:
+            # One gather per branch: the rows of its nodes.
+            flat = flat.reshape(-1)
+            on, off = flat.nonzero()[0], (~flat).nonzero()[0]
+            rows, cell = rows.reshape(len(rows), -1), cell.reshape(len(cell), -1)
+            v_int = np.empty(t.shape)
+            v_flat = v_int.reshape(-1)  # a view: v_int is contiguous
+            v_flat[on] = flat_tails(rows.take(on, axis=1), cell.take(on, axis=1))
+            v_flat[off] = general(rows.take(off, axis=1), cell.take(off, axis=1))
         return v_int / (2.0 * lam)
 
     return f
 
 
-class _TTerms(NamedTuple):
-    """The terms of the lightlike v integral that depend on t alone."""
-    sin_t: np.ndarray
-    cos_t: np.ndarray  # also w1 = cos|t|
-    w0: np.ndarray  # sin|t|
-    dw: np.ndarray  # w1 - w0
-    pos_t: np.ndarray  # t >= 0
-    s_plus: np.ndarray  # S = sin t + cos t
-    s_minus: np.ndarray  # D' = cos t - sin t
-    one_w01: np.ndarray  # 1 - w0 w1
-    w0_w1: np.ndarray  # w0 / w1
-    two_w0: np.ndarray
-    two_w1: np.ndarray
-    # At lam = -1, y's terms at s = |t| (row 0) and s = pi/2 - |t| (row 1):
-    sin_sum: np.ndarray  # sin t + sin s
-    cos_sum: np.ndarray  # cos t + cos s
-    sin_hd: np.ndarray  # sin delta
-    cos_hs: np.ndarray  # cos h'
-    sin_hs: np.ndarray  # sin h'
-
-
 @_node_cached
-def _t_terms(t) -> _TTerms:
-    """The terms of _lightlike_v_integral that depend on t alone.  Each is
-    the expression the integrand would form, in the same order, so the
-    cache changes no bit of its values."""
+def _t_terms(t) -> tuple[np.ndarray]:
+    """The terms of _lightlike_v_integral that depend on t alone, as rows, at
+    s = |t| and s = pi/2 - |t| where paired: sin s (0-1), cos s (1-2),
+    w1 - w0 (3), 1 - w0 w1 (4), w0 / w1 (5), 2 cos s (6-7), sin t (8),
+    t >= 0 (9), S (10), D' (11), and y's terms: sin t + sin s (12-13),
+    sin delta (14-15), cos h' (16-17), sin h' (18-19), cos t + cos s (20-21)."""
     att = np.abs(t)
     sin_t, cos_t = np.sin(t), np.cos(t)
     w0, w1 = np.abs(sin_t), cos_t
     dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)
     pos_t = t >= 0.0
-    s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
-    half_sum = np.stack((0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t)))
-    half_diff = np.stack((0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t)))
-    return _TTerms(sin_t, cos_t, w0, dw, pos_t, s_plus, s_minus,
-                   1.0 - w0 * w1, w0 / w1, 2.0 * w0, 2.0 * w1,
-                   np.stack((sin_t + w0, sin_t + w1)), np.stack((cos_t + w1, cos_t + w0)),
-                   np.sin(half_diff), np.cos(half_sum), np.sin(half_sum))
+    half_sum = (0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t))
+    half_diff = (0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t))
+    return (np.stack((w0, w1, w0, dw, 1.0 - w0 * w1, w0 / w1, 2.0 * w1, 2.0 * w0, sin_t, pos_t,
+                      np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1),
+                      sin_t + w0, sin_t + w1, *map(np.sin, half_diff), *map(np.cos, half_sum),
+                      *map(np.sin, half_sum), cos_t + w1, cos_t + w0)),)
 
 
 @_node_cached
@@ -507,7 +524,7 @@ def _lightlike_oracle(lam: int, alpha: float, beta: float):
 
     def g(u):
         t, jac = _lightlike_nodes(u)
-        return f(t).sum(axis=0) * jac
+        return np.add(*f(t)) * jac  # the v integral at t and -t
 
     return g
 
@@ -523,10 +540,10 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     Returns (value, error estimate); raises ToleranceNotReached with the
     best estimate attached when the panel budget runs out, or at once when
     the integrand is not finite at a node (lightlike cells at lam = -1 past
-    alpha + beta ~ 354, where the chart's y underflows) or its arithmetic
-    overflows, divides by zero or forms a nan: on extremely skewed or small
-    cells, where theta underflows to 0 in the ideal chart, or p or 1/p
-    passes ~1e154 in the lightlike one.
+    alpha + beta ~ 354, where the chart's y underflows) or its set-up or
+    arithmetic leaves the float range: on extremely skewed or small cells,
+    where theta underflows to 0 in the ideal chart, or p or 1/p passes
+    ~1e154 in the lightlike one, and at lam = -1 past alpha + beta ~ 710.
     """
     check_kind(kind)
     validate_angles(lam, alpha, beta)
@@ -536,7 +553,7 @@ def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return adaptive_quad(oracle(lam, alpha, beta), 0.0, 1.0, tol=tol)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
         raise ToleranceNotReached(math.nan, math.inf,
                                   f"the integrand left the float range ({exc})") from None
 

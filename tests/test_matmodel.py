@@ -159,6 +159,22 @@ def test_act_identity_fixes_points(rng):
         assert act(Isometry.identity(lam), p).isclose(p)
 
 
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_isometry_failure_states_the_test_it_failed(lam):
+    """|det|^2 = 1 is positive; diag(1e7, 1e-7) fails only the bound
+    1e-24 max(1, frob^2)^2 = 1e4, and the message says so.  A singular
+    matrix fails the compensated determinant's test (0, inf)."""
+    from dualtet.matmodel import Mat2, _abs_det
+
+    stretched = Mat2.from_flat((1e7, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-7, 0.0), lam)
+    with pytest.raises(NormalizationFailure,
+                       match=r"\|det\|\^2 = 1\.0 is not above 1e-24 max\(1, \|A\|_F\^2\)\^2 "
+                             r"= 9999\.99999999999\d*: not an isometry"):
+        Isometry(stretched)
+    with pytest.raises(NormalizationFailure, match=r"\|det\|\^2 = 0\.0 is not in \(0, inf\)"):
+        _abs_det((1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 2.0, 0.0), lam)
+
+
 def test_hermitian_isometry_squares_to_its_point(rng):
     for lam in LAMBDAS:
         p = random_point(rng, "X", lam)

@@ -18,19 +18,27 @@ def _tool(name: str):
 
 def test_bench_oracle_per_call_snippet_runs():
     """Times per input, and integrand calls, panels, node sets and calls
-    on the root set per kind, counted from outside the package: at least
-    one call per input, at least the root with its halves in each
-    integral's calls, and every integral's first call on the one root set."""
+    on the root set per group (ideal, lightlike at lam = 0, lightlike at
+    lam = +-1), counted from outside the package: every oracle-check input
+    in the group of its kind and lam, at least one call per input, at
+    least the root with its halves in each integral's calls, and every
+    integral's first call on the one root set."""
     bench = _tool("bench_oracle")
     got = json.loads(bench.run(ROOT, ["-c", bench.per_call_snippet(1)]))
     fields = ("best", "calls", "panels", "node_sets", "root_set_calls")
-    assert all(set(got[field]) == set(bench.KINDS) for field in fields)
-    for kind, times in got["best"].items():
-        assert times and all(0.0 < t < math.inf for t in times)
-        assert got["calls"][kind] >= len(times)
-        assert got["panels"][kind] >= 3 * len(times)
-        assert 1 <= got["node_sets"][kind] <= got["calls"][kind]
-        assert len(times) <= got["root_set_calls"][kind] <= got["calls"][kind]
+    assert bench.GROUPS == ("ideal", "lightlike lam=0", "lightlike lam=+-1")
+    assert all(list(got[field]) == list(bench.GROUPS) for field in fields)
+    # oracle-check draws as many inputs for each (kind, lam).
+    per_cell = len(got["best"]["lightlike lam=0"])
+    assert per_cell > 0
+    assert [len(got["best"][group]) for group in bench.GROUPS] == [3 * per_cell, per_cell,
+                                                                    2 * per_cell]
+    for group, times in got["best"].items():
+        assert all(0.0 < t < math.inf for t in times)
+        assert got["calls"][group] >= len(times)
+        assert got["panels"][group] >= 3 * len(times)
+        assert 1 <= got["node_sets"][group] <= got["calls"][group]
+        assert len(times) <= got["root_set_calls"][group] <= got["calls"][group]
 
 
 def _fake_run(calls):

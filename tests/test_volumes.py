@@ -557,13 +557,16 @@ def test_batched_cubature_matches_per_panel_reference(max_panels):
     assert (raised > 0) == (max_panels == 40)
 
 
-def _one_call_per_split_quad(f, a, b, tol, limit=2000):
+def _one_call_per_split_quad(f, a, b, tol, limit=2000, panels=None):
     """Reference route: the 1-D refinement loop with one integrand call per
     split (the root with its halves in the first) and no lookahead; the
-    panel arithmetic is the library's, which a batch does not change."""
+    panel arithmetic is the library's, which a batch does not change, or
+    that of `panels`."""
     import heapq
 
     from dualtet.cubature import _halves, _panels_1d
+
+    _panels_1d = panels or _panels_1d
 
     root = (float(a), float(b))
     subs = _halves(root)
@@ -1055,6 +1058,229 @@ def test_rewritten_densities_match_old_formulas(lam):
         want = [_v_integral_reference(lam, alpha, beta, t) for t in ts]
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=0, err_msg=str((alpha, beta)))
     assert zeros_of_h >= 2
+
+
+# The lightlike integrand as it was before each node took one branch and
+# the tails became a Pade form: the general branch on every node, then the
+# 26-term series T(x) = sum_k (-lam)^k x^2k / (2k + 1) on the flat ones.
+_OLD_TAIL_SERIES = {lam: tuple((-lam) ** k / (2.0 * k + 1.0) for k in range(1, 27))
+                    for lam in (1, -1)}
+
+
+def _old_odd_tail(lam, x):
+    x2 = x * x
+    acc = 0.0
+    for c in reversed(_OLD_TAIL_SERIES[lam]):
+        acc *= x2
+        acc += c
+    return x2 * acc
+
+
+def _old_over_x(fn, x):
+    return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _old_v_integral(lam, alpha, beta):
+    """f(t) -> (v integral, mask of the nodes summed as tails)."""
+    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
+    p = s_a / s_b
+    sigma = alpha + beta
+    d = gsin(lam, sigma)
+    k = max(d, 1.0)
+    dk = d / k
+    a, b = 0.5 * (p - 1.0 / p) / k, gcos(lam, sigma) / k
+    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / k
+    half_pm = (p - 1.0) / (2.0 * p * k)
+    p_pos, p_neg = p / k, 1.0 / (p * k)
+    if lam == -1:
+        y_p, y_q = 0.5 * p / d, 1.0 / (p * d)
+        y_m = 0.5 * math.exp(-sigma) / d
+        y_e = -2.0 / math.expm1(-2.0 * sigma)
+
+    def f(t):
+        att = np.abs(t)
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        w0, w1 = np.abs(sin_t), cos_t
+        dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)
+        pos_t = t >= 0.0
+        s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
+        one_w01 = 1.0 - w0 * w1
+        big_a = a * sin_t + b * cos_t
+        h = dk * np.abs(b * sin_t - a * cos_t) * dw
+        if lam != -1:
+            p0 = np.where(pos_t, p_pos, p_neg) * w0 + b * cos_t
+            p1 = half_pm * (p * s_plus - s_minus) + one_b * cos_t
+        if lam == 0:
+            return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2), None
+        if lam == 1:
+            r0 = np.arctan2(dk * w1, p0)
+            pos = p1 > 0.0
+            p1_pos = np.where(pos, p1, 1.0)
+            r1_w0 = dk * _old_over_x(np.arctan, dk * w0 / p1_pos) / p1_pos
+            if not pos.all():
+                r1_w0[~pos] = np.arctan2(dk * w0[~pos], p1[~pos]) / w0[~pos]
+            big_d = p0 * p1 + dk * dk * one_w01
+            pos = big_d > 0.0
+            d_pos = np.where(pos, big_d, 1.0)
+            fc = _old_over_x(np.arctan, h / d_pos)
+            integral = dw * fc / d_pos
+            if not pos.all():
+                integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
+        else:
+            half_sum = np.stack((0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t)))
+            half_diff = np.stack((0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t)))
+            y = (y_p * np.stack((sin_t + w0, sin_t + w1))
+                 + np.sin(half_diff) * (y_q * np.cos(half_sum) + y_e * np.sin(half_sum))
+                 + y_m * np.stack((cos_t + w1, cos_t + w0)))
+            y0, y1 = np.where(y >= np.finfo(float).tiny, y, np.nan)
+            p0, p1 = dk * (y0 + w1), dk * (y1 + w0)
+            r0 = 0.5 * np.log1p(2.0 * w1 / y0)
+            r1_w0 = _old_over_x(np.log1p, 2.0 * w0 / y1) / y1
+            q01 = (dk ** 4 * y0 * (y0 + 2.0 * w1)) * (y1 * (y1 + 2.0 * w0))
+            big_d = np.sqrt(q01 + h * h)
+            w_int = (big_d + h) / q01 * _old_over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
+            integral, fc = dw * w_int, big_d * w_int
+        v_int = w1 * r1_w0 - w0 / w1 * r0 - dk * big_a * integral
+        flat = (dk * w1 < 0.5 * p0) & (dk * w0 < 0.5 * p1)
+        if flat.any():
+            p0, p1, w0, w1, big_d, one_w01 = (arr[flat] for arr in (p0, p1, w0, w1, big_d,
+                                                                    one_w01))
+            x = np.stack((dk * w1 / p0, dk * w0 / p1, h[flat] / big_d))
+            tail0, tail1, tail = _old_odd_tail(lam, np.minimum(x, 0.5))
+            tail = np.where(x[2] < 0.5, tail, fc[flat] - 1.0)
+            v_int[flat] = dk * (w1 * tail1 / p1 - w0 * tail0 / p0
+                                - big_a[flat] * dw[flat] / big_d
+                                * (tail - lam * dk * dk * one_w01 / (p0 * p1)))
+        return v_int / (2.0 * lam), flat
+
+    return f
+
+
+def _lightlike_t_nodes(segs):
+    """t = +-(pi/4) phi(u) on the Kronrod nodes of the segments, stacked."""
+    from dualtet.cubature import _segment_nodes
+    from dualtet.volumes import _lightlike_nodes
+
+    return _lightlike_nodes(_segment_nodes(segs)[1])[0]
+
+
+_ROOT_SEGMENTS = ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25), (0.25, 0.5), (0.5, 0.75),
+                  (0.75, 1.0))
+_SPLIT_SEGMENTS = ((0.0, 0.125), (0.125, 0.25), (0.0, 0.0625), (0.0625, 0.125), (0.125, 0.1875),
+                   (0.1875, 0.25))
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+@pytest.mark.parametrize("cell, flat_at_root", [((0.05, 0.08), "all"), ((0.3, 0.9), "some"),
+                                                ((1.2, 1.5), "none")])
+def test_one_branch_per_node_keeps_the_integrand(lam, cell, flat_at_root, monkeypatch):
+    """Each node takes one branch and the tails are a Pade form: the v
+    integral moves by rounding only, node by node, on a cell whose root
+    call is all flat, one where it is mixed and one with no flat node.
+    The bound is relative to the largest value among the nodes of the same
+    branch, since the nodes next to t = +-pi/4, where w1 - w0 -> 0, cancel:
+    there a change of one ulp in T moves the node's own value by up to
+    1e-8 of itself.  A call whose nodes are all flat forms no r."""
+    from dualtet import volumes
+
+    for segs in (_ROOT_SEGMENTS, _SPLIT_SEGMENTS):
+        t = _lightlike_t_nodes(segs)
+        want, flat = _old_v_integral(lam, *cell)(t)
+        if segs is _ROOT_SEGMENTS:
+            assert {"all": flat.all(), "some": flat.any() and not flat.all(),
+                    "none": not flat.any()}[flat_at_root]
+        with monkeypatch.context() as patch:
+            if flat.all():  # the general branch's r and w integral need _over_x
+                patch.setattr(volumes, "_over_x", None)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = volumes._lightlike_v_integral(lam, *cell)(t)
+        assert got.shape == want.shape
+        for branch in (flat, ~flat):
+            if branch.any():
+                np.testing.assert_allclose(got[branch], want[branch], rtol=0,
+                                           atol=4e-15 * np.abs(want[branch]).max())
+
+
+def _old_panels_1d(f, segs, held):
+    """_panels_1d as it was, its rule sums formed in numpy under errstate."""
+    from dualtet.cubature import _RULES, _nodes
+
+    half, x = _nodes(np.array(segs, dtype=float))
+    vals = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = half[:, None] * np.einsum("nk,rk->nr", vals, _RULES)
+        err = np.abs(sums[:, 0] - sums[:, 1])
+    if not np.isfinite(err).all():
+        raise ToleranceNotReached(math.nan, math.inf, panels=held)
+    return sums[:, 0].tolist(), err.tolist()
+
+
+@pytest.mark.parametrize("kind, lam", [("ideal", -1), ("ideal", 0), ("ideal", 1),
+                                       ("lightlike", 0)])
+def test_ideal_and_flat_lightlike_oracle_keep_their_bits(kind, lam):
+    """Ideal and lam = 0 lightlike values and estimates are the bits of the
+    route before this integrand and cubature bookkeeping: the old lam = 0
+    integrand (the ideal one is unchanged) through one call per split,
+    with the old rule sums."""
+    from dualtet.volumes import _ideal_oracle, _lightlike_nodes
+
+    def old_lightlike(lam, a, b):
+        f = _old_v_integral(lam, a, b)
+
+        def g(u):
+            t, jac = _lightlike_nodes(u)
+            return f(t)[0].sum(axis=0) * jac
+
+        return g
+
+    oracle = _ideal_oracle if kind == "ideal" else old_lightlike
+    for a, b in _CACHE_CELLS:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            want = _one_call_per_split_quad(oracle(lam, a, b), 0.0, 1.0, 1e-8,
+                                            panels=_old_panels_1d)
+        got = volume_quadrature(kind, lam, a, b)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (a, b)
+
+
+def test_pade_tails_regenerate_from_the_series():
+    """The tail's coefficients are the [6/6] (lam = 1) and [7/7] (lam = -1)
+    Pade approximants of its series, rounded to floats, and the tail keeps
+    double precision on (0, 1/2] against 50-digit arctan and artanh."""
+    from dualtet.volumes import _TAIL_BELOW, _TAIL_PADE, _odd_tail
+
+    x = np.concatenate((np.geomspace(1e-4, _TAIL_BELOW, 400), np.linspace(0.3, 0.5, 200)))
+    with mpmath.workdps(50):
+        for lam, n in ((1, 6), (-1, 7)):
+            series = [mpmath.mpf(-lam) ** k / (2 * k + 1) for k in range(1, 2 * n + 2)]
+            num, den = mpmath.pade(series, n, n)
+            assert _TAIL_PADE[lam] == (tuple(map(float, num)), tuple(map(float, den)))
+            fn = mpmath.atan if lam == 1 else mpmath.atanh
+            got = _odd_tail(lam, x)
+            for xi, gi in zip(x, got):
+                want = fn(mpmath.mpf(xi)) / xi - 1
+                assert abs((gi - want) / want) < 6e-16, (lam, xi)
+    assert _odd_tail(1, np.array([0.0])).tolist() == [0.0]
+
+
+# Cells past the float range of the oracle's set-up: p = s(alpha) / s(beta)
+# underflows to 0, and sinh(alpha + beta) overflows.
+@pytest.mark.parametrize("kind, cell", [("lightlike", (-1, 1e-300, 100.0)),
+                                        ("lightlike", (-1, 400.0, 400.0)),
+                                        ("ideal", (-1, 400.0, 400.0))])
+def test_oracle_set_up_out_of_float_range_raises_typed(kind, cell):
+    with pytest.raises(ToleranceNotReached, match="left the float range") as exc:
+        volume_quadrature(kind, *cell)
+    assert math.isnan(exc.value.value) and exc.value.err_est == math.inf
+
+
+@pytest.mark.parametrize("cell", [(400.0, 400.0), (300.0, 500.0), (20.0, 20.0),
+                                  (0.3, 20.0), (19.9, 0.3)])
+def test_lightlike_volume_past_sinh_overflow(cell):
+    """At lam = -1, log|sinh x| is formed from its logarithm for |x| >= 20,
+    so the volume stays finite where sinh(alpha + beta) overflows."""
+    got = lightlike_volume(-1, *cell)
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(volume_reference("lightlike", -1, *cell)), rel=1e-14)
 
 
 @pytest.mark.parametrize("f, want", [

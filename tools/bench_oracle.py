@@ -13,12 +13,13 @@ alternates which checkout runs first:
 * per call, on `oracle-check` only: `volume_quadrature(kind, ...)` at tol
   1e-8 over the inputs of `oracle-check` (seed 7, --seconds 20), each input
   timed as the least of REPEATS calls, in one child process per round,
-  ROUNDS rounds; the ideal and lightlike inputs are reported separately,
-  with the integrand calls and panels evaluated over one pass of them,
-  the distinct node sets those calls were made on, and the calls made on
-  the root set (the nodes of each integral's first call, the same for
-  every input), counted from outside the package by wrapping each kind's
-  oracle;
+  ROUNDS rounds; the ideal inputs, the lightlike ones at lam = 0 and those
+  at lam = +-1 (another integrand route, and the slowest) are reported
+  separately, with the integrand calls and panels evaluated over one pass
+  of them, the distinct node sets those calls were made on, and the calls
+  made on the root set (the nodes of each integral's first call, the same
+  for every input), counted from outside the package by wrapping each
+  kind's oracle;
 * end to end: `perfbench/run.py --workload WORKLOAD --seconds 20 --trace 0`
   on each seed of --seeds (911-920 by default), its metrics as printed
   (gauge-scaled times) and its failed ops per seed.
@@ -38,8 +39,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-KINDS = ("ideal", "lightlike")
 ORACLES = {"ideal": "_ideal_oracle", "lightlike": "_lightlike_oracle"}
+GROUPS = ("ideal", "lightlike lam=0", "lightlike lam=+-1")
+# The per-call group of each (kind, lam).
+GROUP_OF = {(kind, lam): "ideal" if kind == "ideal" else GROUPS[1] if lam == 0 else GROUPS[2]
+            for kind in ORACLES for lam in (-1, 0, 1)}
 REPEATS = 5
 ROUNDS = 10
 
@@ -54,10 +58,10 @@ def seed_block(text: str) -> range:
 
 def per_call_snippet(repeats: int) -> str:
     """Python source that prints, as JSON, the least of `repeats` timed
-    calls for each oracle-check input ("best", keyed by kind), and per kind
-    over one untimed pass, in which each kind's oracle is wrapped: the
-    integrand calls, the panels evaluated, the distinct node sets and the
-    calls on the root set; run it from a checkout's root."""
+    calls for each oracle-check input ("best", keyed by group), and per
+    group over one untimed pass, in which each kind's oracle is wrapped:
+    the integrand calls, the panels evaluated, the distinct node sets and
+    the calls on the root set; run it from a checkout's root."""
     return f"""
 import json, sys, time
 sys.path[:0] = ["src", "perfbench"]
@@ -65,23 +69,25 @@ import dualtet
 from dualtet import volumes
 from workloads import OracleCheck
 inputs = OracleCheck(7, 20.0).inputs
-calls = {{kind: 0 for kind in {KINDS!r}}}
+group_of = {GROUP_OF!r}
+calls = {{group: 0 for group in {GROUPS!r}}}
 panels = dict(calls)
-node_sets = {{kind: {{}} for kind in {KINDS!r}}}
-roots = {{kind: set() for kind in {KINDS!r}}}
+node_sets = {{group: {{}} for group in {GROUPS!r}}}
+roots = {{group: set() for group in {GROUPS!r}}}
 def counting(kind, oracle):
-    def wrapped(*args):
-        f = oracle(*args)
+    def wrapped(lam, *args):
+        group = group_of[kind, lam]
+        f = oracle(lam, *args)
         first = True
         def counted(x):
             nonlocal first
             key = (x.shape, x.tobytes())
             if first:
-                roots[kind].add(key)
+                roots[group].add(key)
                 first = False
-            calls[kind] += 1
-            panels[kind] += x.shape[0]
-            node_sets[kind][key] = node_sets[kind].get(key, 0) + 1
+            calls[group] += 1
+            panels[group] += x.shape[0]
+            node_sets[group][key] = node_sets[group].get(key, 0) + 1
             return f(x)
         return counted
     return wrapped
@@ -92,18 +98,18 @@ for kind, lam, alpha, beta, _order in inputs:
     dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
 for kind, name in {ORACLES!r}.items():
     setattr(volumes, name, oracles[kind])
-best = {{kind: [] for kind in {KINDS!r}}}
+best = {{group: [] for group in {GROUPS!r}}}
 for kind, lam, alpha, beta, _order in inputs:
     times = []
     for _ in range({repeats}):
         t = time.perf_counter()
         dualtet.volume_quadrature(kind, lam, alpha, beta, tol=1e-8)
         times.append(time.perf_counter() - t)
-    best[kind].append(min(times))
+    best[group_of[kind, lam]].append(min(times))
 print(json.dumps({{"best": best, "calls": calls, "panels": panels,
-                  "node_sets": {{kind: len(sets) for kind, sets in node_sets.items()}},
-                  "root_set_calls": {{kind: sum(node_sets[kind][key] for key in roots[kind])
-                                     for kind in {KINDS!r}}}}}))
+                  "node_sets": {{group: len(sets) for group, sets in node_sets.items()}},
+                  "root_set_calls": {{group: sum(node_sets[group][key] for key in roots[group])
+                                     for group in {GROUPS!r}}}}}))
 """
 
 
@@ -134,11 +140,11 @@ def compare(parent: list[float], change: list[float]) -> dict:
             "change_lower_in": f"{wins}/{len(parent)} pairs"}
 
 
-def count(rounds: list[dict], what: str, kind: str) -> int:
+def count(rounds: list[dict], what: str, group: str) -> int:
     """A count of one pass, which every round must repeat exactly."""
-    counts = {r[what][kind] for r in rounds}
+    counts = {r[what][group] for r in rounds}
     if len(counts) != 1:
-        raise RuntimeError(f"{kind} {what} differ between rounds: {sorted(counts)}")
+        raise RuntimeError(f"{group} {what} differ between rounds: {sorted(counts)}")
     return counts.pop()
 
 
@@ -146,20 +152,20 @@ def per_call(sides: dict[str, Path]) -> dict:
     snippet = per_call_snippet(REPEATS)
     rounds = paired(sides, range(ROUNDS), lambda root, r: json.loads(run(root, ["-c", snippet])))
     return {
-        kind: {
-            "what": f"volume_quadrature({kind!r}, ..., tol=1e-8), least of "
+        group: {
+            "what": f"volume_quadrature(kind, lam, ..., tol=1e-8), least of "
                     f"{REPEATS} calls per input, one child process per round",
-            "inputs": f"the {len(rounds['parent'][0]['best'][kind])} {kind} inputs of "
+            "inputs": f"the {len(rounds['parent'][0]['best'][group])} {group} inputs of "
                       "oracle-check seed 7, --seconds 20",
-            "median_ms": compare(*([1e3 * statistics.median(r["best"][kind]) for r in rounds[k]]
+            "median_ms": compare(*([1e3 * statistics.median(r["best"][group]) for r in rounds[k]]
                                    for k in sides)),
-            "total_s": compare(*([sum(r["best"][kind]) for r in rounds[k]] for k in sides)),
-            "integrand_calls": {k: count(rounds[k], "calls", kind) for k in sides},
-            "panels_evaluated": {k: count(rounds[k], "panels", kind) for k in sides},
-            "node_sets": {k: count(rounds[k], "node_sets", kind) for k in sides},
-            "root_set_calls": {k: count(rounds[k], "root_set_calls", kind) for k in sides},
+            "total_s": compare(*([sum(r["best"][group]) for r in rounds[k]] for k in sides)),
+            "integrand_calls": {k: count(rounds[k], "calls", group) for k in sides},
+            "panels_evaluated": {k: count(rounds[k], "panels", group) for k in sides},
+            "node_sets": {k: count(rounds[k], "node_sets", group) for k in sides},
+            "root_set_calls": {k: count(rounds[k], "root_set_calls", group) for k in sides},
         }
-        for kind in KINDS
+        for group in GROUPS
     }
 
 
