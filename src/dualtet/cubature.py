@@ -6,7 +6,10 @@ the benchmark's tracer still use it.
 
 Both integrators apply a (G7, K15) rule per panel, split the panel with the
 largest error estimate, and stop when the summed error estimate drops below
-the tolerance.  In 1d a panel's estimate is |K - G|.  In 2d the same 225
+the tolerance.  In 1d a panel's estimate is |K - G|, but never below
+50 eps |K|: QUADPACK's roundoff floor (qk15) is 50 eps times the rule on
+|f|, which is |K| where f keeps its sign on the panel, as both volume
+oracles' integrands do, and costs a pass over the values.  In 2d the same 225
 values give four tensor rules, KK, KG, GK and GG (the first letter names
 the rule in x), and the estimate is max(|KK - GG|, |KK - GK| + |KK - KG|):
 the per-axis differences catch an axis that is under-resolved while the
@@ -25,10 +28,12 @@ deterministic function of the inputs, so results are bit-reproducible.
 
 Integrands are vectorized and evaluated on a batch of panels per call.  A
 call costs about the same for seven panels as for three, so in 1d each call
-evaluates the segments the loop asks for together with their halves, kept
-until the integral ends: the first call holds the root, its halves and its
-quarters, a split whose halves are known makes no call, and any other
-evaluates its two halves and their four halves.  A panel's rule sums are
+evaluates the segments the loop asks for together with the halves of two
+segments, kept until the integral ends: the first call holds the root, its
+halves and its quarters, a split whose halves are known makes no call, and
+any other evaluates its two halves, the halves of the first, and the halves
+of the held segment of largest estimate (the likeliest next split), or of
+the second when that segment's are known.  A panel's rule sums are
 formed row by row, in a fixed order, so the result is that of one call per
 split; where a half is not finite, or its arithmetic raises
 FloatingPointError, the segments asked for are evaluated alone.  The 1-D
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -69,6 +75,7 @@ _GAUSS_WEIGHTS = np.array([
 _RULES = np.zeros((2, 15))
 _RULES[0] = _KRONROD_WEIGHTS
 _RULES[1, 1::2] = _GAUSS_WEIGHTS
+_ROUNDOFF = 50.0 * sys.float_info.epsilon  # times |K|: a 1-D estimate's floor
 
 
 def _nodes(spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,21 +116,25 @@ def _panels_1d(f, segs, held: int) -> tuple[list[float], list[float]]:
     # floating-point error; Python floats overflow to inf without raising.
     half, sums = half.tolist(), np.einsum("nk,rk->nr", vals, _RULES).tolist()
     kron = [h * k for h, (k, _) in zip(half, sums)]
-    return _checked(kron, [abs(k - h * g) for k, h, (_, g) in zip(kron, half, sums)], held)
+    # The larger of |K - G| and the floor; a nan |K - G| stays nan.
+    return _checked(kron, [fl if (fl := _ROUNDOFF * abs(k)) > (e := abs(k - h * g)) else e
+                           for k, h, (_, g) in zip(kron, half, sums)], held)
 
 
-def _refine(panels, f, root, split, tol: float, limit: int) -> tuple[float, float]:
+def _refine(panels, f, root, split, tol: float, limit: int,
+            heap: list | None = None) -> tuple[float, float]:
     """The refinement loop of both integrators: `panels(f, cells, held)`
     gives the values and error estimates of a list of cells, and
     `split(cell)` a cell's children.  The root is always split once, and is
     asked for with its children in one `panels` request, which counts as
     one panel held (see above); how many integrand calls a request makes is
-    up to `panels`."""
+    up to `panels`, which may read the held panels in `heap`, a heap of
+    (-estimate, counter, cell, value, estimate)."""
+    heap = [] if heap is None else heap
     subs = split(root)
     (pval, *vals), (perr, *errs) = panels(f, [root, *subs], 1)
     if limit <= 1:
         raise ToleranceNotReached(pval, perr, panels=1)
-    heap = []
     counter = 1
     total_val = total_err = 0.0
     while True:
@@ -153,18 +164,21 @@ def _halves(seg) -> tuple:
     return (lo, mid), (mid, hi)
 
 
-def _lookahead_1d():
-    """A `panels` for `_refine` in 1d that evaluates the segments asked for
-    with the halves of the last two (those a split makes), and keeps each
-    pair of halves for the rest of one integral, keyed by the first, so
-    that a later split of their segment needs no call (see above)."""
+def _lookahead_1d(heap: list):
+    """A `panels` for `_refine` in 1d, which holds its panels in `heap`,
+    that evaluates the segments asked for with the halves of two more (see
+    above), and keeps each pair of halves for the rest of one integral,
+    keyed by the first, so that a later split of their segment needs no
+    call."""
     known = {}
 
     def panels(f, segs, held: int) -> tuple[list[float], list[float]]:
         halves = known.pop(segs[0], None)
         if halves is not None:
             return halves
-        batch = (*segs, *_halves(segs[-2]), *_halves(segs[-1]))
+        top = heap[0][2] if heap else None
+        ahead = segs[-2:] if top is None or _halves(top)[0] in known else (top, segs[-2])
+        batch = (*segs, *_halves(ahead[0]), *_halves(ahead[1]))
         try:
             vals, errs = _panels_1d(f, batch, held)
         except (ToleranceNotReached, FloatingPointError):
@@ -191,7 +205,8 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-12,
     """
     if a == b:
         return 0.0, 0.0
-    return _refine(_lookahead_1d(), f, (float(a), float(b)), _halves, tol, limit)
+    heap = []
+    return _refine(_lookahead_1d(heap), f, (float(a), float(b)), _halves, tol, limit, heap)
 
 
 def _panels_2d(f, rects, held: int) -> tuple[list[float], list[float]]:

@@ -15,16 +15,20 @@ converging geometrically (Lewin, Polylogarithms and Associated Functions,
 g = -(a + b); the lightlike volume is the ideal volume plus sine-log terms,
 divided by the curvature, collapsing to a*b*(a+b)/3 in the flat case.
 
-An independent oracle integrates each chart density in closed form along
-one axis (see _ideal_oracle and _lightlike_v_integral) and the rest by
-adaptive 1-D quadrature, never touching the Clausen evaluations, with
-Sidi's sin^2 substitution (ISNM 112, 1993) widening the thin layers at the
-ends.  Its nodes are the Kronrod nodes of dyadic panels of [0, 1] whatever
-the cell (most calls are on the root's seven panels), so what depends on
-them alone is cached across integrals (_node_cached, keyed on their bytes
-and shape).  Each lightlike node at lam = +-1 takes one of two branches,
-the general sum or, where 1/x < 1/2 at both ends, its tails alone, as a
-Pade form.
+An independent oracle computes either volume as one adaptive 1-D integral,
+never touching the Clausen or log-sine evaluations: the ideal chart density
+integrated in closed form along one axis (_ideal_oracle), or the Schlafli
+route for the lightlike volume, which vanishes at alpha = 0 and has the
+elementary derivative
+
+    dV/dalpha = (alpha / t(alpha) - (alpha + beta) / t(alpha + beta)) / lam,
+
+t = s / c (_lightlike_oracle; a test ties it to the chart density).
+Sidi's sin^2 substitution (ISNM 112, 1993) clusters the nodes at the ends,
+where the integrands have their layers.  The nodes are the Kronrod nodes of
+dyadic panels of [0, 1] whatever the cell (most calls are on the root's
+seven panels), so what depends on them alone is cached across integrals
+(_node_cached, keyed on their bytes and shape).
 
 A Bernoulli-number power series around zero curvature provides a third
 route for small edge lengths.  One coefficient table,
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import lru_cache, wraps
 
@@ -48,7 +53,6 @@ from .gcnum import (
     KIND_LIGHTLIKE,
     check_kind,
     check_lambda,
-    gcos,
     gsin,
     validate_angles,
 )
@@ -159,6 +163,13 @@ def lightlike_volume(lam: int, alpha: float, beta: float) -> float:
     validate_angles(lam, alpha, beta)
     if lam == 0:
         return alpha * beta * (alpha + beta) / 3.0
+    small, big = min(alpha, beta), max(alpha, beta)
+    if big + small == big:
+        # The terms in alpha + beta cancel those in the larger edge to nothing.
+        # The volume is small dV/dsmall at 0 (the next term is small / big
+        # smaller): small (1 - big / t(big)) / lam, in terms that do not cancel.
+        t_half = (math.tan if lam == 1 else math.tanh)(0.5 * big)
+        return small * (big * t_half - lam * _x_over_s_minus_1(lam, big))
     gamma = -(alpha + beta)
     log_sum = (alpha * _log_gsin(lam, alpha) + beta * _log_gsin(lam, beta)
                + gamma * _log_gsin(lam, gamma))
@@ -216,7 +227,6 @@ def _gsin_np(lam: int, x):
 # the Taylor series of u - sin(2 pi u) / (2 pi), to double precision for u <= 1/8.
 _PHI_SERIES = tuple((-1) ** k * (2.0 * math.pi) ** (2 * k + 2) / math.factorial(2 * k + 3)
                     for k in range(8))
-_TINY = np.finfo(float).tiny
 
 
 def _node_cached(node_map):
@@ -262,6 +272,14 @@ def _sin2_twice(u):
     return q, dq * dp
 
 
+@_node_cached
+def _sin2_ends(u):
+    """phi(u), phi(1 - u) and phi'(u), all three with their digits near
+    u = 1 too: 1 - phi(u) = phi(1 - u) and phi'(u) = phi'(1 - u)."""
+    (p, q), (dp, dq) = _sin2(np.stack((u, 1.0 - u)))
+    return p, q, np.where(u < 0.5, dp, dq)
+
+
 def _ideal_oracle(lam: int, alpha: float, beta: float):
     """The ideal volume as an integrand over xi in [0, 1].
 
@@ -272,278 +290,119 @@ def _ideal_oracle(lam: int, alpha: float, beta: float):
     is log1p(1 / q) / 2, which is symmetric about theta = alpha / 2, so
     theta runs over [0, alpha / 2], twice weighted, as (alpha / 2) phi(phi(xi)).
     """
-    c = gsin(lam, beta) * gsin(lam, alpha + beta)
+    # gsin and _gsin_np, without their per-call dispatch (lam is checked).
+    m, s = {1: (math.sin, np.sin), -1: (math.sinh, np.sinh)}.get(lam, (float, np.asarray))
+    c = m(beta) * m(alpha + beta)
 
     def f(xi):
         p, dp = _sin2_twice(xi)
         theta = (0.5 * alpha) * p
-        return ((0.5 * alpha) * dp) * np.log1p(c / (_gsin_np(lam, alpha - theta)
-                                                     * _gsin_np(lam, theta)))
+        return ((0.5 * alpha) * dp) * np.log1p(c / (s(alpha - theta) * s(theta)))
 
     return f
 
 
-def _over_x(fn, x):
-    """fn(x) / x, and its limit 1 at x = 0 (fn is arctan or log1p)."""
-    if np.count_nonzero(x) == x.size:
-        return fn(x) / x
-    return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
+# x / s(x) = 1 + sum_k A_k (lam x^2)^k, k >= 1, A_k = (4^k - 2) |B_2k| / (2k)!
+# > 0: with |B_2k| in tangent numbers (as for _COT_COEFFS) one int / int,
+# correctly rounded.  The terms shrink like (x / pi)^2: the first n keep
+# 2^-56 of the sum for |x| <= _SERIES_UP_TO[n - 1].
+_X_OVER_S = tuple(2 * k * _TANGENT[k] * (4 ** k - 2)
+                  / (4 ** k * (4 ** k - 1) * math.factorial(2 * k)) for k in range(1, 19))
+_X_OVER_S_LAM = {lam: tuple(lam ** k * a for k, a in enumerate(_X_OVER_S, 1)) for lam in (1, -1)}
+_SERIES_UP_TO = tuple((2.0 ** -56 * _X_OVER_S[0] / a) ** (0.5 / n)
+                      for n, a in enumerate(_X_OVER_S[1:], 1))
+_SERIES_BELOW = 0.25  # lightlike nodes x below this sum the series
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
 
 
-def _positive(x):
-    """x with 1 where it is not > 0, and the mask of those (None if none)."""
-    pos = x > 0.0
-    if np.count_nonzero(pos) == x.size:
-        return x, None
-    return np.where(pos, x, 1.0), ~pos
+def _x_over_s_series(lam: int, x_max: float, minus: float = 0.0) -> tuple[float, ...]:
+    """Coefficients in x^2 of x / s(x) - 1 - minus for |x| <= x_max <= 1,
+    for _horner: as many terms as double precision needs there.  Near
+    x = 0 the quotient x / s(x) - 1 loses its digits."""
+    n = bisect_left(_SERIES_UP_TO, x_max) + 1
+    return (-minus, *_X_OVER_S_LAM[lam][:n])
 
 
-# fn(x) / x - 1 = x^2 S(x^2), S(z) = sum_k (-lam)^k z^(k-1) / (2k + 1), k >= 1, for fn
-# = arctan (lam = 1) or artanh (lam = -1), as x^2 N(x^2) / M(x^2) for x <= _TAIL_BELOW:
-# (N, M) is the [6/6] (lam = 1) or [7/7] (lam = -1) Pade approximant of S.
-_TAIL_PADE = {
-    1: ((-0.3333333333333333, -0.9111111111111111, -0.9206349206349206, -0.4195077064642282,
-         -0.08299558734341343, -0.005371812694467157, -9.947464773788896e-06),
-        (1.0, 3.3333333333333335, 4.333333333333333, 2.763285024154589, 0.8881987577639752,
-         0.1308924485125858, 0.006416296495714991)),
-    -1: ((0.3333333333333333, -1.0795698924731183, 1.3606546956936278, -0.8392864499649817,
-          0.2603978232454317, -0.03701965845410252, 0.001767686391825935,
-          -2.1687464912821173e-06),
-         (1.0, -3.838709677419355, 5.956618464961068, -4.780002471882338, 2.103201087628229,
-          -0.49379503796488855, 0.05486611532943206, -0.002062635914640303))}
-_TAIL_BELOW = 0.5
-
-
-def _odd_tail(lam: int, x):
-    """fn(x) / x - 1 for 0 <= x <= _TAIL_BELOW, where the difference loses
-    its digits as x goes to 0, as the Pade form above: within 4e-16 (lam = 1)
-    and 6e-16 (lam = -1) of 50-digit arctan and artanh on [1e-4, 1/2], in
-    half the array operations of the 26-term series (3e-16)."""
-    num, den = _TAIL_PADE[lam]
-    z = x * x
-    return z * _horner(num, z) / _horner(den, z)
-
-
-def _lightlike_v_integral(lam: int, alpha: float, beta: float):
-    """The lightlike chart density integrated over v, as a function of t in
-    [-pi/4, pi/4].
-
-    The density in (t, v), v in [0, 1], is g(r) width / cos(s)^2 with
-    s = |t| + v width, width = pi/2 - 2|t|, and cot(r) = x = P / (d cos s),
-    P = A + c sin s, A = a sin t + b cos t, where p = s(alpha) / s(beta),
-    a, c = (p -+ 1/p) / 2, b, d = c(sigma), s(sigma) with
-    sigma = alpha + beta, and g(r) = (s(2r) - 2r) / (-4 lam), or r^3 / 3.
-    With w = sin s, the ends are w0 = sin|t| and w1 = cos|t|, where P is P0
-    and P1.  At lam = 0 the v integral is
-    d^3 (w1 - w0) (P0 + P1) / (6 (P0 P1)^2).  Otherwise
-    g'(r) dr = -dx / (x^2 + lam)^2, and with
-    Q = d^2 cos(s)^2 (x^2 + lam) = P^2 + lam d^2 (1 - w^2), integration by
-    parts gives [tan(s) r] / (2 lam) - A d / (2 lam) integral dw / Q between
-    s = |t| and s = pi/2 - |t| (the s(2r) half of [tan(s) g] cancels the
-    rational part of the w integral).  With D = P0 P1 + lam d^2 (1 - w0 w1)
-    and h = d |b sin t - a cos t| (w1 - w0), D^2 + lam h^2 = Q0 Q1, and the
-    w integral is
-
-        lam = 1:  (w1 - w0) atan2(h, D) / h,
-        lam = -1: (w1 - w0) log1p(2 h (D + h) / (Q0 Q1)) / (2 h),
-
-    both (w1 - w0) / D at h = 0.  At lam = 1, r = atan2(d cos s, P), and
-    atan2 takes the branch past pi/2 where D < 0.  At lam = -1 the end
-    w0 can sit near a root of Q, so Q = d^2 y (y + 2 cos s) is formed from
-    y = (x - 1) cos s, a sum of terms >= 0 (with h' = (s + t) / 2,
-    delta = (s - t) / 2):
-
-        y = [p (sin t + sin s) / 2 + sin delta (cos h' / p + e^sigma sin h')
-             + e^-sigma (cos t + cos s) / 2] / sinh sigma,
-
-    r = log1p(2 cos s / y) / 2, and D = sqrt(Q0 Q1 + h^2).
-
-    On small cells r and the w integral are O(r) while the v integral is
-    O(r^3), so that sum cancels.  With u = 1/x (r = arctan u, or artanh u)
-    and I0 = (w1 - w0) / (P0 P1) = integral dw / P^2, [tan(s) u] = A d I0
-    exactly, so at a flat node, where u < 1/2 at both ends, the v integral
-    is [tan(s) (r - u)] - A d (I - I0), with r - u = u T(u),
-    T(u) = fn(u) / u - 1 (_odd_tail) and
-    I - I0 = (w1 - w0) [T(h / D) - lam d^2 (1 - w0 w1) / (P0 P1)] / D.
-    P, A, h and D are formed on every node; r, the w integral and the ends
-    only on the nodes that are not flat, and the tails only on those that
-    are, so a call whose nodes are all flat (small cells) forms no r.
-
-    P0 and P1 are regrouped so that only a real change of sign cancels.
-    With S = sin t + cos t, D' = cos t - sin t (both >= 0, the small one
-    formed as sqrt(2) sin(pi/4 - |t|)) and p+- = p^(+-1) for t >= 0 and
-    t < 0, P0 = p+- sin|t| + b cos t and
-    P1 = (p - 1) / (2p) (p S - D') + 2 c(sigma/2)^2 cos t keep their digits
-    on skewed cells, where p or 1/p is large, and as sigma -> pi at lam = 1,
-    where c + b -> 0.  At t = 0, tan(s) r at s = pi/2 is its limit.  The
-    code divides a, b, A and P by k = max(d, 1), and h, D and Q by k^2,
-    which keeps every product in range for large sigma at lam = -1 and for
-    tiny sigma; d / k is what is left of d.
-    """
-    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
-    p = s_a / s_b
-    sigma = alpha + beta
-    d = gsin(lam, sigma)
-    k = max(d, 1.0)
-    dk = d / k
-    a, b = 0.5 * (p - 1.0 / p) / k, gcos(lam, sigma) / k
-    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / k  # 1 + b
-    half_pm = (p - 1.0) / (2.0 * p * k)
-    p_pos, p_neg = p / k, 1.0 / (p * k)  # a + c and c - a
-    if lam == -1:
-        y_p, y_q = 0.5 * p / d, 1.0 / (p * d)
-        y_m = 0.5 * math.exp(-sigma) / d
-        y_e = -2.0 / math.expm1(-2.0 * sigma)  # e^sigma / sinh sigma
-
-    # Each branch reads the first 8 rows of the t terms (see _t_terms) and `cell`:
-    # u's numerators d cos s at both ends (0-1), h (2), P at both ends (3-4),
-    # D (5), A (6), and at lam = -1 Q0 Q1 (7) and y at both ends (8-9).
-    # tan(s) r at s = pi/2 - |t| is cos|t| r1 / sin|t|; r1 / sin|t| and the w
-    # integral are fn(x) / x at small x, so t = 0 and h = 0 give their limits.
-    def general(rows, cell):
-        w1, dw, w0_w1 = rows[1], rows[3], rows[5]
-        (e0, e1, h, p0, p1, big_d, big_a), rest = cell[:7], cell[7:]
-        if lam == -1:
-            q01, y0, y1 = rest
-            r0 = 0.5 * np.log1p(rows[6] / y0)
-            r1_w0 = _over_x(np.log1p, rows[7] / y1) / y1
-            integral = dw * ((big_d + h) / q01
-                             * _over_x(np.log1p, 2.0 * h * (big_d + h) / q01))
-        else:
-            r0 = np.arctan2(e0, p0)
-            p1_pos, bad = _positive(p1)  # P1 > 0 wherever sin|t| is small
-            r1_w0 = dk * _over_x(np.arctan, e1 / p1_pos) / p1_pos
-            if bad is not None:
-                r1_w0[bad] = np.arctan2(e1[bad], p1[bad]) / rows[0][bad]
-            d_pos, bad = _positive(big_d)  # D > 0 wherever h is small
-            integral = dw * _over_x(np.arctan, h / d_pos) / d_pos
-            if bad is not None:
-                integral[bad] = dw[bad] * np.arctan2(h[bad], big_d[bad]) / h[bad]
-        return w1 * r1_w0 - w0_w1 * r0 - dk * big_a * integral
-
-    # Where both u = 1/x are small, r and the w integral are their flat parts u
-    # and I0 plus O(u^3) tails; the flat parts cancel exactly, so the tails are
-    # summed alone (see above).  Should h / D reach 1/2, T(h / D) is fn / x - 1.
-    def flat_tails(rows, cell):
-        x = cell[:3] / cell[3:6]  # u at both ends, h / D
-        tails = _odd_tail(lam, np.minimum(x, _TAIL_BELOW))
-        if not x[2].max() < _TAIL_BELOW:  # unseen: h / D < max(u) in every sweep so far
-            far = ~(x[2] < _TAIL_BELOW)
-            tails[2][far] = (np.arctan if lam == 1 else np.arctanh)(x[2][far]) / x[2][far] - 1.0
-        ends = rows[:2] * tails[:2] / cell[3:5]  # sin(s) T(u) / P at both ends
-        return dk * (ends[1] - ends[0] - cell[6] * rows[3] / cell[5]
-                     * (tails[2] - lam * dk * dk * rows[4] / (cell[3] * cell[4])))
-
-    def f(t):
-        # What depends on t alone is computed once per node set.
-        (terms,) = _t_terms(t)
-        rows, cos_t, sin_t = terms[:8], terms[1], terms[8]
-        dw, b_cos = rows[3], b * cos_t  # w1 - w0
-        cell = np.empty((7 if lam != -1 else 10, *t.shape))
-        big_p = cell[3:5]  # P at both ends
-        if lam == -1:
-            y = cell[8:]
-            np.add(y_p * terms[12:14] + terms[14:16] * (y_q * terms[16:18] + y_e * terms[18:20]),
-                   y_m * terms[20:22], out=y)
-            # Past sigma ~ 354 y can underflow (its terms shrink like e^-2 sigma): nan
-            # there makes the cubature raise ToleranceNotReached, not divide by zero.
-            y[y < _TINY] = np.nan
-            np.multiply(dk, y + rows[1:3], out=big_p)
-            y0, y1 = y
-            np.multiply(dk ** 4 * y0 * (y0 + rows[6]), y1 * (y1 + rows[7]), out=cell[7])
-        else:
-            np.add(np.where(terms[9], p_pos, p_neg) * terms[0], b_cos, out=big_p[0])
-            np.add(half_pm * (p * terms[10] - terms[11]), one_b * cos_t, out=big_p[1])
-            if lam == 0:
-                p0, p1 = big_p
-                return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2)
-        np.multiply(dk, rows[1:3], out=cell[:2])
-        h = np.multiply(dk * np.abs(b * sin_t - a * cos_t), dw, out=cell[2])
-        if lam == 1:
-            np.add(big_p[0] * big_p[1], dk * dk * rows[4], out=cell[5])
-        else:
-            np.sqrt(cell[7] + h * h, out=cell[5])
-        np.add(a * sin_t, b_cos, out=cell[6])
-        flat = cell[:2] < _TAIL_BELOW * big_p
-        flat = flat[0] & flat[1]
-        n_flat = np.count_nonzero(flat)
-        if n_flat == flat.size:
-            v_int = flat_tails(rows, cell)
-        elif n_flat == 0:
-            v_int = general(rows, cell)
-        else:
-            # One gather per branch: the rows of its nodes.
-            flat = flat.reshape(-1)
-            on, off = flat.nonzero()[0], (~flat).nonzero()[0]
-            rows, cell = rows.reshape(len(rows), -1), cell.reshape(len(cell), -1)
-            v_int = np.empty(t.shape)
-            v_flat = v_int.reshape(-1)  # a view: v_int is contiguous
-            v_flat[on] = flat_tails(rows.take(on, axis=1), cell.take(on, axis=1))
-            v_flat[off] = general(rows.take(off, axis=1), cell.take(off, axis=1))
-        return v_int / (2.0 * lam)
-
-    return f
-
-
-@_node_cached
-def _t_terms(t) -> tuple[np.ndarray]:
-    """The terms of _lightlike_v_integral that depend on t alone, as rows, at
-    s = |t| and s = pi/2 - |t| where paired: sin s (0-1), cos s (1-2),
-    w1 - w0 (3), 1 - w0 w1 (4), w0 / w1 (5), 2 cos s (6-7), sin t (8),
-    t >= 0 (9), S (10), D' (11), and y's terms: sin t + sin s (12-13),
-    sin delta (14-15), cos h' (16-17), sin h' (18-19), cos t + cos s (20-21)."""
-    att = np.abs(t)
-    sin_t, cos_t = np.sin(t), np.cos(t)
-    w0, w1 = np.abs(sin_t), cos_t
-    dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)
-    pos_t = t >= 0.0
-    half_sum = (0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t))
-    half_diff = (0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t))
-    return (np.stack((w0, w1, w0, dw, 1.0 - w0 * w1, w0 / w1, 2.0 * w1, 2.0 * w0, sin_t, pos_t,
-                      np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1),
-                      sin_t + w0, sin_t + w1, *map(np.sin, half_diff), *map(np.cos, half_sum),
-                      *map(np.sin, half_sum), cos_t + w1, cos_t + w0)),)
-
-
-@_node_cached
-def _lightlike_nodes(u):
-    """t = +-(pi/4) phi(u), stacked, and the Jacobian (pi/4) phi'(u)."""
-    p, dp = _sin2(u)
-    t = (0.25 * math.pi) * p
-    return np.stack((t, -t)), (0.25 * math.pi) * dp
+def _x_over_s_minus_1(lam: int, y: float) -> float:
+    """y / s(y) - 1 for a float y > 0."""
+    if y < 1.0:
+        return _horner(_x_over_s_series(lam, y), y * y)
+    return y * math.exp(-_log_gsin(lam, y)) - 1.0
 
 
 def _lightlike_oracle(lam: int, alpha: float, beta: float):
-    """The lightlike volume as an integrand over u in [0, 1]: t = +-(pi/4)
-    phi(u), both signs summed at each node.  phi clusters nodes at t = 0,
-    where the v integral has a kink and, on skewed and large lam = -1
-    cells, a layer ~min(p, 1/p) or ~e^-sigma wide, and at t = +-pi/4,
-    where skewed cells have another.  Folding the two halves of t onto one
-    u makes the root split give each half two panels from the start."""
-    f = _lightlike_v_integral(lam, alpha, beta)
+    """The lightlike volume as an integrand over u in [0, 1]: dV/dalpha at
+    x = alpha phi(u), times alpha phi'(u).  With y = x + beta, S(x) = x / s(x),
+    s(y - x) = s(y) c(x) - c(y) s(x) and 1 - c(y) = 2 lam s(y/2)^2, it is
 
-    def g(u):
-        t, jac = _lightlike_nodes(u)
-        return np.add(*f(t)) * jac  # the v integral at t and -t
+        F(x) = (2 beta s(y/2)^2 + lam s(beta) (S(x) - S(beta))) / s(y),
 
-    return g
+    whose two terms cancel to no less than half the larger (on a random
+    scan).  Where x and beta are small, S(x) - S(beta) = O(x^2 - beta^2),
+    so it is (S(x) - 1) - (S(beta) - 1), with S - 1 a series below
+    _SERIES_BELOW (and for beta below 1); above it, and on every node when
+    beta >= 1/2, x / s(x) - S(beta) costs F at most 24 eps.  At lam = 1,
+    s(v) is sin(min(v, pi - v)), with pi - y = (pi - alpha - beta) +
+    alpha phi(1 - u) and the first term in double length, so F keeps its
+    digits in the layer near alpha + beta = pi.  At lam = -1, s(y)
+    overflows past alpha + beta ~ 710.
+    """
+    if lam == 0:
+        def flat(u):
+            p, _, dp = _sin2_ends(u)
+            return ((2.0 * alpha) * p + beta) * (beta / 3.0) * (alpha * dp)
+
+        return flat
+
+    s_beta, s_beta_m1 = gsin(lam, beta), _x_over_s_minus_1(lam, beta)
+    # S(x) - S(beta) as a series, on all nodes, those below _SERIES_BELOW, or none.
+    series = _x_over_s_series(lam, min(alpha, _SERIES_BELOW), s_beta_m1)
+    all_series = beta < 0.5 and alpha <= _SERIES_BELOW
+    some_series = beta < 0.5 and not all_series
+    c_half, c_diff = 2.0 * beta, lam * s_beta  # the numerator: c_half s(y/2)^2 + c_diff d
+    sigma = alpha + beta
+    near, near_x = lam == 1 and sigma > 0.5 * math.pi, lam == 1 and alpha > 0.5 * math.pi
+    if near:
+        # pi - sigma for sigma = alpha + beta exactly: the rounding error of
+        # fl(sigma) by TwoSum (Knuth), and pi - fl(sigma) is exact (Sterbenz).
+        b_virtual = sigma - alpha
+        sigma_err = (alpha - (sigma - b_virtual)) + (beta - b_virtual)
+        pi_rest = (math.pi - sigma) + (_PI_LO - sigma_err)
+
+    def f(u):
+        p, pc, dp = _sin2_ends(u)
+        x = alpha * p
+        y = x + beta
+        if near:
+            pi_y = pi_rest + alpha * pc  # pi - y
+            s_y = np.sin(np.minimum(y, pi_y))
+        else:
+            s_y = _gsin_np(lam, y)
+        if all_series:
+            d = _horner(series, x * x)
+        else:
+            d = x / _gsin_np(lam, np.minimum(x, pi_y + beta) if near_x else x) - (1.0 + s_beta_m1)
+            if some_series:
+                low = x < _SERIES_BELOW
+                x_low = x[low]
+                d[low] = _horner(series, x_low * x_low)
+        h = _gsin_np(lam, 0.5 * y)
+        return (c_half * (h * h) + c_diff * d) / s_y * (alpha * dp)
+
+    return f
 
 
 def volume_quadrature(kind: str, lam: int, alpha: float, beta: float,
                       tol: float = 1e-8) -> tuple[float, float]:
-    """Numerical volume by integrating the invariant volume form over the
-    chart parametrization, independent of the closed forms: one adaptive
-    1-D integral for either kind, the chart density having been integrated
-    in closed form along one axis (w for the ideal kind, v for the
-    lightlike one), with nodes clustered at the chart's edges.
+    """Numerical volume, independent of the closed forms: one adaptive 1-D
+    integral, of the ideal chart density integrated along one axis or of
+    the lightlike volume's Schlafli derivative (see the module docstring).
 
     Returns (value, error estimate); raises ToleranceNotReached with the
     best estimate attached when the panel budget runs out, or at once when
-    the integrand is not finite at a node (lightlike cells at lam = -1 past
-    alpha + beta ~ 354, where the chart's y underflows) or its set-up or
-    arithmetic leaves the float range: on extremely skewed or small cells,
-    where theta underflows to 0 in the ideal chart, or p or 1/p passes
-    ~1e154 in the lightlike one, and at lam = -1 past alpha + beta ~ 710.
+    the integrand is not finite at a node or its set-up or arithmetic
+    leaves the float range: on extremely skewed or small ideal cells, where
+    theta underflows to 0, and at lam = -1 past alpha + beta ~ 710.
     """
     check_kind(kind)
     validate_angles(lam, alpha, beta)

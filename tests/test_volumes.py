@@ -621,9 +621,9 @@ def _outcome(quad, f, *args):
 
 def _clear_node_caches():
     from dualtet.cubature import _segment_nodes
-    from dualtet.volumes import _lightlike_nodes, _sin2_twice, _t_terms
+    from dualtet.volumes import _sin2_ends, _sin2_twice
 
-    for node_map in (_segment_nodes, _sin2_twice, _lightlike_nodes, _t_terms):
+    for node_map in (_segment_nodes, _sin2_twice, _sin2_ends):
         node_map.cache_clear()
 
 
@@ -636,11 +636,12 @@ def test_oracle_panels_do_not_depend_on_their_batch(kind, lam):
     node set are the same bits from cleared caches as from warm ones, after
     other cells, kinds and curvatures have used them."""
     from dualtet.cubature import _nodes, _panels_1d
-    from dualtet.volumes import _odd_tail
+    from dualtet.volumes import _horner, _x_over_s_series
 
     if lam != 0:
-        x = np.random.default_rng(3).uniform(0.0, 0.5, 60)
-        assert [_odd_tail(lam, x[k:k + 1])[0] for k in range(60)] == _odd_tail(lam, x).tolist()
+        x = np.random.default_rng(3).uniform(0.0, 0.0625, 60)
+        series = _x_over_s_series(lam, 0.25, 0.01)
+        assert [_horner(series, x[k:k + 1])[0] for k in range(60)] == _horner(series, x).tolist()
     # A dyadic partition of [0, 1]: the batches vary the number of nodes
     # that fall below u = 1/8, where Sidi's map is summed as a series.
     segs = [(0.0, 1 / 64), *((2.0 ** -k, 2.0 ** (1 - k)) for k in range(6, 1, -1)),
@@ -758,7 +759,9 @@ def test_lookahead_raises_where_one_call_per_split_does(bad, errstate, raised):
 
 def volume_reference(kind: str, lam: int, alpha: float, beta: float):
     """30-digit closed form: mpmath's Clausen function at lam = 1 and the
-    dilogarithm form pi^2/6 - x^2/4 - Li2(e^-x) at lam = -1."""
+    dilogarithm form pi^2/6 - x^2/4 - Li2(e^-x) at lam = -1.  On small and
+    skewed cells its terms cancel to about min(alpha, beta)^2 of their size,
+    so it carries two more digits per decade of min(alpha, beta) below 1."""
     def cl(x):
         if lam == 0:
             return x * (1 - mpmath.log(abs(x)))
@@ -770,7 +773,7 @@ def volume_reference(kind: str, lam: int, alpha: float, beta: float):
     def log_s(x):
         return mpmath.log({1: mpmath.sin, -1: mpmath.sinh}.get(lam, lambda y: y)(x))
 
-    with mpmath.workdps(30):
+    with mpmath.workdps(30 + 2 * max(0, math.ceil(-math.log10(min(alpha, beta))))):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         ideal = (cl(2 * a) + cl(2 * b) - cl(2 * (a + b))) / 2
         if kind == "ideal":
@@ -823,8 +826,11 @@ def _true_error(cell, val):
 
 # Strongly skewed cells where the 2-D lightlike oracle, and the ideal one
 # before a split was checked against its parent, under-estimated the error;
-# and tiny lightlike cells where the v integral lost its digits to its flat
-# part (u = 1/x) before that part was subtracted.
+# tiny lightlike cells where the v integral lost its digits to its flat part
+# (u = 1/x) before that part was subtracted; and lightlike cells where the
+# v-integral oracle raised or under-estimated: past alpha + beta ~ 354 and
+# at beta / alpha ~ 1e-9 at lam = -1, at alpha = 1e-300, and near
+# alpha + beta = pi at lam = 1 at tol 1e-10.
 @pytest.mark.parametrize("cell, tol", [
     (("lightlike", 1, 1.1591715644396432, 0.00016472969492084435), 1e-6),
     (("lightlike", 0, 3.032501430317681, 0.0004955534301150293), 1e-8),
@@ -833,6 +839,12 @@ def _true_error(cell, val):
     (("ideal", 0, 0.08905398898501914, 4.058052440944872e-07), 1e-6),
     (("ideal", 0, 0.08905398898501914, 4.058052440944872e-07), 1e-8),
     (("ideal", 0, 2.1673985899866873e-05, 2.5174406658309835e-09), 1e-8),
+    (("lightlike", -1, 355.0, 1.0), 1e-8),
+    (("lightlike", -1, 178.0, 178.0), 1e-8),
+    (("lightlike", -1, 0.2810389125420838, 1.5979366581482044e-09), 1e-8),
+    (("lightlike", -1, 1e-300, 100.0), 1e-8),
+    (("lightlike", 1, 0.6283183307179586, 2.5132733228718345), 1e-10),
+    (("lightlike", 1, 0.6283185107179587, 2.513274042871835), 1e-10),
 ])
 def test_skewed_cells_bound_their_error(cell, tol):
     val, err = volume_quadrature(*cell, tol=tol)
@@ -875,7 +887,7 @@ _CACHE_CELLS = [(0.3, 0.4), (0.09, 1.45), (1.45, 0.09), (0.02, 0.33)]
 
 def test_node_map_cache_keeps_oracle_values():
     from dualtet.cubature import _nodes, _segment_nodes
-    from dualtet.volumes import _lightlike_nodes, _sin2_twice, _t_terms
+    from dualtet.volumes import _sin2_ends, _sin2_twice
 
     def quadratures(cold):
         got = []
@@ -893,7 +905,7 @@ def test_node_map_cache_keeps_oracle_values():
     # written.  They come back in the caller's shape, leading axes
     # included, and the same bytes in another shape are an entry of their own.
     u = np.linspace(0.0, 0.75, 15)
-    for node_map in (_sin2_twice, _lightlike_nodes, _t_terms):
+    for node_map in (_sin2_twice, _sin2_ends):
         seen = []
         for shape in ((15,), (1, 15), (3, 5)):
             out = node_map(u.reshape(shape))
@@ -1007,27 +1019,9 @@ def _gsin(lam, x):
     return {1: np.sin, -1: np.sinh}.get(lam, lambda y: y)(x)
 
 
-def _v_integral_reference(lam, alpha, beta, t):
-    """The lightlike chart density integrated over v by scipy quad."""
-    f = _lightlike_integrand(lam, alpha, beta)
-    return quad(lambda v: f(t, v), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-
-# Per lam: cells with alpha = beta (so h = 0 at t = 0), cells where
-# t = atan(a / b), the zero of h, lies in [-pi/4, pi/4], at lam = 1
-# cells with alpha + beta > pi/2, where b < 0, and at lam = +-1 a small
-# cell, where u = 1/x < 1/2 at every t and the flat part is subtracted.
-_V_INTEGRAL_CELLS = {
-    -1: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8), (1.0, 4.0), (0.1, 0.15)),
-    0: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8)),
-    1: ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4), (0.8, 0.8), (0.3, 0.4), (1.2, 1.5), (1.4, 1.4),
-        (0.1, 0.15)),
-}
-
-
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_rewritten_densities_match_old_formulas(lam):
-    from dualtet.volumes import _ideal_oracle, _lightlike_v_integral, _sin2_twice
+    from dualtet.volumes import _ideal_oracle, _sin2_twice
 
     frac = np.linspace(0.05, 0.95, 13)
     for alpha, beta in ((0.7, 0.9), (0.3, 1.2), (1.1, 0.4)):
@@ -1045,162 +1039,6 @@ def test_rewritten_densities_match_old_formulas(lam):
         new = _lightlike_integrand(lam, alpha, beta)(t, frac[None, :])
         old = _old_lightlike_density(lam, alpha, beta, t, frac[None, :])
         np.testing.assert_allclose(new, old, rtol=1e-11, atol=0)
-    # The 1-D lightlike integrand is that density integrated over v.
-    zeros_of_h = 0
-    for alpha, beta in _V_INTEGRAL_CELLS[lam]:
-        s_a, s_b = (gsin(lam, x) for x in (alpha, beta))
-        t_e = math.atan(0.5 * (s_a / s_b - s_b / s_a) / gcos(lam, alpha + beta))
-        ts = list((0.25 * math.pi) * np.linspace(-0.98, 0.98, 15)) + [0.0, 1e-9, -1e-9]
-        if abs(t_e) < 0.25 * math.pi:
-            ts += [t_e, math.nextafter(t_e, 1.0), t_e + 1e-9]
-            zeros_of_h += 1
-        got = _lightlike_v_integral(lam, alpha, beta)(np.array(ts))
-        want = [_v_integral_reference(lam, alpha, beta, t) for t in ts]
-        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0, err_msg=str((alpha, beta)))
-    assert zeros_of_h >= 2
-
-
-# The lightlike integrand as it was before each node took one branch and
-# the tails became a Pade form: the general branch on every node, then the
-# 26-term series T(x) = sum_k (-lam)^k x^2k / (2k + 1) on the flat ones.
-_OLD_TAIL_SERIES = {lam: tuple((-lam) ** k / (2.0 * k + 1.0) for k in range(1, 27))
-                    for lam in (1, -1)}
-
-
-def _old_odd_tail(lam, x):
-    x2 = x * x
-    acc = 0.0
-    for c in reversed(_OLD_TAIL_SERIES[lam]):
-        acc *= x2
-        acc += c
-    return x2 * acc
-
-
-def _old_over_x(fn, x):
-    return np.divide(fn(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def _old_v_integral(lam, alpha, beta):
-    """f(t) -> (v integral, mask of the nodes summed as tails)."""
-    s_a, s_b = gsin(lam, alpha), gsin(lam, beta)
-    p = s_a / s_b
-    sigma = alpha + beta
-    d = gsin(lam, sigma)
-    k = max(d, 1.0)
-    dk = d / k
-    a, b = 0.5 * (p - 1.0 / p) / k, gcos(lam, sigma) / k
-    one_b = 2.0 * gcos(lam, 0.5 * sigma) ** 2 / k
-    half_pm = (p - 1.0) / (2.0 * p * k)
-    p_pos, p_neg = p / k, 1.0 / (p * k)
-    if lam == -1:
-        y_p, y_q = 0.5 * p / d, 1.0 / (p * d)
-        y_m = 0.5 * math.exp(-sigma) / d
-        y_e = -2.0 / math.expm1(-2.0 * sigma)
-
-    def f(t):
-        att = np.abs(t)
-        sin_t, cos_t = np.sin(t), np.cos(t)
-        w0, w1 = np.abs(sin_t), cos_t
-        dw = math.sqrt(2.0) * np.sin(0.25 * math.pi - att)
-        pos_t = t >= 0.0
-        s_plus, s_minus = np.where(pos_t, w0 + w1, dw), np.where(pos_t, dw, w0 + w1)
-        one_w01 = 1.0 - w0 * w1
-        big_a = a * sin_t + b * cos_t
-        h = dk * np.abs(b * sin_t - a * cos_t) * dw
-        if lam != -1:
-            p0 = np.where(pos_t, p_pos, p_neg) * w0 + b * cos_t
-            p1 = half_pm * (p * s_plus - s_minus) + one_b * cos_t
-        if lam == 0:
-            return dk ** 3 * dw * (p0 + p1) / (6.0 * (p0 * p1) ** 2), None
-        if lam == 1:
-            r0 = np.arctan2(dk * w1, p0)
-            pos = p1 > 0.0
-            p1_pos = np.where(pos, p1, 1.0)
-            r1_w0 = dk * _old_over_x(np.arctan, dk * w0 / p1_pos) / p1_pos
-            if not pos.all():
-                r1_w0[~pos] = np.arctan2(dk * w0[~pos], p1[~pos]) / w0[~pos]
-            big_d = p0 * p1 + dk * dk * one_w01
-            pos = big_d > 0.0
-            d_pos = np.where(pos, big_d, 1.0)
-            fc = _old_over_x(np.arctan, h / d_pos)
-            integral = dw * fc / d_pos
-            if not pos.all():
-                integral[~pos] = dw[~pos] * np.arctan2(h[~pos], big_d[~pos]) / h[~pos]
-        else:
-            half_sum = np.stack((0.5 * (att + t), 0.5 * (0.5 * math.pi - att + t)))
-            half_diff = np.stack((0.5 * (att - t), 0.5 * (0.5 * math.pi - att - t)))
-            y = (y_p * np.stack((sin_t + w0, sin_t + w1))
-                 + np.sin(half_diff) * (y_q * np.cos(half_sum) + y_e * np.sin(half_sum))
-                 + y_m * np.stack((cos_t + w1, cos_t + w0)))
-            y0, y1 = np.where(y >= np.finfo(float).tiny, y, np.nan)
-            p0, p1 = dk * (y0 + w1), dk * (y1 + w0)
-            r0 = 0.5 * np.log1p(2.0 * w1 / y0)
-            r1_w0 = _old_over_x(np.log1p, 2.0 * w0 / y1) / y1
-            q01 = (dk ** 4 * y0 * (y0 + 2.0 * w1)) * (y1 * (y1 + 2.0 * w0))
-            big_d = np.sqrt(q01 + h * h)
-            w_int = (big_d + h) / q01 * _old_over_x(np.log1p, 2.0 * h * (big_d + h) / q01)
-            integral, fc = dw * w_int, big_d * w_int
-        v_int = w1 * r1_w0 - w0 / w1 * r0 - dk * big_a * integral
-        flat = (dk * w1 < 0.5 * p0) & (dk * w0 < 0.5 * p1)
-        if flat.any():
-            p0, p1, w0, w1, big_d, one_w01 = (arr[flat] for arr in (p0, p1, w0, w1, big_d,
-                                                                    one_w01))
-            x = np.stack((dk * w1 / p0, dk * w0 / p1, h[flat] / big_d))
-            tail0, tail1, tail = _old_odd_tail(lam, np.minimum(x, 0.5))
-            tail = np.where(x[2] < 0.5, tail, fc[flat] - 1.0)
-            v_int[flat] = dk * (w1 * tail1 / p1 - w0 * tail0 / p0
-                                - big_a[flat] * dw[flat] / big_d
-                                * (tail - lam * dk * dk * one_w01 / (p0 * p1)))
-        return v_int / (2.0 * lam), flat
-
-    return f
-
-
-def _lightlike_t_nodes(segs):
-    """t = +-(pi/4) phi(u) on the Kronrod nodes of the segments, stacked."""
-    from dualtet.cubature import _segment_nodes
-    from dualtet.volumes import _lightlike_nodes
-
-    return _lightlike_nodes(_segment_nodes(segs)[1])[0]
-
-
-_ROOT_SEGMENTS = ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25), (0.25, 0.5), (0.5, 0.75),
-                  (0.75, 1.0))
-_SPLIT_SEGMENTS = ((0.0, 0.125), (0.125, 0.25), (0.0, 0.0625), (0.0625, 0.125), (0.125, 0.1875),
-                   (0.1875, 0.25))
-
-
-@pytest.mark.parametrize("lam", [1, -1])
-@pytest.mark.parametrize("cell, flat_at_root", [((0.05, 0.08), "all"), ((0.3, 0.9), "some"),
-                                                ((1.2, 1.5), "none")])
-def test_one_branch_per_node_keeps_the_integrand(lam, cell, flat_at_root, monkeypatch):
-    """Each node takes one branch and the tails are a Pade form: the v
-    integral moves by rounding only, node by node, on a cell whose root
-    call is all flat, one where it is mixed and one with no flat node.
-    The bound is relative to the largest value among the nodes of the same
-    branch, since the nodes next to t = +-pi/4, where w1 - w0 -> 0, cancel:
-    there a change of one ulp in T moves the node's own value by up to
-    1e-8 of itself.  A call whose nodes are all flat forms no r."""
-    from dualtet import volumes
-
-    for segs in (_ROOT_SEGMENTS, _SPLIT_SEGMENTS):
-        t = _lightlike_t_nodes(segs)
-        want, flat = _old_v_integral(lam, *cell)(t)
-        if segs is _ROOT_SEGMENTS:
-            assert {"all": flat.all(), "some": flat.any() and not flat.all(),
-                    "none": not flat.any()}[flat_at_root]
-        with monkeypatch.context() as patch:
-            if flat.all():  # the general branch's r and w integral need _over_x
-                patch.setattr(volumes, "_over_x", None)
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                got = volumes._lightlike_v_integral(lam, *cell)(t)
-        assert got.shape == want.shape
-        for branch in (flat, ~flat):
-            if branch.any():
-                np.testing.assert_allclose(got[branch], want[branch], rtol=0,
-                                           atol=4e-15 * np.abs(want[branch]).max())
-
-
 def _old_panels_1d(f, segs, held):
     """_panels_1d as it was, its rule sums formed in numpy under errstate."""
     from dualtet.cubature import _RULES, _nodes
@@ -1215,56 +1053,103 @@ def _old_panels_1d(f, segs, held):
     return sums[:, 0].tolist(), err.tolist()
 
 
-@pytest.mark.parametrize("kind, lam", [("ideal", -1), ("ideal", 0), ("ideal", 1),
-                                       ("lightlike", 0)])
+@pytest.mark.parametrize("kind, lam", [("ideal", -1), ("ideal", 0), ("ideal", 1)])
 def test_ideal_and_flat_lightlike_oracle_keep_their_bits(kind, lam):
-    """Ideal and lam = 0 lightlike values and estimates are the bits of the
-    route before this integrand and cubature bookkeeping: the old lam = 0
-    integrand (the ideal one is unchanged) through one call per split,
-    with the old rule sums."""
-    from dualtet.volumes import _ideal_oracle, _lightlike_nodes
+    """Ideal values and estimates are the bits of the route before the
+    cubature's bookkeeping was reworked: the ideal integrand (unchanged)
+    through one call per split, with the old rule sums.  The lam = 0
+    lightlike oracle is the Schlafli integrand now, a new route."""
+    from dualtet.volumes import _ideal_oracle
 
-    def old_lightlike(lam, a, b):
-        f = _old_v_integral(lam, a, b)
-
-        def g(u):
-            t, jac = _lightlike_nodes(u)
-            return f(t)[0].sum(axis=0) * jac
-
-        return g
-
-    oracle = _ideal_oracle if kind == "ideal" else old_lightlike
     for a, b in _CACHE_CELLS:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            want = _one_call_per_split_quad(oracle(lam, a, b), 0.0, 1.0, 1e-8,
+            want = _one_call_per_split_quad(_ideal_oracle(lam, a, b), 0.0, 1.0, 1e-8,
                                             panels=_old_panels_1d)
         got = volume_quadrature(kind, lam, a, b)
         assert [x.hex() for x in got] == [x.hex() for x in want], (a, b)
 
 
-def test_pade_tails_regenerate_from_the_series():
-    """The tail's coefficients are the [6/6] (lam = 1) and [7/7] (lam = -1)
-    Pade approximants of its series, rounded to floats, and the tail keeps
-    double precision on (0, 1/2] against 50-digit arctan and artanh."""
-    from dualtet.volumes import _TAIL_BELOW, _TAIL_PADE, _odd_tail
+# Per lam: a plain cell, a skewed one, and a large one (at lam = 1 one with
+# alpha + beta > pi/2, where c(alpha + beta) < 0).
+_CHART_CELLS = {-1: ((0.4, 0.7), (0.05, 0.9), (1.5, 2.5)),
+                0: ((0.4, 0.7), (0.05, 0.9), (1.5, 0.3)),
+                1: ((0.4, 0.7), (0.05, 0.9), (1.2, 1.5))}
 
-    x = np.concatenate((np.geomspace(1e-4, _TAIL_BELOW, 400), np.linspace(0.3, 0.5, 200)))
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_schlafli_oracle_integrates_the_chart_density(lam):
+    """The tie of the Schlafli route to the geometry: scipy's integral of
+    the lightlike chart density over (t, v), the volume form itself, is
+    the lightlike oracle's integral of dV/dalpha, to 1e-10 relative."""
+    for alpha, beta in _CHART_CELLS[lam]:
+        def v_integral(t):
+            return quad(lambda v: _old_lightlike_density(lam, alpha, beta, t, v), 0.0, 1.0,
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+        # The density has a kink at t = 0.
+        chart = sum(quad(v_integral, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                    for lo, hi in ((-0.25 * math.pi, 0.0), (0.0, 0.25 * math.pi)))
+        got, _err = volume_quadrature("lightlike", lam, alpha, beta, tol=1e-10)
+        assert got == pytest.approx(chart, rel=1e-10, abs=0.0), (alpha, beta)
+
+
+def test_x_over_s_series_regenerates_from_mpmath():
+    """The series coefficients of x / s(x) - 1 are mpmath's Taylor
+    coefficients rounded to floats, and the series, cut where it has
+    converged, is within 4e-16 of 50-digit x / s(x) - 1 on (0, 1]."""
+    from dualtet.volumes import _X_OVER_S_LAM, _horner, _x_over_s_series
+
+    x = np.concatenate((np.geomspace(1e-8, 1.0, 300), np.linspace(0.2, 1.0, 300)))
     with mpmath.workdps(50):
-        for lam, n in ((1, 6), (-1, 7)):
-            series = [mpmath.mpf(-lam) ** k / (2 * k + 1) for k in range(1, 2 * n + 2)]
-            num, den = mpmath.pade(series, n, n)
-            assert _TAIL_PADE[lam] == (tuple(map(float, num)), tuple(map(float, den)))
-            fn = mpmath.atan if lam == 1 else mpmath.atanh
-            got = _odd_tail(lam, x)
-            for xi, gi in zip(x, got):
-                want = fn(mpmath.mpf(xi)) / xi - 1
-                assert abs((gi - want) / want) < 6e-16, (lam, xi)
-    assert _odd_tail(1, np.array([0.0])).tolist() == [0.0]
+        for lam, fn in ((1, mpmath.sin), (-1, mpmath.sinh)):
+            taylor = mpmath.taylor(lambda v: v / fn(v) if v else mpmath.mpf(1), 0, 36)
+            assert _X_OVER_S_LAM[lam] == tuple(float(c) for c in taylor[2::2])
+            for xi in x:
+                got = _horner(_x_over_s_series(lam, xi), xi * xi)
+                want = mpmath.mpf(xi) / fn(xi) - 1
+                assert abs((got - want) / want) < 4e-16, (lam, xi)
 
 
-# Cells past the float range of the oracle's set-up: p = s(alpha) / s(beta)
-# underflows to 0, and sinh(alpha + beta) overflows.
-@pytest.mark.parametrize("kind, cell", [("lightlike", (-1, 1e-300, 100.0)),
+_ROOT_SEGMENTS = ((0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.25), (0.25, 0.5), (0.5, 0.75),
+                  (0.75, 1.0))
+# Per lam: tiny cells, skewed ones both ways, cells past the series' reach,
+# and at lam = 1 cells near alpha + beta = pi, at lam = -1 large ones.
+_SCHLAFLI_CELLS = {
+    1: ((1e-6, 2e-6), (3e-9, 5e-9), (0.2810389125420838, 1.5979366581482044e-09),
+        (1.5979366581482044e-09, 0.2810389125420838), (1.2, 1e-7), (0.3, 0.6), (1.0, 0.2),
+        (0.6283185107179587, 2.513274042871835), (3.1, 0.04), (0.02, 3.12)),
+    -1: ((1e-6, 2e-6), (3e-9, 5e-9), (0.2810389125420838, 1.5979366581482044e-09),
+         (1.5979366581482044e-09, 0.2810389125420838), (2.0, 1e-7), (0.3, 0.6), (1.0, 0.2),
+         (355.0, 1.0), (178.0, 178.0), (20.0, 0.3), (0.3, 20.0)),
+}
+
+
+@pytest.mark.parametrize("lam", [1, -1])
+def test_schlafli_integrand_matches_50_digits(lam):
+    """The lightlike integrand is dV/dalpha = (x / t(x) - y / t(y)) / lam,
+    y = x + beta, times the Jacobian alpha phi'(u) at x = alpha phi(u): on
+    the nodes of the root call it is within 1e-14 of 50-digit mpmath, with
+    x formed there from the same u."""
+    from dualtet.cubature import _segment_nodes
+    from dualtet.volumes import _lightlike_oracle
+
+    u = _segment_nodes(_ROOT_SEGMENTS)[1].ravel()
+    t = mpmath.tan if lam == 1 else mpmath.tanh
+    for alpha, beta in _SCHLAFLI_CELLS[lam]:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _lightlike_oracle(lam, alpha, beta)(u)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+            for ui, gi in zip(u, got):
+                z = 2 * mpmath.pi * mpmath.mpf(ui)
+                x = a * (z - mpmath.sin(z)) / (2 * mpmath.pi)
+                want = (x / t(x) - (x + b) / t(x + b)) / lam * a * (1 - mpmath.cos(z))
+                assert abs((gi - want) / want) < 1e-14, (alpha, beta, ui)
+
+
+# Cells past the float range of the oracle's set-up or nodes: sinh(beta), and
+# sinh(alpha + beta), overflow.
+@pytest.mark.parametrize("kind, cell", [("lightlike", (-1, 1e-6, 800.0)),
                                         ("lightlike", (-1, 400.0, 400.0)),
                                         ("ideal", (-1, 400.0, 400.0))])
 def test_oracle_set_up_out_of_float_range_raises_typed(kind, cell):

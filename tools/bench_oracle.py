@@ -13,13 +13,13 @@ alternates which checkout runs first:
 * per call, on `oracle-check` only: `volume_quadrature(kind, ...)` at tol
   1e-8 over the inputs of `oracle-check` (seed 7, --seconds 20), each input
   timed as the least of REPEATS calls, in one child process per round,
-  ROUNDS rounds; the ideal inputs, the lightlike ones at lam = 0 and those
-  at lam = +-1 (another integrand route, and the slowest) are reported
-  separately, with the integrand calls and panels evaluated over one pass
-  of them, the distinct node sets those calls were made on, and the calls
-  made on the root set (the nodes of each integral's first call, the same
-  for every input), counted from outside the package by wrapping each
-  kind's oracle;
+  ROUNDS rounds; the ideal inputs, the lightlike ones at lam = 0 (where
+  the lightlike integrand is a polynomial) and those at lam = +-1 are
+  reported separately, with the integrand calls and panels evaluated over
+  one pass of them, the distinct node sets those calls were made on, and
+  the calls made on the root set (the nodes of each integral's first call,
+  the same for every input), counted from outside the package by wrapping
+  each kind's oracle;
 * end to end: `perfbench/run.py --workload WORKLOAD --seconds 20 --trace 0`
   on each seed of --seeds (911-920 by default), its metrics as printed
   (gauge-scaled times) and its failed ops per seed.
