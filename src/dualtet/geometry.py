@@ -5,8 +5,11 @@ planes as projective dual vectors in R^4 only.  Points of the ideal
 boundary of the dual family are projective classes [v] of 2-vectors over
 the algebra with v v^dag nonzero.  Like a `Mat2`, a `BoundaryPoint` stores
 the four numbers (v1.re, v1.im, v2.re, v2.im) of its canonical
-representative and one curvature tag, does its arithmetic on them in the
-order `GC` would, and builds `GC`s only when `v1` or `v2` is read.
+representative and one curvature tag, and builds `GC`s only when `v1` or
+`v2` is read.  At lam = 0 and 1 it does its arithmetic on them in the
+order `GC` would.  At lam = -1 a boundary point is a pair of real
+projective points, its null components, and normalizing a point, moving
+it and normalizing a triple work on each of them as a real 2x2 problem.
 
 The duality pairing used throughout is
 
@@ -23,9 +26,9 @@ the pairing's kernels are taken only in `_dual_kernel`, which also takes a
 stack of kernels in one SVD call.  The spacelike geodesic cut out by two
 dual vectors, whether the intersection of two lightlike planes or the dual
 of a geodesic, is built only in `_spacelike_geodesic_dual_to`.  Only
-`boundary_normalize` sends three points of the projective line to
-(infinity, 0, 1), for ideal vertices and for the rays of lightlike normals
-alike.
+`_normalizer` sends three points of the projective line to
+(infinity, 0, 1) in the algebra's arithmetic, for ideal vertices at
+lam = 0 and 1 and for the (real) rays of lightlike normals at every lam.
 
 Planes are handled through the duality alone.  The duality turns the
 action of A on one family into the action of S A S on the other, with
@@ -254,22 +257,38 @@ def arc_length(p: Point, q: Point) -> tuple[int, float]:
 # -- ideal boundary ------------------------------------------------------------
 
 
-def _null_branch(re, im, lam: int) -> int:
-    """+1 / -1 when re + l*im is a real multiple of (1 + l) / (1 - l); 0
-    otherwise."""
-    if lam != -1:
-        return 0
-    scale = max(abs(re), abs(im), 1e-300)
-    if abs(re - im) <= 1e-12 * scale:
-        return 1
-    if abs(re + im) <= 1e-12 * scale:
-        return -1
-    return 0
+def _null_flat(p1, p2, m1, m2) -> tuple:
+    """The canonical four numbers at lam = -1 of the boundary point with
+    null components [p1 : p2] and [m1 : m2]; see `BoundaryPoint`."""
+    s, t = p2 if abs(p2) > abs(p1) else p1, m2 if abs(m2) > abs(m1) else m1
+    if not (abs(s) > 0.0 and abs(t) > 0.0):
+        raise Degenerate("v v^dag = 0: not a boundary point")
+    (p1, m1), (p2, m2) = _on_grid(p1 / s, m1 / t), _on_grid(p2 / s, m2 / t)
+    return 0.5 * (p1 + m1), 0.5 * (p1 - m1), 0.5 * (p2 + m2), 0.5 * (p2 - m2)
+
+
+def _on_grid(p, m) -> tuple:
+    """The null components (p, m) of one entry rounded to multiples of
+    2^-52 d, d the least power of two >= both (|x| + d - d): then
+    re = (p + m)/2 and im = (p - m)/2 are exact, and re +- im gives p and m
+    back exactly, so a canonical representative normalizes to its own bits,
+    while an entry whose components are both small keeps their digits."""
+    f, e = math.frexp(max(abs(p), abs(m)))
+    d = math.ldexp(1.0, e - (f == 0.5))
+    return math.copysign(abs(p) + d - d, p), math.copysign(abs(m) + d - d, m)
 
 
 def _normalized(r1, i1, r2, i2, lam: int) -> tuple:
     """The canonical representative of [v1 : v2] on its four numbers; see
     `BoundaryPoint`."""
+    if lam == -1:
+        return _null_flat(r1 + i1, r2 + i2, r1 - i1, r2 - i2)
+    return _unit_normalized(r1, i1, r2, i2, lam)
+
+
+def _unit_normalized(r1, i1, r2, i2, lam: int) -> tuple:
+    """[v1 : v2] with its second entry scaled to 1 when it is a unit,
+    otherwise its first."""
     # Entries negligible against the vector scale are noise from matrix
     # arithmetic; snap them so the unit tests below see exact zeros.
     scale = max(abs(r1), abs(i1), abs(r2), abs(i2))
@@ -283,12 +302,7 @@ def _normalized(r1, i1, r2, i2, lam: int) -> tuple:
         return (*_mul(r1, i1, *_inv(r2, i2, lam), lam), 1.0, 0.0)
     if _is_unit(r1, i1, lam):
         return (1.0, 0.0, *_mul(r2, i2, *_inv(r1, i1, lam), lam))
-    b1, b2 = _null_branch(r1, i1, lam), _null_branch(r2, i2, lam)
-    if b1 == 0 or b2 == 0 or b1 == b2:
-        raise Degenerate("v v^dag = 0: not a boundary point")
-    # v ~ (a(1+e*l), b(1-e*l)); unit rescaling (including by l) always
-    # reaches ((1+e*l), (1-e*l)).
-    return 1.0, float(b1), 1.0, -float(b1)
+    raise Degenerate("v v^dag = 0: not a boundary point")
 
 
 def _boundary(flat: tuple, lam: int) -> "BoundaryPoint":
@@ -302,15 +316,21 @@ def _boundary(flat: tuple, lam: int) -> "BoundaryPoint":
 class BoundaryPoint:
     """Projective class [v] in the boundary of the dual family.
 
-    The canonical representative scales the second entry to 1 when it is a
-    unit, otherwise the first; the remaining split-complex case with two
-    zero-divisor entries is normalized onto the pair (1 + l, +-(1 - l)).
+    At lam = 0 and 1 the canonical representative scales the second entry
+    to 1 when it is a unit, otherwise the first.  At lam = -1, where
+    x = re + l*im has null components x+- = re +- im, [v1 : v2] is the pair
+    of real projective points [v1+ : v2+] and [v1- : v2-], and each pair is
+    scaled by its entry of larger magnitude: all four numbers are O(1), and
+    re +- im gives each component back exactly, to an ulp of the larger
+    component of its entry (`_on_grid`), however far apart the scales of
+    the two points' components are.
 
     Like a `Mat2`, a boundary point stores its entries as numbers, `flat =
-    (v1.re, v1.im, v2.re, v2.im)`, beside one curvature tag `lam`, and does
-    its arithmetic on them as `GC` would, term for term.  `v1` and `v2`
-    build `GC`s only when read.  `BoundaryPoint(v1, v2)` takes two `GC`s of
-    one tag.  A boundary point is immutable, and equal ones hash equal.
+    (v1.re, v1.im, v2.re, v2.im)`, beside one curvature tag `lam`, and at
+    lam = 0 and 1 does its arithmetic on them as `GC` would, term for term.
+    `v1` and `v2` build `GC`s only when read.  `BoundaryPoint(v1, v2)` takes
+    two `GC`s of one tag.  A boundary point is immutable, and equal ones
+    hash equal.
     """
 
     __slots__ = ("flat", "lam")
@@ -399,6 +419,12 @@ class BoundaryPoint:
             raise LambdaMismatch(f"mixed curvature tags {b.rep.lam} and {lam}")
         a0, a1, b0, b1, c0, c1, d0, d1 = b.rep.flat
         x0, x1, y0, y1 = self.flat
+        if lam == -1:
+            xp, yp, xm, ym = x0 + x1, y0 + y1, x0 - x1, y0 - y1
+            return _boundary(_null_flat((a0 + a1) * xp + (b0 + b1) * yp,
+                                        (c0 + c1) * xp + (d0 + d1) * yp,
+                                        (a0 - a1) * xm + (b0 - b1) * ym,
+                                        (c0 - c1) * xm + (d0 - d1) * ym), lam)
         return _boundary(_normalized(
             (a0 * x0 - lam * a1 * x1) + (b0 * y0 - lam * b1 * y1),
             (a0 * x1 + x0 * a1) + (b0 * y1 + y0 * b1),
@@ -424,8 +450,15 @@ def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
     scale = math.sqrt(m.frob_sq())
     if scale == 0.0:
         raise Degenerate("zero matrix is not a boundary point")
-    cut = 1e-11 * scale
     a0, a1, b0, b1, c0, c1, d0, d1 = m.flat
+    if lam == -1:
+        # The null component m+ = v+ v-^T is a real rank-1 matrix: v+ is
+        # its larger column and v- its larger row.
+        ap, bp, cp, dp = a0 + a1, b0 + b1, c0 + c1, d0 + d1
+        col = (ap, cp) if ap * ap + cp * cp >= bp * bp + dp * dp else (bp, dp)
+        row = (ap, bp) if ap * ap + bp * bp >= cp * cp + dp * dp else (cp, dp)
+        return _boundary(_null_flat(*col, *row), lam)
+    cut = 1e-11 * scale
     if math.hypot(a0, a1) <= cut:
         a0 = a1 = 0.0
     if math.hypot(b0, b1) <= cut:
@@ -441,10 +474,6 @@ def boundary_from_matrix(m: Mat2) -> BoundaryPoint:
         return _boundary(_normalized(b0, b1, d0, d1, lam), lam)
     if a_unit:
         return _boundary(_normalized(a0, a1, c0, c1, lam), lam)
-    # Split-complex double-null class: m ~ [[0, c(1+el)], [c(1-el), 0]].
-    br = _null_branch(b0, b1, lam)
-    if lam == -1 and br != 0 and math.hypot(b0, b1) > cut:
-        return _boundary(_normalized(1.0, float(br), 1.0, -float(br), lam), lam)
     raise Degenerate("matrix is not a nonzero rank-1 hermitian class")
 
 
@@ -465,15 +494,52 @@ def is_spacelike_connected(b1: BoundaryPoint, b2: BoundaryPoint) -> bool:
     return _is_unit(*_det2(b1, b2), b1.lam)
 
 
+def _null_pairs(y: BoundaryPoint) -> tuple:
+    """The real projective points [v1+ : v2+] and [v1- : v2-] of a boundary
+    point at lam = -1."""
+    r1, i1, r2, i2 = y.flat
+    return (r1 + i1, r2 + i2), (r1 - i1, r2 - i2)
+
+
+def _null_minor(u: BoundaryPoint, w: BoundaryPoint, message: str) -> tuple[float, float]:
+    """The minor u.v1 * w.v2 - u.v2 * w.v1 at lam = -1, in null components
+    (p, m); the points are not spacelike-connected unless it is a unit."""
+    if w.lam != u.lam:
+        raise LambdaMismatch(f"mixed curvature tags {u.lam} and {w.lam}")
+    p, m = ((a0 * b1 - a1 * b0) for (a0, a1), (b0, b1) in zip(_null_pairs(u), _null_pairs(w)))
+    if not _is_unit(0.5 * (p + m), 0.5 * (p - m), -1):
+        raise NotSpacelikeConnected(message)
+    return p, m
+
+
+_TRIPLE = "a pair of the triple is not joined by a spacelike geodesic"
+
+
 def boundary_normalize(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint) -> Isometry:
     """Unique isometry sending (y1, y2, y3) to (infinity, 0, 1)."""
+    lam = y1.lam
+    if lam == -1:
+        # One real 2x2 matrix of det +-1 per null component:
+        # [[d13 w1, -d13 w0], [-d32 u1, d32 u0]] for (u, w) = (y1, y2).
+        minors = (_null_minor(u, w, _TRIPLE) for u, w in ((y1, y2), (y3, y2), (y1, y3)))
+        rows = []
+        for (u0, u1), (w0, w1), d12, d32, d13 in zip(_null_pairs(y1), _null_pairs(y2), *minors):
+            s = abs(d12 * d32 * d13) ** -0.5
+            rows.append((d13 * w1 * s, -d13 * w0 * s, -d32 * u1 * s, d32 * u0 * s))
+        flat = tuple(v for p, m in zip(*rows) for v in (0.5 * (p + m), 0.5 * (p - m)))
+        return Isometry(_mat(flat, lam))
+    return _normalizer(y1, y2, y3)
+
+
+def _normalizer(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint) -> Isometry:
+    """`boundary_normalize` in the algebra's arithmetic."""
     lam = y1.lam
     d12 = _det2(y1, y2)
     d32 = _det2(y3, y2)
     d13 = _det2(y1, y3)
     for d in (d12, d32, d13):
         if not _is_unit(*d, lam):
-            raise NotSpacelikeConnected("a pair of the triple is not joined by a spacelike geodesic")
+            raise NotSpacelikeConnected(_TRIPLE)
     d12_inv = _inv(*d12, lam)
     lmb = _mul(*d32, *d12_inv, lam)
     mu = _mul(*d13, *d12_inv, lam)
@@ -485,9 +551,24 @@ def boundary_normalize(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint) 
     return Isometry(_mat(binv, lam)).inv()
 
 
+def _null_cross_ratios(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint,
+                       y4: BoundaryPoint) -> tuple[float, float]:
+    """At lam = -1, the null components (z+, z-) of the cross-ratio: the
+    real cross-ratios [y4, y2][y3, y1] / ([y4, y1][y3, y2]) of the four
+    points' null components, each from minors of O(1) numbers."""
+    _d12, d32, d13 = (_null_minor(u, w, _TRIPLE) for u, w in ((y1, y2), (y3, y2), (y1, y3)))
+    d41, d42, _d43 = (_null_minor(y4, y, f"fourth point is not spacelike-connected to the {name}")
+                      for y, name in ((y1, "first"), (y2, "second"), (y3, "third")))
+    return -d42[0] * d13[0] / (d41[0] * d32[0]), -d42[1] * d13[1] / (d41[1] * d32[1])
+
+
 def cross_ratio(y1: BoundaryPoint, y2: BoundaryPoint, y3: BoundaryPoint,
                 y4: BoundaryPoint) -> GC:
-    """Cross-ratio z with (y1, y2, y3, y4) ~ (infinity, 0, 1, [z : 1])."""
+    """Cross-ratio z with (y1, y2, y3, y4) ~ (infinity, 0, 1, [z : 1]); at
+    lam = -1, z+- are the real cross-ratios of the null components."""
+    if y1.lam == -1:
+        zp, zm = _null_cross_ratios(y1, y2, y3, y4)
+        return GC(0.5 * (zp + zm), 0.5 * (zp - zm), -1)
     return _cross_ratio_from(boundary_normalize(y1, y2, y3), y4)
 
 
@@ -714,8 +795,8 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
     Once the point is at the origin, a plane's normal there is
     l*[[w4, w3 - w1], [w3 + w1, -w4]] for its dual vector w.  It is null,
     so it has rank one, and its larger column is its ray [p : q] on the
-    projective line; `boundary_normalize` sends the rays of the three
-    normals to 0, infinity and 1, where the standard ones lie."""
+    projective line; `_normalizer` sends the rays of the three normals to
+    0, infinity and 1, where the standard ones lie."""
     planes = (p1, p2, p3)
     lam = p1.lam
     for k, pl in enumerate(planes, start=1):
@@ -737,8 +818,10 @@ def common_point_three_planes(p1: Plane, p2: Plane, p3: Plane) -> tuple[Point, I
         p, q = w4, w3 + w1
         if (w3 - w1) ** 2 + w4 * w4 > p * p + q * q:
             p, q = w3 - w1, -w4
-        rays.append(_boundary(_normalized(p, 0.0, q, 0.0, lam), lam))
-    return pt, boundary_normalize(rays[1], rays[0], rays[2]) @ a0
+        rays.append(_boundary(_unit_normalized(p, 0.0, q, 0.0, lam), lam))
+    # The rays are real, so at lam = -1 too the algebra's arithmetic on
+    # them is real arithmetic, with no null component to lose.
+    return pt, _normalizer(rays[1], rays[0], rays[2]) @ a0
 
 
 def standard_light_normals(lam: int) -> tuple[Mat2, Mat2, Mat2]:

@@ -25,15 +25,20 @@ Each face of a lightlike tetrahedron is its frame normal's dual vector,
 pushed once by the pose, and an ideal edge symmetry reads the order of the
 opposite vertices off the labels.
 
-Duality swaps the kinds and keeps (alpha, beta).  The dual of an ideal
-tetrahedron with pose A is written down: the lightlike one with pose S A S,
-S = [[0, 1], [1, 0]].  The dual of a lightlike one is built from its
-vertices by the pairing's kernels and ideal recovery, and its vertices are
-the images of the standard ones that recovery checked.
+Duality swaps the kinds and keeps (alpha, beta), and the dual of either
+kind is written down: the tetrahedron of the other kind with pose S A S,
+A the pose and S = [[0, 1], [1, 0]] (Danciger's generalized ideal
+tetrahedron is the dual of the lightlike one with the same parameters).
 
 Recovery reads (alpha, beta) off the vertices, and the relabeling they
 carry off which member of the parameters' orbit under relabeling is the
-canonical one: one pose per candidate, checked once against the vertices.
+canonical one: one pose, checked once against the vertices.  An ideal
+tetrahedron is read off its cross-ratio, at lam = -1 off the two real
+cross-ratios of its null components.  A lightlike one is read through its
+ideal dual, the points dual to its faces, except at lam = -1: there a
+small edge beside long ones leaves the long edge in a dual null component
+far below 1, held to an absolute ulp only, so it is read off the edge
+angles at the common point of three faces.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -82,9 +86,12 @@ from .geometry import (
     common_point_three_planes,
     model_from_coords,
     standard_light_normals,
+    _boundary,
     _cross_ratio_from,
     _dual_action,
     _dual_kernel,
+    _null_cross_ratios,
+    _null_flat,
 )
 from .matmodel import (
     Isometry,
@@ -188,14 +195,26 @@ def standard_vertices(kind: str, lam: int, alpha: float, beta: float):
     if kind == KIND_LIGHTLIKE:
         frame = _StandardFrame(lam, alpha, beta)
         return tuple(_point(SPACE_X, frame.vertex(i).flat, lam) for i in (1, 2, 3, 4))
-    gamma = -(alpha + beta)
-    z = -exp_ell(lam, gamma) * (gsin(lam, beta) / gsin(lam, alpha))
-    return (
-        BoundaryPoint.infinity(lam),
-        BoundaryPoint.zero(lam),
-        BoundaryPoint.one(lam),
-        BoundaryPoint.from_value(z),
-    )
+    if lam == -1:
+        fourth = _boundary(_null_flat(*_standard_null_pairs(alpha, beta)), lam)
+    else:
+        fourth = BoundaryPoint.from_value(-exp_ell(lam, -(alpha + beta))
+                                          * (gsin(lam, beta) / gsin(lam, alpha)))
+    return BoundaryPoint.infinity(lam), BoundaryPoint.zero(lam), BoundaryPoint.one(lam), fourth
+
+
+def _standard_null_pairs(alpha: float, beta: float) -> tuple:
+    """The null components [z+ : 1] and [z- : 1] of the fourth standard
+    ideal vertex at lam = -1, z+- = -k e^(+-gamma).  With
+    k = s(beta)/s(alpha) = e^(beta - alpha) q, z+ is -e^(-2 alpha) q and
+    1/z- is -e^(-2 beta) / q: no e^(alpha + beta) is formed, and each pair
+    is written with its larger entry 1, so no entry overflows."""
+    a2, b2 = 2.0 * alpha, 2.0 * beta
+    q = math.expm1(-b2) / math.expm1(-a2)
+    log_q = math.log(q)
+    plus = (-math.exp(-a2) * q, 1.0) if log_q <= a2 else (1.0, -math.exp(a2) / q)
+    minus = (1.0, -math.exp(-b2) / q) if log_q >= -b2 else (-math.exp(b2) * q, 1.0)
+    return (*plus, *minus)
 
 
 # -- the tetrahedron -----------------------------------------------------------
@@ -321,16 +340,6 @@ class _IdealChart(NamedTuple):
     shift_im: float
     shift_plus: float
     shift_minus: float
-
-
-def _tetrahedron(kind: str, lam: int, alpha: float, beta: float, pose: Isometry,
-                 vertices: tuple) -> Tetrahedron:
-    """Tetrahedron on checked parameters and the vertices that
-    `Tetrahedron(kind, lam, alpha, beta, pose)` would compute, without the
-    dataclass init."""
-    t = object.__new__(Tetrahedron)
-    t.__dict__.update(kind=kind, lam=lam, alpha=alpha, beta=beta, pose=pose, vertices=vertices)
-    return t
 
 
 def lightlike_from_angles(lam: int, alpha: float, beta: float,
@@ -496,8 +505,8 @@ _PERM_WORDS = ((), ("T",), ("T", "T"), ("I",), ("T", "I"), ("T", "T", "I"))
 def _perm_isometries(lam: int) -> tuple[Isometry, ...]:
     """The six label permutations of a standard tetrahedron, built once per
     curvature.  Entry k is the relabeling carried by vertices whose k-th
-    orbit member is the canonical one, in the orbit of their parameter
-    triple (`_canonical_member`) and of their cross-ratio
+    orbit member is the canonical one, in the orbit of their edge angles
+    (`_recover_lightlike_raw`) and of their cross-ratio
     (`_cross_ratio_orbit`) alike."""
     t_mat = Mat2.from_real([[0, 1], [-1, 1]], lam)
     i_mat = Mat2.from_real([[0, 1], [1, 0]], lam)
@@ -525,21 +534,12 @@ def _match_sets(found, expected, tol: float = 1e-7) -> bool:
     return True
 
 
-def _canonical_member(lam: int, a: float, b: float, g: float) -> tuple[int, float, float] | None:
-    """The index k and positive parameters of the first canonical member of
-    the relabeling orbit of the triple (a, b, g), or None."""
-    orbit = ((a, b), (b, g), (g, a), (-b, -a), (-a, -g), (-g, -b))
-    for k, (x, y) in enumerate(orbit):
-        if x > 1e-12 and y > 1e-12 and not (lam == 1 and x + y >= math.pi - 1e-12):
-            return k, x, y
-    return None
-
-
 def recover_parameters(vertices, kind: str, lam: int) -> tuple[Isometry, float, float]:
     """Invert the constructors: the pose and canonical positive parameters
-    of a tetrahedron given by its vertices (in any labeling).  The index k
-    of each candidate (k, alpha, beta) names the relabeling
-    `_perm_isometries(lam)[k]` the vertices carry: one pose per candidate."""
+    of a tetrahedron given by its vertices (in any labeling).  The orbit
+    index k of the canonical member of the cross-ratio (or, for a lightlike
+    tetrahedron at lam = -1, of the edge angles) names the relabeling
+    `_perm_isometries(lam)[k]` the vertices carry: one pose, checked once."""
     return _recover(vertices, kind, lam)[:3]
 
 
@@ -554,16 +554,13 @@ def _recover(vertices, kind: str, lam: int):
     if len(vertices) != 4:
         raise NotATetrahedron("need exactly four vertices")
     try:
-        if kind == KIND_LIGHTLIKE:
-            normalizer, candidates = _recover_lightlike_raw(vertices, lam)
+        if kind == KIND_IDEAL:
+            pose, alpha, beta = _recover_ideal_raw(vertices, lam)
         else:
-            normalizer, candidates = _recover_ideal_raw(vertices, lam)
-        perms = _perm_isometries(lam)
-        for k, alpha, beta in candidates:
-            pose = (perms[k] @ normalizer).inv()
-            imgs = tuple(act(pose, v) for v in standard_vertices(kind, lam, alpha, beta))
-            if _match_sets(imgs, list(vertices)):
-                return pose, alpha, beta, imgs
+            pose, alpha, beta = _recover_lightlike_raw(vertices, lam)
+        imgs = tuple(act(pose, v) for v in standard_vertices(kind, lam, alpha, beta))
+        if _match_sets(imgs, list(vertices)):
+            return pose, alpha, beta, imgs
     except NotATetrahedron:
         raise
     except (DualtetError, np.linalg.LinAlgError) as exc:
@@ -572,44 +569,58 @@ def _recover(vertices, kind: str, lam: int):
 
 
 def _recover_lightlike_raw(vertices, lam: int):
+    """The pose and parameters of lightlike vertices, read through the
+    ideal dual, whose vertices are the points dual to the faces and whose
+    pose A gives this tetrahedron's, S A S.  At lam = -1 they are read off
+    the edge angles instead: an isometry moves the common point of the
+    faces opposite vertices 1, 2 and 3 to the origin, with their normals in
+    standard position, and vertices 1, 2 and 3 there give the parameters
+    and the relabeling."""
     for v in vertices:
         if not isinstance(v, Point) or v.space != SPACE_X or v.lam != lam:
             raise NotATetrahedron("lightlike vertices must be points of the spacetime family")
-    x = list(vertices)
-    # The faces opposite vertices 1, 2 and 3, bit for bit as from
-    # `plane_through_points`; the common-point step tests them for lightlike.
-    kernels = islice(_triple_kernels([v.vector() for v in x]), 3)
-    _pt, a = common_point_three_planes(*(Plane(SPACE_X, lam, kern) for kern in kernels))
+    kernels = list(_triple_kernels([v.vector() for v in vertices]))
+    if lam != -1:
+        duals = []
+        for i, y in enumerate(kernels):
+            try:
+                duals.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
+            except Degenerate as exc:
+                raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
+        pose, alpha, beta = _recover_ideal_raw(duals, lam)
+        return _dual_action(pose), alpha, beta
+    _pt, a = common_point_three_planes(*(Plane(SPACE_X, lam, kern) for kern in kernels[:3]))
     angles = []
     for idx, flip in ((0, 1.0), (1, 1.0), (2, -1.0)):
-        m = act(a, x[idx]).rep
+        m = act(a, vertices[idx]).rep
         angles.append(flip * 0.5 * gc_angle(m.a * m.d.inv(), tol=1e-6))  # exp(2*l*angle)
     al, be, ga = angles
-    if lam == 1:
-        # Each angle is known modulo pi only; enumerate representative
-        # combinations whose sum closes up to zero.  On closed spacelike
-        # geodesics several complementary-arc solids share one vertex set;
-        # the gamma-slot subtraction is listed first so the labeling-
-        # consistent solid wins.
-        reps = [v % math.pi for v in (al, be, ga)]
-        total = sum(reps)
-        candidates = []
-        if abs(total - math.pi) < 1e-7:
-            for drop in (2, 0, 1):
-                cand = [r - (math.pi if k == drop else 0.0) for k, r in enumerate(reps)]
-                candidates.append(tuple(cand))
-        elif abs(total - 2.0 * math.pi) < 1e-7:
-            for keep in (0, 1, 2):
-                cand = [r - (0.0 if k == keep else math.pi) for k, r in enumerate(reps)]
-                candidates.append(tuple(cand))
-        if not candidates:
-            raise NotATetrahedron(f"edge angles do not close up modulo pi: {reps}")
-    elif abs(al + be + ga) > 1e-7 * max(1.0, abs(al), abs(be)):
+    if abs(al + be + ga) > 1e-7 * max(1.0, abs(al), abs(be)):
         raise NotATetrahedron(f"edge angles do not close up: {(al, be, ga)}")
+    orbit = ((al, be), (be, ga), (ga, al), (-be, -al), (-al, -ga), (-ga, -be))
+    for k, (x, y) in enumerate(orbit):
+        if x > 1e-12 and y > 1e-12:
+            return (_perm_isometries(lam)[k] @ a).inv(), x, y
+    raise NotATetrahedron(f"edge angles {(al, be, ga)} admit no positive parameter choice")
+
+
+def _recover_ideal_raw(vertices, lam: int):
+    for v in vertices:
+        if not isinstance(v, BoundaryPoint) or v.lam != lam:
+            raise NotATetrahedron("ideal vertices must be boundary points")
+    normalizer = boundary_normalize(vertices[0], vertices[1], vertices[2])
+    if lam == -1:
+        orbit = _null_orbit(*_null_cross_ratios(*vertices))
+        triples = map(_null_triple, orbit)
     else:
-        candidates = [(al, be, ga)]
-    members = (_canonical_member(lam, *cand) for cand in candidates)
-    return a, [m for m in members if m is not None]
+        orbit = _cross_ratio_orbit(_cross_ratio_from(normalizer, vertices[3]))
+        triples = (_canonical_triple_from_shape(z, lam) for z in orbit)
+    for k, triple in enumerate(triples):
+        if triple is not None:
+            break
+    else:
+        raise NotATetrahedron(f"cross-ratio {orbit[0]} admits no positive parameter choice")
+    return (_perm_isometries(lam)[k] @ normalizer).inv(), triple[0], triple[1]
 
 
 def _cross_ratio_orbit(z: GC) -> list[GC]:
@@ -648,17 +659,25 @@ def _canonical_triple_from_shape(z: GC, lam: int) -> tuple[float, float, float] 
         return None
 
 
-def _recover_ideal_raw(vertices, lam: int):
-    for v in vertices:
-        if not isinstance(v, BoundaryPoint) or v.lam != lam:
-            raise NotATetrahedron("ideal vertices must be boundary points")
-    b = boundary_normalize(vertices[0], vertices[1], vertices[2])
-    z = _cross_ratio_from(b, vertices[3])
-    for k, cand in enumerate(_cross_ratio_orbit(z)):
-        triple = _canonical_triple_from_shape(cand, lam)
-        if triple is not None:
-            return b, [(k, triple[0], triple[1])]
-    raise NotATetrahedron(f"cross-ratio {z} admits no positive parameter choice")
+def _null_orbit(zp: float, zm: float) -> list[tuple[float, float]]:
+    """`_cross_ratio_orbit` at lam = -1, on each null component."""
+    return [(zp, zm), (1.0 / (1.0 - zp), 1.0 / (1.0 - zm)), ((zp - 1.0) / zp, (zm - 1.0) / zm),
+            (1.0 / zp, 1.0 / zm), (zp / (zp - 1.0), zm / (zm - 1.0)), (1.0 - zp, 1.0 - zm)]
+
+
+def _null_triple(z: tuple[float, float]) -> tuple[float, float, float] | None:
+    """`_canonical_triple_from_shape` at lam = -1 on the null components
+    z+- = -k e^(+-gamma), 1 - z+- = r e^(-+beta): gamma = log(z+/z-)/2 and
+    beta = -log((1 - z+)/(1 - z-))/2, with no cancellation."""
+    zp, zm = z
+    if not (zp < 0.0 and zm < 0.0):
+        return None
+    ga = 0.5 * math.log(zp / zm)
+    be = -0.5 * math.log((1.0 - zp) / (1.0 - zm))
+    al = -(be + ga)
+    if not (al > 1e-12 and be > 1e-12 and ga < -1e-12):
+        return None
+    return al, be, ga
 
 
 # -- duality --------------------------------------------------------------------
@@ -678,25 +697,12 @@ def _triple_kernels(vecs):
 def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     """The projectively dual tetrahedron: each vertex is the common point of
     the planes dual to the other kind's three complementary vertices.  The
-    parameters (alpha, beta) are preserved and the kinds swap.
-
-    The dual of an ideal tetrahedron is written down in closed form: the
-    lightlike tetrahedron with the same (alpha, beta) and pose S A S, A the
-    ideal pose and S = [[0, 1], [1, 0]].  The dual of a lightlike one is
-    built from its vertices: four kernels of the pairing, then ideal
-    recovery of the boundary points they span, whose checked images of the
-    standard vertices are its vertices."""
-    lam = t.lam
-    if t.kind == KIND_IDEAL:
-        return Tetrahedron(KIND_LIGHTLIKE, lam, t.alpha, t.beta, _dual_action(t.pose))
-    new_vertices = []
-    for i, y in enumerate(_triple_kernels([v.vector() for v in t.vertices])):
-        try:
-            new_vertices.append(boundary_from_matrix(embed(y, SPACE_Y, lam)))
-        except Degenerate as exc:
-            raise NotATetrahedron(f"dual vertex {i + 1} is not ideal: {exc}") from exc
-    pose, alpha, beta, imgs = _recover(new_vertices, KIND_IDEAL, lam)
-    return _tetrahedron(KIND_IDEAL, lam, alpha, beta, pose, imgs)
+    parameters (alpha, beta) are preserved and the kinds swap, and the dual
+    is written down in closed form: the tetrahedron of the other kind with
+    the same (alpha, beta) and pose S A S, A the pose of t and
+    S = [[0, 1], [1, 0]]."""
+    kind = KIND_LIGHTLIKE if t.kind == KIND_IDEAL else KIND_IDEAL
+    return Tetrahedron(kind, t.lam, t.alpha, t.beta, _dual_action(t.pose))
 
 
 # -- membership charts ------------------------------------------------------------

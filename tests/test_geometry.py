@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ from dualtet import (
     standard_light_normals,
     unembed,
 )
-from dualtet.geometry import Plane, _dual_kernel, model_from_coords
+from dualtet.errors import NormalizationFailure
+from dualtet.geometry import Plane, _dual_kernel, _null_cross_ratios, model_from_coords
 from conftest import LAMBDAS, random_isometry, random_point, random_tangent
 
 SPACELIKE_DIAG = {lam: Mat2(gc(0, 1, lam), gc(0, 0, lam), gc(0, 0, lam), gc(0, -1, lam))
@@ -888,12 +890,13 @@ def _boundary_test_matrices(rng, lam):
 
 
 def test_flat_boundary_point_matches_gc_entry_reference():
-    """`BoundaryPoint` and every function of the ideal boundary, written on
-    four numbers, match the `GC`-entry reference bit for bit and raise the
-    same error classes."""
+    """At lam = 0 and 1, `BoundaryPoint` and every function of the ideal
+    boundary, written on four numbers, match the `GC`-entry reference bit
+    for bit and raise the same error classes.  (At lam = -1 a boundary point
+    keeps both null components; see the null-component tests below.)"""
     rng = np.random.default_rng(1313)
     seen = {"built": 0, "raises": 0, "normalize": 0, "cross_ratio": 0}
-    for lam in LAMBDAS:
+    for lam in (0, 1):
         built = []
         for v1, v2 in _boundary_entry_pairs(rng, lam):
             got = _hexed_or_error(BoundaryPoint, v1, v2)
@@ -940,21 +943,29 @@ def test_flat_boundary_point_matches_gc_entry_reference():
 
 
 def test_flat_boundary_point_keeps_equality_hash_repr_and_errors():
+    """Equality, hash, repr, pickling and immutability act on the four
+    numbers as on the pair of `GC`s (v1, v2): against the `GC`-entry
+    reference at lam = 0 and 1, and against `v1` and `v2` at every lam."""
     rng = np.random.default_rng(1414)
     for lam in LAMBDAS:
         for v1, v2 in ((gc(0.3, -1.2, lam), gc(2, 0.5, lam)), (GC(1, 0, lam), GC(0, 0, lam)),
                        (GC(2.0, 2.0, lam), GC(3.0, -3.0, lam))):
             try:
-                ref = _GCBoundaryPoint(v1, v2)
+                bp = BoundaryPoint(v1, v2)
             except Degenerate:
                 continue
-            bp = BoundaryPoint(v1, v2)
-            assert repr(bp) == repr(ref).removeprefix("_GC")
-            assert hash(bp) == hash(ref)
-            assert (bp.v1, bp.v2, bp.lam) == (ref.v1, ref.v2, ref.lam)
+            if lam != -1:
+                ref = _GCBoundaryPoint(v1, v2)
+                assert repr(bp) == repr(ref).removeprefix("_GC")
+                assert hash(bp) == hash(ref)
+                assert (bp.v1, bp.v2, bp.lam) == (ref.v1, ref.v2, ref.lam)
+                assert bp != ref
+            assert repr(bp) == f"BoundaryPoint(v1={bp.v1!r}, v2={bp.v2!r})"
+            assert hash(bp) == hash((bp.v1, bp.v2))
+            assert bp.flat == (bp.v1.re, bp.v1.im, bp.v2.re, bp.v2.im)
             twin = BoundaryPoint(bp.v1, bp.v2)
             assert twin == bp and hash(twin) == hash(bp) and twin is not bp
-            assert bp != BoundaryPoint(bp.v1, bp.v2 + 1.0) and bp != ref
+            assert bp != BoundaryPoint(bp.v1, bp.v2 + 1.0)
             assert copy.deepcopy(bp) == bp and pickle.loads(pickle.dumps(bp)) == bp
             for name in ("v1", "flat", "lam"):
                 with pytest.raises(AttributeError):
@@ -977,3 +988,113 @@ def test_flat_boundary_point_keeps_equality_hash_repr_and_errors():
         with pytest.raises(LambdaMismatch):
             call()
     assert not near.isclose(far[0])
+
+
+# -- null components at lam = -1 ---------------------------------------------------------
+
+_EPS = 2.0 ** -52
+
+
+def _exact_null_pairs(flat):
+    """The null components [v1+ : v2+] and [v1- : v2-] of four numbers, as
+    `BoundaryPoint` reads them (re +- im, rounded once), each scaled exactly
+    by its entry of larger magnitude."""
+    r1, i1, r2, i2 = flat
+    out = []
+    for p, q in ((r1 + i1, r2 + i2), (r1 - i1, r2 - i2)):
+        s = Fraction(q if abs(q) > abs(p) else p)
+        out.append((Fraction(p) / s, Fraction(q) / s))
+    return out
+
+
+def _stored_null_pairs(bp):
+    r1, i1, r2, i2 = bp.flat
+    return ((r1 + i1, r2 + i2), (r1 - i1, r2 - i2))
+
+
+def _null_error(bp, exact) -> float:
+    return max(abs(Fraction(g) - w) for got, want in zip(_stored_null_pairs(bp), exact)
+               for g, w in zip(got, want))
+
+
+def _null_entries(rng, decades=6.0):
+    """Null components of either sign from 10^-decades to 10^decades, as
+    (re, im) pairs: the two components of one entry can lie twice that many
+    decades apart."""
+    comps = rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-decades, decades, 4)
+    (p1, p2, m1, m2) = comps.tolist()
+    return GC(0.5 * (p1 + m1), 0.5 * (p1 - m1), -1), GC(0.5 * (p2 + m2), 0.5 * (p2 - m2), -1)
+
+
+def test_null_boundary_points_keep_both_components():
+    """At lam = -1 a boundary point is a pair of real projective points, its
+    null components.  Its four numbers hold each pair scaled by its entry of
+    larger magnitude, so re +- im gives each component within an ulp of 1
+    of the exact ratio (`Fraction` arithmetic), however far apart the scales
+    of the two components of one entry are.  `moved` moves each pair by the
+    matching null component of the isometry, within 4 ulps of 1 times the
+    condition of that real product (the largest row sum of |A| over the
+    largest entry of A v); `boundary_from_matrix` reads both back
+    from v v^dag; `boundary_normalize` sends a triple to (infinity, 0, 1);
+    and the cross-ratio is the two real cross-ratios.  A null component that
+    is zero is not a boundary point."""
+    rng = np.random.default_rng(4444)
+    points = []
+    for _ in range(200):
+        v1, v2 = _null_entries(rng)
+        bp = BoundaryPoint(v1, v2)
+        assert all(max(abs(x) for x in pair) == 1.0 for pair in _stored_null_pairs(bp))
+        assert _null_error(bp, _exact_null_pairs((v1.re, v1.im, v2.re, v2.im))) <= _EPS
+        points.append(bp)
+        a = random_isometry(rng, -1)
+        moved = bp.moved(a)
+        f = a.rep.flat
+        exact, cond = [], 0.0
+        for sgn, (x, y) in zip((1, -1), _stored_null_pairs(bp)):
+            ea, eb, ec, ed = (Fraction(f[2 * j]) + sgn * Fraction(f[2 * j + 1]) for j in range(4))
+            x, y = Fraction(x), Fraction(y)
+            u, w = ea * x + eb * y, ec * x + ed * y
+            s = w if abs(w) > abs(u) else u
+            exact.append((u / s, w / s))
+            cond = max(cond, float(max(abs(ea) + abs(eb), abs(ec) + abs(ed)) / abs(s)))
+        assert _null_error(moved, exact) <= 4 * _EPS * cond
+        back = boundary_from_matrix(bp.matrix())
+        assert back.isclose(bp, 1e-12) and _null_error(back, _exact_null_pairs(bp.flat)) <= 1e-12
+    # The normalizer is stored as a `Mat2` on (re, im), whose null
+    # components keep only an ulp of the larger one (ROADMAP item 1, step
+    # 2), so it is checked on points whose components span 2 decades.
+    normalized = 0
+    moderate = [BoundaryPoint(*_null_entries(rng, 1.0)) for _ in range(60)]
+    for _ in range(100):
+        y1, y2, y3 = (moderate[k] for k in rng.choice(len(moderate), 3, replace=False))
+        try:
+            b = boundary_normalize(y1, y2, y3)
+        except NormalizationFailure:
+            # The triple runs in opposite orders in its two null
+            # components: only a matrix with det+ det- < 0 normalizes it.
+            continue
+        normalized += 1
+        for y, want in ((y1, BoundaryPoint.infinity(-1)), (y2, BoundaryPoint.zero(-1)),
+                        (y3, BoundaryPoint.one(-1))):
+            assert act(b, y).isclose(want, 1e-12)
+    for _ in range(100):
+        y1, y2, y3, y4 = (points[k] for k in rng.choice(len(points), 4, replace=False))
+        z = cross_ratio(y1, y2, y3, y4)
+        pairs = [[(Fraction(p), Fraction(q)) for p, q in _stored_null_pairs(y)]
+                 for y in (y1, y2, y3, y4)]
+
+        def minor(s, t):
+            return s[0] * t[1] - s[1] * t[0]
+
+        wants = [minor(v, w) * minor(x, u) / (minor(v, u) * minor(x, w))
+                 for u, w, x, v in zip(*pairs)]
+        for zk, want, zk_gc in zip(_null_cross_ratios(y1, y2, y3, y4), wants,
+                                   (z.re + z.im, z.re - z.im)):
+            assert abs(Fraction(zk) - want) <= 1e-9 * abs(want), (zk, float(want))
+            # the GC holds (re, im): each component to an ulp of the larger
+            assert abs(Fraction(zk_gc) - want) <= 1e-14 * max(map(abs, wants))
+    assert normalized >= 30, normalized
+    with pytest.raises(Degenerate):
+        BoundaryPoint(GC(1.0, 1.0, -1), GC(2.0, 2.0, -1))  # [0 : 0] in the minus component
+    with pytest.raises(Degenerate):
+        BoundaryPoint(GC(0.0, 0.0, -1), GC(-0.0, 0.0, -1))

@@ -16,6 +16,7 @@ from dualtet import (
     Mat2,
     NoIntersection,
     NotATetrahedron,
+    Plane,
     Point,
     Tangent,
     Tetrahedron,
@@ -60,6 +61,7 @@ from dualtet.gcnum import gc_angle
 from dualtet.matmodel import _herm, embed, quadric_value
 from dualtet.tetrahedra import (
     _canonical_triple_from_shape,
+    _triple_kernels,
     _ideal_chart_inside,
     _light_chart_inside,
     _match_sets,
@@ -411,15 +413,14 @@ def test_ideal_edge_symmetry(rng):
                 assert edge_symmetry(t, (i, j)).rep.flat == want.rep.flat, (lam, alpha, beta, i, j)
                 assert edge_symmetry_mapping(t, (i, j)) == (k, l), (lam, alpha, beta, i, j)
     assert compared >= 0.9 * total
-    # At lam = -1 and alpha + beta > 6 the vertices may no longer carry the
-    # shape parameter: the labels still give the order, and the symmetry,
-    # which would not hold, is refused.
+    # At lam = -1 and alpha + beta = 7 the vertices carry the shape
+    # parameter in their null components: the labels give the order, and
+    # the symmetry holds.
     t = ideal_from_angles(-1, 1.0, 6.0)
-    with pytest.raises(NotATetrahedron):
-        _ideal_edge_symmetry_by_trial(t, 3, 2)
     assert edge_symmetry_mapping(t, (3, 2)) == (4, 1)
-    with pytest.raises(NotATetrahedron):
-        edge_symmetry(t, (3, 2))
+    iso = edge_symmetry(t, (3, 2))
+    for k, l in ((3, 3), (2, 2), (4, 1)):
+        assert act(iso, t.vertex(k)).isclose(t.vertex(l), 1e-8), (k, l)
 
 
 # -- duality -----------------------------------------------------------------------
@@ -1161,43 +1162,66 @@ def _recovered_hex(fn, *args):
 
 
 def _assert_dual_matches_references(x, context) -> bool:
-    """The dual of a lightlike tetrahedron is the kernel route's, bit for
-    bit.  The dual of an ideal one is the closed form bit for bit, and it
-    agrees with the kernel route, where that returns, to the tolerances of
-    `test_duality_is_involutive_with_pose`.  False when the kernel route
-    fails on ideal input."""
-    got = _recovered_hex(dualize_tet, x)
-    if x.kind == "lightlike":
-        assert got == _recovered_hex(_ref_dualize_tet, x), context
-        return True
-    closed = Tetrahedron("lightlike", x.lam, x.alpha, x.beta, _swap_conjugate(x.pose))
-    assert got == _recovered_hex(lambda: closed), context
+    """The dual of either kind is the closed form bit for bit, and it agrees
+    with the kernel route, where that returns, within 1e-8 in its parameters
+    and 1e-6 in its vertices.  False when the kernel route fails."""
+    other = "ideal" if x.kind == "lightlike" else "lightlike"
+    closed = Tetrahedron(other, x.lam, x.alpha, x.beta, _swap_conjugate(x.pose))
+    assert _recovered_hex(dualize_tet, x) == _recovered_hex(lambda: closed), context
     try:
         ref = _ref_dualize_tet(x)
     except DualtetError:
         return False
-    carried = (x.alpha, x.beta)
-    if max(abs(ref.alpha - x.alpha), abs(ref.beta - x.beta)) > 1e-8:
-        # At lam = -1 with large alpha + beta, the vertices of x lose the
-        # smaller null component and no longer carry x's parameters.  The
-        # kernel route reads the vertices; the closed form keeps x's
-        # parameters.  Ideal recovery then reads what the vertices carry.
-        assert x.lam == -1, context
-        _pose, *carried = recover_parameters(x.vertices, "ideal", x.lam)
-    assert ref.kind == "lightlike", context
-    assert ref.alpha == pytest.approx(carried[0], abs=1e-8), context
-    assert ref.beta == pytest.approx(carried[1], abs=1e-8), context
-    assert all(v.isclose(w, 1e-6) for v, w in zip(closed.vertices, ref.vertices)), context
+    assert ref.kind == other, context
+    assert ref.alpha == pytest.approx(x.alpha, abs=1e-8), context
+    assert ref.beta == pytest.approx(x.beta, abs=1e-8), context
+    assert _match_sets(closed.vertices, list(ref.vertices), 1e-6), context
     return True
 
 
+# Where recovery kept its route: the search reproduces it bit for bit.
+_UNCHANGED_ROUTES = {("ideal", 0), ("ideal", 1), ("lightlike", -1)}
+
+
+def _assert_recovery_matches_search(verts, kind, lam, cell, context):
+    """Recovery on a route it kept is the search's bit for bit, and fails
+    with its error class.  On a route it changed (ideal at lam = -1, read
+    off null components, and lightlike at lam = 0 and 1, read through the
+    dual), it returns wherever the search does, no further from the cell
+    than the search's result or 1e-9, and its pose carries the standard
+    vertices onto the given ones.  At lam = 1 the vertex set of (alpha,
+    beta) is also that of the cyclic rotations of (alpha, beta,
+    pi - alpha - beta), and the nearest of them counts."""
+    got = _recovered_hex(recover_parameters, verts, kind, lam)
+    if (kind, lam) in _UNCHANGED_ROUTES:
+        assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam), context
+        return
+    try:
+        _ref_pose, *ref = _ref_recover_parameters(verts, kind, lam)
+    except DualtetError:
+        return
+    pose, *params = recover_parameters(verts, kind, lam)
+    if cell is None:  # no cell: both read the same parameters
+        cell = ref
+    a, b = cell
+    wants = [(a, b)] + ([(math.pi - a - b, a), (b, math.pi - a - b)] if lam == 1 else [])
+
+    def error(got):
+        return min(max(abs(got[0] - w[0]), abs(got[1] - w[1])) for w in wants)
+
+    assert error(params) <= max(1e-9, error(ref)), context
+    assert _match_sets(Tetrahedron(kind, lam, *params, pose).vertices, list(verts)), context
+
+
 def test_recovery_and_duality_match_the_route_that_repeated_work():
-    """One lightlike test per face, one normalization per ideal triple and the
-    stacked kernels give the pose, parameters and vertices of the route that
-    did each twice, bit for bit, and fail with the same error classes.  The
-    dual of an ideal tetrahedron is the closed form, checked against that
-    route within tolerance.  On every vertex order, the relabeling read off
-    the canonical orbit member gives the result of trying all six."""
+    """Against the routes that did each step twice (the search over six
+    relabelings, separate kernels and, for the lightlike kind, the common
+    point of three faces), recovery is bit for bit the same where its route
+    is unchanged and no worse where it changed, and fails alike on vertex
+    sets that are no tetrahedron.  Duals of both kinds are the closed form,
+    checked against the kernel route within tolerance.  On every vertex
+    order, the relabeling read off the canonical orbit member gives the
+    result of trying all six."""
     rng = np.random.default_rng(5151)
     ok = fails = ref_fails = 0
     for lam in LAMBDAS:
@@ -1210,11 +1234,9 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
                 t = Tetrahedron(kind, lam, float(alpha), float(beta), random_isometry(rng, lam))
                 perm = [int(k) for k in rng.permutation(4)]
                 shuffled = [t.vertices[k] for k in perm]
+                context = (lam, kind, alpha, beta, perm)
                 for verts in (t.vertices, shuffled):
-                    got = _recovered_hex(recover_parameters, verts, kind, lam)
-                    assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam), (
-                        lam, kind, alpha, beta, perm)
-                context = (lam, kind, alpha, beta)
+                    _assert_recovery_matches_search(verts, kind, lam, (alpha, beta), context)
                 ref_fails += not _assert_dual_matches_references(t, context)
                 try:
                     d = dualize_tet(t)
@@ -1231,9 +1253,10 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
             assert got == _recovered_hex(_ref_recover_parameters, verts, kind, lam)
     assert ok > 20 and fails < ok and ref_fails < ok, (ok, fails, ref_fails)
     # All 24 vertex orders of a few cells, among them alpha = beta,
-    # beta = alpha / 2 and lam = 1 near alpha + beta = pi.  The pose read off
-    # the canonical orbit member is the search's, bit for bit, so recovery
-    # reads the relabeling the search finds, each of the six at lam = -1, 0.
+    # beta = alpha / 2 and lam = 1 near alpha + beta = pi.  Where the route
+    # is unchanged, the pose read off the canonical orbit member is the
+    # search's, bit for bit, so recovery reads the relabeling the search
+    # finds, each of the six at lam = -1, 0.
     rng = np.random.default_rng(5353)
     near_pi = math.pi - 1e-3
     cells = {-1: [(0.8, 0.8), (1.1, 0.55)], 0: [(1.1, 0.55), (0.8, 0.8)],
@@ -1245,13 +1268,95 @@ def test_recovery_and_duality_match_the_route_that_repeated_work():
             for alpha, beta in cells[lam][:1] if kind == "lightlike" else cells[lam]:
                 t = Tetrahedron(kind, lam, alpha, beta, random_isometry(rng, lam))
                 for verts in itertools.permutations(t.vertices):
-                    got = _recovered_hex(recover_parameters, verts, kind, lam)
-                    k, *ref = _ref_search(verts, kind, lam)
-                    assert got == _recovered_hex(lambda: ref), (lam, kind, alpha, beta, verts)
+                    context = (lam, kind, alpha, beta, verts)
+                    _assert_recovery_matches_search(verts, kind, lam, None, context)
+                    k, *_ref = _ref_search(verts, kind, lam)
                     reached.setdefault((lam, kind), set()).add(k)
     for lam in (-1, 0):
         for kind in ("lightlike", "ideal"):
             assert reached[lam, kind] == set(range(6)), (lam, kind, reached[lam, kind])
+
+
+def test_posed_ideal_vertices_keep_both_null_components():
+    """At lam = -1 the vertices of a posed ideal tetrahedron keep both null
+    components: against 50-digit vertices (`tools/mpref.py`), each stored
+    component is within 4 ulps of 1 times the condition of its push by the
+    pose, and recovery reads the parameters within 1e-9 for
+    alpha + beta <= 6 on seeded poses (the parent's vertices lost the
+    smaller null component, and recovery 1e-8 past alpha + beta ~ 5)."""
+    from dualtet.geometry import _null_pairs
+
+    mpref = _tool("mpref")
+    eps = 2.0 ** -52
+    rng = np.random.default_rng(4646)
+    recovered = 0
+    for _ in range(40):
+        alpha, beta = _draw_cell(rng, -1)
+        t = ideal_from_angles(-1, alpha, beta, random_isometry(rng, -1))
+        ref = mpref.ideal_null_vertices(alpha, beta, t.pose.rep.flat)
+        for v, want in zip(t.vertices, ref):
+            for got, (x, y, cond) in zip(_null_pairs(v), want):
+                err = max(abs(mpref.mp.mpf(got[0]) - x), abs(mpref.mp.mpf(got[1]) - y))
+                assert err <= 4 * eps * cond, (alpha, beta, float(err / eps), float(cond))
+        if alpha + beta <= 6.0:
+            _pose, ra, rb = recover_parameters(t.vertices, "ideal", -1)
+            assert (ra, rb) == (pytest.approx(alpha, abs=1e-9), pytest.approx(beta, abs=1e-9))
+            recovered += 1
+    assert recovered >= 25, recovered
+
+
+@pytest.mark.parametrize("alpha, beta", [(360.0, 360.0), (800.0, 800.0), (1e6, 1.0)])
+def test_large_ideal_cells_build_without_overflow(alpha, beta):
+    """Past alpha + beta ~ 710 e^(alpha + beta) overflows, but the fourth
+    standard vertex never forms it: its null components -e^(-2 alpha) q and
+    -e^(-2 beta) / q, q = (1 - e^(-2 beta)) / (1 - e^(-2 alpha)), are
+    finite, and they match 50-digit ones to an ulp of 1, at the identity and
+    at a seeded pose.  Duals and recovery return or raise a typed error."""
+    from dualtet.geometry import _null_pairs
+
+    mpref = _tool("mpref")
+    eps = 2.0 ** -52
+    for pose in (None, random_isometry(np.random.default_rng(17), -1)):
+        t = Tetrahedron("ideal", -1, alpha, beta, pose)
+        ref = mpref.ideal_null_vertices(alpha, beta, t.pose.rep.flat)
+        for v, want in zip(t.vertices, ref):
+            assert all(math.isfinite(x) for x in v.flat)
+            for got, (x, y, cond) in zip(_null_pairs(v), want):
+                err = max(abs(mpref.mp.mpf(got[0]) - x), abs(mpref.mp.mpf(got[1]) - y))
+                assert err <= 4 * eps * cond, (float(err / eps), float(cond))
+        for call in (lambda: dualize_tet(t), lambda: recover_parameters(t.vertices, "ideal", -1)):
+            try:
+                call()
+            except DualtetError:
+                pass
+
+
+def test_lightlike_cell_near_pi_recovers_in_every_order():
+    """At lam = 1 within 1e-5 of alpha + beta = pi, lightlike recovery reads
+    the dual's cross-ratio and recovers all 24 vertex orders (the parent's
+    common point of three faces failed 4): each to the cell or to one of
+    its cyclic rotations (alpha, beta, pi - alpha - beta), which have the
+    same vertex set."""
+    alpha, beta = 0.3648540402182527, 2.776727299689645
+    gamma = math.pi - alpha - beta
+    t = lightlike_from_angles(1, alpha, beta)
+    for verts in itertools.permutations(t.vertices):
+        _pose, ra, rb = recover_parameters(list(verts), "lightlike", 1)
+        assert min(max(abs(ra - a), abs(rb - b))
+                   for a, b in ((alpha, beta), (gamma, alpha), (beta, gamma))) <= 1e-9
+
+
+def test_verify_seed_145_geometry_rows_pass():
+    """`dualtet verify --seed 145` failed "constructors commute with
+    isometries" at 1.48e-8 against 1e-9: at lam = -1, 1 - z of a cross-ratio
+    lay near the null cone.  Read off null components, the rows pass (the
+    suites run in `dualtet verify`'s order, so the geometry suite draws what
+    it draws there)."""
+    from dualtet.verify import run_suites
+
+    rows = run_suites(145, {"gcnum", "matmodel", "geometry"})
+    assert [row[:2] for row in rows if not row[2]] == []
+    assert any(row[0] == "geometry" for row in rows)
 
 
 def test_stacked_dual_kernels_match_separate_calls():
@@ -1317,20 +1422,26 @@ def test_lightlike_dual_reuses_the_images_recovery_checked():
 
 
 def test_lightlike_recovery_faces_match_plane_through_points(monkeypatch):
-    """Lightlike recovery takes its three faces from one stacked kernel
-    call: they are the planes of three `plane_through_points` calls, bit for
-    bit, on shuffled posed tetrahedra and on vertex sets that are no
-    tetrahedron; where a triple spans no plane, recovery stops before the
-    common point, as `plane_through_points` raises `Degenerate`."""
+    """Lightlike recovery takes the faces opposite the four vertices from
+    one stacked kernel call: they are the planes of four
+    `plane_through_points` calls, bit for bit, on shuffled posed tetrahedra
+    and on vertex sets that are no tetrahedron.  Where a triple spans no
+    plane, recovery stops before the common point of three faces (lam = -1)
+    and before the recovery of the dual (lam = 0 and 1), as
+    `plane_through_points` raises `Degenerate`."""
     from dualtet import tetrahedra
 
-    seen = []
+    seen, later = [], []
 
-    def spy(*planes):
-        seen.append(planes)
-        return common_point_three_planes(*planes)
+    def kernels(vecs):
+        out = list(_triple_kernels(vecs))
+        seen.append(out)
+        return out
 
-    monkeypatch.setattr(tetrahedra, "common_point_three_planes", spy)
+    monkeypatch.setattr(tetrahedra, "_triple_kernels", kernels)
+    for name in ("common_point_three_planes", "_recover_ideal_raw"):
+        monkeypatch.setattr(tetrahedra, name,
+                            lambda *args, _f=getattr(tetrahedra, name): later.append(1) or _f(*args))
     rng = np.random.default_rng(5656)
     for lam in LAMBDAS:
         for _ in range(8):
@@ -1341,36 +1452,45 @@ def test_lightlike_recovery_faces_match_plane_through_points(monkeypatch):
             repeated = [shuffled[0], shuffled[0], shuffled[1], shuffled[2]]
             for verts in (shuffled, garbage, repeated):
                 seen.clear()
+                later.clear()
                 try:
                     recover_parameters(verts, "lightlike", lam)
                 except NotATetrahedron:
                     pass
                 try:
                     want = [plane_through_points(*(verts[i] for i in range(4) if i != j))
-                            for j in range(3)]
+                            for j in range(4)]
                 except Degenerate:
-                    assert seen == [] and verts is repeated
+                    assert seen == [] and later == [] and verts is repeated
                     continue
-                assert len(seen) == 1
-                for got, ref in zip(seen[0], want):
-                    assert (got.space, got.lam) == (ref.space, ref.lam)
+                assert len(seen) == 1 and later, (lam, alpha, beta)
+                for kern, ref in zip(seen[0], want):
+                    got = Plane("X", lam, kern)
                     assert ([x.hex() for x in got.dual_vec.tolist()]
                             == [x.hex() for x in ref.dual_vec.tolist()]), (lam, alpha, beta)
 
 
 def test_recovery_turns_zero_divisors_into_not_a_tetrahedron():
-    """At lam = -1 a split-complex number can lose its unit modulus to
-    cancellation inside recovery (|z|^2 of 1 read off entries of 2e6 to 2e7).
-    Both recovery steps then raise `NotATetrahedron`, chained to the
-    `ZeroDivisor`: the ideal one on vertex orders of ideal cells, where the
-    normalizing isometry or the cross-ratio's orbit meets one, and the
-    lightlike one on a posed lightlike cell."""
+    """At lam = -1 a split-complex number can be a zero divisor inside
+    recovery.  Recovery then raises `NotATetrahedron`, chained to the
+    library error: on ideal vertex sets, in every order, in which two
+    points share a null component (their minor is a zero divisor), and on
+    a posed lightlike cell whose normalized vertex meets a |z|^2 of 1 read
+    off entries of 2e6 (`ZeroDivisor`).  The two ideal vertex orders that
+    met a zero divisor before null components recover."""
+    shared = BoundaryPoint(GC(0.65, 0.35, -1), GC(0.5, -0.5, -1))  # [1 : 0] and [0.3 : 1]
+    twin = BoundaryPoint(GC(1.0, 1.0, -1), GC(1.0, -1.0, -1))  # [1 : 0] and [0 : 1]
+    for fourth in (shared, twin):
+        t = ideal_from_angles(-1, 0.7, 0.4)
+        for verts in itertools.permutations(t.vertices[:3] + (fourth,)):
+            with pytest.raises(NotATetrahedron) as info:
+                recover_parameters(list(verts), "ideal", -1)
+            assert isinstance(info.value.__cause__, DualtetError), verts
     for alpha, beta, order in ((0.8094849685168787, 7.709359834706593, (1, 2, 3, 0)),
                                (8.731152141981035, 9.45365162902661, (1, 2, 0, 3))):
         t = ideal_from_angles(-1, alpha, beta)
-        with pytest.raises(NotATetrahedron) as info:
-            recover_parameters([t.vertices[j] for j in order], "ideal", -1)
-        assert isinstance(info.value.__cause__, ZeroDivisor), (alpha, beta)
+        _pose, ra, rb = recover_parameters([t.vertices[j] for j in order], "ideal", -1)
+        assert (ra, rb) == (pytest.approx(alpha, abs=1e-8), pytest.approx(beta, abs=1e-8))
     flat = (1.9093552719891673, -0.04254394910221881, -0.31981065330918035, 0.43988505475914397,
             0.5883891573780017, -0.4864173612620989, 0.4003594341351024, 0.517552034494892)
     pose = pose_from_rows([[flat[0:2], flat[2:4]], [flat[4:6], flat[6:8]]], -1)
@@ -1378,7 +1498,6 @@ def test_recovery_turns_zero_divisors_into_not_a_tetrahedron():
     with pytest.raises(NotATetrahedron) as info:
         recover_parameters(t.vertices, "lightlike", -1)
     assert isinstance(info.value.__cause__, ZeroDivisor)
-
 
 
 def _raiser(exc):
@@ -1389,14 +1508,18 @@ def _raiser(exc):
 
 
 @pytest.mark.parametrize("kind, lam, target", [
-    ("lightlike", 0, "common_point_three_planes"),
-    ("ideal", -1, "polar"),
-], ids=["lightlike_common_point", "ideal_polar"])
+    ("lightlike", -1, "common_point_three_planes"),
+    ("lightlike", 0, "boundary_from_matrix"),
+    ("ideal", 0, "polar"),
+    ("ideal", -1, "_null_cross_ratios"),
+], ids=["lightlike_common_point", "lightlike_face_duals", "ideal_polar", "ideal_null_cross_ratios"])
 def test_recovery_lets_errors_from_outside_the_library_through(monkeypatch, kind, lam, target):
     """Recovery turns library errors into `NotATetrahedron`, and nothing
     else: a `TypeError` raised inside it, by a stand-in for the lightlike
-    common-point step or for the `polar` that reads the ideal parameters
-    off an orbit member, surfaces as that `TypeError`."""
+    common-point step (lam = -1), for the reading of the faces' dual points
+    (lam = 0), for the `polar` that reads the ideal parameters off an orbit
+    member (lam = 0) or for the null cross-ratios (lam = -1), surfaces as
+    that `TypeError`."""
     from dualtet import tetrahedra
 
     t = Tetrahedron(kind, lam, 0.9, 0.3)
@@ -1407,7 +1530,7 @@ def test_recovery_lets_errors_from_outside_the_library_through(monkeypatch, kind
 
 @pytest.mark.parametrize("kind, target, error", [
     ("lightlike", "_dual_kernel", np.linalg.LinAlgError("SVD did not converge")),
-    ("lightlike", "common_point_three_planes", NotATetrahedron("passed through as it is")),
+    ("lightlike", "boundary_from_matrix", NotATetrahedron("passed through as it is")),
     ("ideal", "boundary_normalize", NormalizationFailure("no normalizing isometry")),
     ("lightlike", "standard_vertices", DomainError("while checking a candidate")),
     ("ideal", "standard_vertices", DomainError("while checking a candidate")),

@@ -15,7 +15,10 @@ beyond double precision:
   coordinates, pushed by a double pose and normalized exactly to det 1,
   with the sign tr >= 0;
 * `pull_back`: what `contains` computes, exactly: the hermitian part of a
-  point's representative, pulled back by the pose and normalized to det 1.
+  point's representative, pulled back by the pose and normalized to det 1;
+* `ideal_null_vertices`: the vertices of a posed ideal tetrahedron at
+  lam = -1 as null components, each real projective point scaled by its
+  entry of larger magnitude, as `BoundaryPoint` scales them.
 
 The sweep draws cells (alpha, beta) log-uniform in [LO, HI], with
 CELLS_PER_BIN cells in every bin of kind, lam and alpha + beta below or
@@ -174,6 +177,33 @@ def pull_back(pose, lam: int, space: str, p_flat) -> tuple:
     adj = (d0, d1, -b0, -b1, -c0, -c1, a0, a1)
     h = hermitian_part(p_flat, space)
     return normalized(matmul(matmul(adj, h, lam), star(adj, space), lam), lam)
+
+
+def ideal_null_vertices(alpha: float, beta: float, pose) -> list[tuple]:
+    """The four vertices of `Tetrahedron("ideal", -1, alpha, beta, pose)`:
+    the standard ones infinity, 0, 1 and [z : 1], with
+    z+- = -(sinh beta / sinh alpha) e^(-+(alpha + beta)), moved by the
+    pose's null components A+- = re +- im.  Each vertex is
+    ((v1+, v2+, c+), (v1-, v2-, c-)), each pair scaled by its entry of
+    larger magnitude, and c the condition of its push: the largest row sum
+    of |A| over max |A v|, for the standard pair v scaled to largest entry
+    1.  An error of an ulp of 1 in v or in A moves the pushed pair by about
+    eps times c."""
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    k = mp.sinh(be) / mp.sinh(al)
+    z = (-k * mp.exp(-(al + be)), -k * mp.exp(al + be))
+    flat = exact(pose)
+    out = []
+    for std in (((1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 1), (1, 1)), ((z[0], 1), (z[1], 1))):
+        pairs = []
+        for sgn, (x, y) in zip((1, -1), std):
+            x, y = x / max(abs(x), abs(y)), y / max(abs(x), abs(y))
+            a, b, c, d = (flat[2 * j] + sgn * flat[2 * j + 1] for j in range(4))
+            u, w = a * x + b * y, c * x + d * y
+            s = w if abs(w) > abs(u) else u
+            pairs.append((u / s, w / s, max(abs(a) + abs(b), abs(c) + abs(d)) / abs(s)))
+        out.append(tuple(pairs))
+    return out
 
 
 def rel_error(got, ref: tuple) -> float:
