@@ -24,11 +24,10 @@ A hermitian matrix is also written as its four independent entries
 (`_herm`, `_unherm`): (a0, a1, b1, c1) on X and (a0, d0, b0, b1) on Y.  On
 them the push by an isometry is a real 4x4 matrix (`_action`, built by
 `_push`ing the four basis matrices), and it multiplies determinants by
-|det A|^2, so the per-point chart loops of `tetrahedra` scale a pushed point
-by a factor carried from |det A| (`_abs_det`) and the point's own det
-(`_herm_det`), both formed from exact products summed by `math.fsum`, not
-by one recomputed from the pushed entries.  `_signed` is the sign rule of
-`_canonical`, shared with those loops.
+|det A|^2, so the sampling loop of `tetrahedra` scales a pushed chart point
+of det 1 by |det A| (`_abs_det`), formed from exact products summed by
+`math.fsum`, not by a det recomputed from the pushed entries.  `_signed` is
+the sign rule of `_canonical`, shared with that loop.
 
 Two trusted constructors skip the checks their callers have already made:
 `_mat` builds a matrix on eight numbers whose tag is checked, and `_point`
@@ -485,7 +484,8 @@ def _canonical(flat: tuple, lam: int, space: str) -> tuple:
     if abs(d_im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
     if d_re <= 1e-14 * scale:
-        raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
+        raise NormalizationFailure(f"representative has determinant {d_re}, not above "
+                                   f"1e-14 |A|_F^2 = {1e-14 * scale}")
     return _signed(_scaled(flat, 1.0 / math.sqrt(d_re)), space)
 
 
@@ -732,15 +732,6 @@ def _unherm(h: tuple, space: str) -> tuple:
         return (a0, a1, 0.0, b1, 0.0, c1, a0, -a1)
     a0, d0, b0, b1 = h
     return (a0, 0.0, b0, b1, b0, -b1, d0, 0.0)
-
-
-def _herm_det(h: tuple, lam: int, space: str) -> float:
-    """det of the hermitian matrix with entries h, rounded once."""
-    if space == SPACE_X:
-        a0, a1, b1, c1 = h  # a0^2 + lam a1^2 + lam b1 c1
-        return _exact_dot((a0, a0), (a1, lam * a1), (b1, lam * c1))
-    a0, d0, b0, b1 = h  # a0 d0 - b0^2 - lam b1^2
-    return _exact_dot((a0, d0), (b0, -b0), (b1, -lam * b1))
 
 
 def _abs_det(a: tuple, lam: int) -> float:

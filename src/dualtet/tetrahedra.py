@@ -11,15 +11,16 @@ shearing distance (ideal kind).
 
 A tetrahedron is stored as (kind, lam, alpha, beta, pose): `pose` is the
 isometry carrying the standard-position configuration to the actual one,
-and the four vertices are cached on construction.  The constants of the
-membership and sampling charts are cached on first use: the trigonometric
-values of alpha, beta and gamma, the 4x4 actions of the pose and of its
-adjugate on the hermitian entries of the tetrahedron's space, and
-|det pose|.  `sample` writes each chart point as its hermitian entries, of
-det 1 by construction, and moves it by the pose's action divided by
-|det pose|; `contains` moves a point back by the adjugate's action divided
-by |det pose| sqrt(det p), so neither recomputes a determinant from pushed
-entries.
+and the four vertices are cached on construction.  `sample` draws in a
+chart per kind, whose constants are cached on first use: the
+trigonometric values of alpha, beta and gamma, the 4x4 action of the pose
+on the hermitian entries of the tetrahedron's space, and |det pose|.  It
+writes each chart point as its hermitian entries, of det 1 by
+construction, and moves it by the pose's action divided by |det pose|, so
+no determinant is recomputed from pushed entries.  `contains` reads a
+point's coordinates in the basis of the four vertex vectors: the rows of
+the inverse of their matrix, cached on first use, are the faces' dual
+vectors, and the point is inside when its four coordinates share a sign.
 
 Each face of a lightlike tetrahedron is its frame normal's dual vector,
 pushed once by the pose, and an ideal edge symmetry reads the order of the
@@ -56,7 +57,6 @@ from .errors import (
     DomainError,
     DualtetError,
     NoIntersection,
-    NormalizationFailure,
     NotATetrahedron,
     PoleAt,
 )
@@ -102,12 +102,10 @@ from .matmodel import (
     _abs_det,
     _acted,
     _action,
-    _adj,
     _canonical_point,
-    _herm,
-    _herm_det,
     _point,
     _signed,
+    _unembed,
     _unherm,
     act,
     mat_exp_traceless,
@@ -262,17 +260,12 @@ class Tetrahedron:
     def vertex(self, i: int):
         return self.vertices[i - 1]
 
-    # Chart constants of `sample` and `contains`, computed on first use.
+    # Chart constants of `sample` and face rows of `contains`, on first use.
 
     @cached_property
     def _pose_action(self) -> tuple:
         """The pose's push on the hermitian entries of the tetrahedron's space."""
         return _action(self.pose.rep.flat, self.lam, self.space)
-
-    @cached_property
-    def _adj_action(self) -> tuple:
-        """The push of the pose's adjugate, |det pose|^2 times the inverse's."""
-        return _action(_adj(self.pose.rep.flat), self.lam, self.space)
 
     @cached_property
     def _abs_det_pose(self) -> float:
@@ -288,11 +281,32 @@ class Tetrahedron:
     @cached_property
     def _ideal_chart(self) -> "_IdealChart":
         lam = self.lam
-        s_gamma = gsin(lam, self.gamma)
-        k = gsin(lam, self.beta) / gsin(lam, self.alpha)
-        null = (math.exp(self.gamma) * k, math.exp(-self.gamma) * k) if lam == -1 else (0.0, 0.0)
-        return _IdealChart(gsin(lam, self.alpha), s_gamma, k, gcos(lam, self.gamma) * k, s_gamma * k,
-                           *null)
+        try:
+            s_gamma = gsin(lam, self.gamma)
+            k = gsin(lam, self.beta) / gsin(lam, self.alpha)
+            null = (math.exp(self.gamma) * k, math.exp(-self.gamma) * k) if lam == -1 else (0.0, 0.0)
+            chart = _IdealChart(gsin(lam, self.alpha), s_gamma, k, gcos(lam, self.gamma) * k,
+                                s_gamma * k, *null)
+            if all(map(math.isfinite, chart)):
+                return chart
+        except OverflowError:
+            pass
+        raise _chart_out_of_range(self)
+
+    @cached_property
+    def _face_rows(self) -> tuple:
+        """The rows of V^-1, V with the vertex vectors as columns: row j, face
+        j's dual vector, pairs to zero with every vertex but j and reads 1 on
+        vertex j; each is signed so that the chart's centre reads positive."""
+        vecs = [v.vector() if self.kind == KIND_LIGHTLIKE else v.vec4() for v in self.vertices]
+        try:
+            rows = np.linalg.inv(np.array(vecs).T)
+        except np.linalg.LinAlgError as exc:
+            raise Degenerate(f"the vertex vectors span no tetrahedron in doubles ({exc})") from exc
+        if not np.isfinite(rows).all():
+            raise Degenerate("the vertex vectors span no tetrahedron in doubles (inf in V^-1)")
+        centre = rows @ _unembed(_centre(self).rep.flat, self.space)
+        return tuple(tuple(row) for row in np.where(centre[:, None] < 0, -rows, rows).tolist())
 
     def moved(self, a: Isometry) -> "Tetrahedron":
         return Tetrahedron(self.kind, self.lam, self.alpha, self.beta, a @ self.pose)
@@ -328,7 +342,7 @@ def _tan_or_inf(lam: int, x: float) -> float:
 
 
 class _IdealChart(NamedTuple):
-    """Constants of the ideal membership chart: s(alpha), s(gamma), the
+    """Constants of the ideal sampling chart: s(alpha), s(gamma), the
     ratio k = s(beta)/s(alpha), and exp_ell(gamma) * k as (re, im); at
     lam = -1 also as its null coordinates re + im = exp(gamma) * k and
     re - im = exp(-gamma) * k (0 elsewhere)."""
@@ -358,18 +372,27 @@ def ideal_from_angles(lam: int, alpha: float, beta: float,
 def _shape_param(lam: int, alpha: float, beta: float, edge) -> tuple[GC, float, float]:
     """Shape parameter of an edge, the real sine ratio it is built from, and
     the edge value (length or dihedral angle) alpha + beta, beta or alpha;
-    |exp_ell| = 1, so the ratio's absolute value is the parameter's modulus."""
+    |exp_ell| = 1, so the ratio's absolute value is the parameter's modulus.
+    A parameter or modulus outside the float range raises `DomainError`."""
     gamma = -(alpha + beta)
     e = frozenset(edge)
     if e in EDGE_PAIRS[0]:
-        ratio, arg = gsin(lam, beta) / gsin(lam, alpha), gamma
+        num, den, arg = beta, alpha, gamma
     elif e in EDGE_PAIRS[1]:
-        ratio, arg = gsin(lam, alpha) / gsin(lam, gamma), beta
+        num, den, arg = alpha, gamma, beta
     elif e in EDGE_PAIRS[2]:
-        ratio, arg = gsin(lam, gamma) / gsin(lam, beta), alpha
+        num, den, arg = gamma, beta, alpha
     else:
         raise DomainError(f"not an edge: {tuple(edge)!r}")
-    return -exp_ell(lam, arg) * ratio, ratio, abs(arg)
+    try:
+        ratio = gsin(lam, num) / gsin(lam, den)
+        z = -exp_ell(lam, arg) * ratio
+        if ratio != 0.0 and math.isfinite(z.re) and math.isfinite(z.im):
+            return z, ratio, abs(arg)
+    except OverflowError:
+        pass
+    raise DomainError(f"the shape parameter of edge {tuple(edge)!r} at ({alpha!r}, {beta!r}), "
+                      f"lam = {lam}, leaves the float range")
 
 
 def edge_data(t: Tetrahedron) -> list[EdgeData]:
@@ -705,11 +728,11 @@ def dualize_tet(t: Tetrahedron) -> Tetrahedron:
     return Tetrahedron(kind, t.lam, t.alpha, t.beta, _dual_action(t.pose))
 
 
-# -- membership charts ------------------------------------------------------------
+# -- sampling charts and membership -----------------------------------------------
 
 
 def _light_chart_r(t: Tetrahedron, a: float, b: float) -> float:
-    """Boundary radius r(a, b) of the lightlike membership chart."""
+    """Boundary radius r(a, b) of the lightlike sampling chart."""
     lam = t.lam
     norm = max(math.sqrt(max(1.0 - 4.0 * a * b, 0.0)), 1e-15)
     tan_a, tan_b, tan_g = t._light_tans
@@ -738,71 +761,6 @@ def _posed_point(t: Tetrahedron, h: tuple) -> Point:
     return _canonical_point(space, _signed(_unherm(m, space), space), t.lam)
 
 
-def contains(t: Tetrahedron, p: Point, tol: float = 1e-9) -> bool:
-    """Membership test via inversion of the global parametrization chart.
-
-    The point is pulled back by the pose (`_pull_back`) and the chart
-    inverted on its four hermitian entries; the pose's actions, |det pose|
-    and the chart's trigonometric constants are computed once per
-    tetrahedron, on first use.
-    """
-    try:
-        finite = 0 <= tol < math.inf
-    except TypeError:  # not a number
-        finite = False
-    if not finite:
-        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
-    m = _pull_back(t, p)
-    if t.kind == KIND_LIGHTLIKE:
-        return _light_chart_inside(t, m, tol)
-    return _ideal_chart_inside(t, m, tol)
-
-
-def _pull_back(t: Tetrahedron, p: Point) -> tuple:
-    """Hermitian entries of det 1 of the pose's inverse applied to p: the
-    adjugate's action on p's hermitian part, divided by
-    |det pose| sqrt(det p), with det p rounded once."""
-    space, lam = t.space, t.lam
-    if p.space != space or p.lam != lam:
-        raise DomainError("point lives in the wrong space")
-    h = _herm(p.rep.flat, space)
-    det = _herm_det(h, lam, space)
-    if not 0.0 < det < math.inf:
-        raise NormalizationFailure(f"representative has non-positive determinant {det}")
-    return _acted(t._adj_action, h, t._abs_det_pose * math.sqrt(det))
-
-
-def _light_chart_inside(t: Tetrahedron, m: tuple, tol: float) -> bool:
-    """The lightlike chart inverted on pulled-back entries (a0, a1, b1, c1)."""
-    lam = t.lam
-    c, m1, m2, m3 = m
-    scale = math.sqrt(2.0 * (c * c + m1 * m1) + m2 * m2 + m3 * m3)
-    if math.sqrt(2.0 * m1 * m1 + m2 * m2 + m3 * m3) <= tol * scale:
-        return True  # the vertex at the origin
-    # Orient the representative so the radial sine coefficient is positive.
-    if m1 < 0:
-        c, m1, m2, m3 = -c, -m1, -m2, -m3
-    if m1 <= tol * scale:
-        return False
-    a = -m2 / (2.0 * m1)
-    b = m3 / (2.0 * m1)
-    if a < -tol or b < -tol or a + b > 1.0 + tol:
-        return False
-    norm = math.sqrt(max(1.0 - 4.0 * a * b, 0.0))
-    s_val = m1 * norm
-    # Recover the radius from the (cos-like, sin-like) pair.
-    if lam == 1:
-        r = math.atan2(s_val, c)
-    else:
-        if c < 0:
-            return False
-        r = math.asinh(s_val) if lam == -1 else s_val
-    if r < -tol:
-        return False
-    rmax = _light_chart_r(t, min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
-    return bool(r <= rmax + tol * (1.0 + abs(rmax)))
-
-
 def _ideal_chart_limits(t: Tetrahedron, theta: float) -> float:
     chart = t._ideal_chart
     return chart.k * (chart.s_gamma / gsin(t.lam, theta - t.beta))
@@ -811,43 +769,6 @@ def _ideal_chart_limits(t: Tetrahedron, theta: float) -> float:
 def _ideal_chart_tmin(t: Tetrahedron, r: float, theta: float) -> float:
     val = gsin(t.lam, theta - t.gamma) / t._ideal_chart.s_alpha * r - r * r
     return math.sqrt(max(val, 0.0))
-
-
-def _ideal_chart_inside(t: Tetrahedron, m: tuple, tol: float) -> bool:
-    """The horospherical chart inverted on pulled-back entries (a0, d0, b0, b1)."""
-    lam = t.lam
-    a0, d_re, b_re, b_im = m
-    if not d_re > 0:
-        d_re, b_re, b_im = -d_re, -b_re, -b_im
-    size = math.sqrt(a0 * a0 + d_re * d_re + 2.0 * (b_re * b_re + b_im * b_im))
-    if abs(d_re) <= 1e-12 * size:
-        raise ChartInversionFailure("horospherical chart breaks down at this point")
-    tval = 1.0 / d_re
-    chart = t._ideal_chart
-    # w = z + exp_ell(gamma) * k, with z = b / d
-    w_re, w_im = b_re * tval + chart.shift_re, b_im * tval + chart.shift_im
-    wnorm = math.hypot(w_re, w_im)
-    if wnorm <= tol:
-        # On the edge toward the fourth vertex; theta is free.
-        return bool(tval >= -tol)
-    if lam == 1:
-        r = wnorm
-        theta = math.atan2(w_im, w_re) + t.beta
-        theta = math.remainder(theta, 2.0 * math.pi)
-    else:
-        try:
-            r, phi = polar(GC(w_re, w_im, lam))
-        except DualtetError:  # w has no polar form
-            return False
-        if r < 0:
-            return False
-        theta = phi + t.beta
-    if not (-t.alpha - tol <= theta <= tol):
-        return False
-    rmax = _ideal_chart_limits(t, theta)
-    if r > rmax + tol * max(1.0, rmax):
-        return False
-    return bool(tval >= _ideal_chart_tmin(t, r, theta) - tol)
 
 
 def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> Point:
@@ -871,33 +792,70 @@ def _ideal_chart_point(t: Tetrahedron, theta: float, r: float, tval: float) -> P
     return _posed_point(t, ((tval * tval + mod_sq) / tval, s, z_re * s, z_im * s))
 
 
-def sample(t: Tetrahedron, n: int, seed: int):
-    """Deterministic interior samples drawn uniformly in chart coordinates.
+def _chart_point(t: Tetrahedron, x: float, y: float, u: float) -> Point:
+    """The chart point of `sample` at the uniform draws (x, y, u)."""
+    if t.kind == KIND_LIGHTLIKE:
+        if x + y > 1.0:
+            x, y = 1.0 - x, 1.0 - y
+        return _light_chart_point(t, u * _light_chart_r(t, x, y), x, y)
+    theta = -t.alpha * x
+    r = y * _ideal_chart_limits(t, theta)
+    tval = (_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)
+    return _ideal_chart_point(t, theta, r, tval)
 
-    Draws 3n uniforms at once, three per point, writes each chart point
-    as its four hermitian entries, and moves it by the pose's action on
-    them; the action, |det pose| and the chart's trigonometric constants
-    are computed once per tetrahedron, on first use.
-    """
+
+def _centre(t: Tetrahedron) -> Point:
+    """The chart's centre: a = b = 1/3 at half the radius, or theta = -alpha/2."""
+    return _chart_point(t, *((1 / 3, 1 / 3, 0.5) if t.kind == KIND_LIGHTLIKE else (0.5, 0.5, 0.5)))
+
+
+def sample(t: Tetrahedron, n: int, seed: int):
+    """Deterministic interior samples drawn uniformly in chart coordinates:
+    3n uniforms at once, three per point, each chart point written as its
+    hermitian entries and moved by the pose's action on them.  Points that
+    leave the float range raise `DomainError`."""
     if type(n) is not int or n < 0:
         raise DomainError(f"the number of samples must be an int >= 0, got {n!r}")
     if type(seed) is not int or seed < 0:
         raise DomainError(f"the seed must be an int >= 0, got {seed!r}")
     draws = iter(np.random.default_rng(seed).random(3 * n).tolist())
-    out = []
-    if t.kind == KIND_LIGHTLIKE:
-        for a, b, u in zip(draws, draws, draws):
-            if a + b > 1.0:
-                a, b = 1.0 - a, 1.0 - b
-            r = u * _light_chart_r(t, a, b)
-            out.append(_light_chart_point(t, r, a, b))
-        return out
-    for v, w, u in zip(draws, draws, draws):
-        theta = -t.alpha * v
-        r = w * _ideal_chart_limits(t, theta)
-        tval = (_ideal_chart_tmin(t, r, theta) + 1e-9) / max(u, 1e-9)
-        out.append(_ideal_chart_point(t, theta, r, tval))
+    out = [_chart_point(t, *xyu) for xyu in zip(draws, draws, draws)]
+    if not all(math.isfinite(x) for p in out for x in p.rep.flat):
+        raise _chart_out_of_range(t)
     return out
+
+
+def _chart_out_of_range(t: Tetrahedron) -> DomainError:
+    return DomainError(f"the {t.kind} chart of ({t.alpha!r}, {t.beta!r}) at lam = {t.lam} "
+                       "leaves the float range")
+
+
+def _coefficients(t: Tetrahedron, p: Point) -> list[float]:
+    """p's coordinates in the basis of the vertex vectors, each signed so
+    that the chart's centre reads positive: the face rows paired with p."""
+    if p.space != t.space or p.lam != t.lam:
+        raise DomainError("point lives in the wrong space")
+    x1, x2, x3, x4 = _unembed(p.rep.flat, t.space)
+    return [r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4 for r1, r2, r3, r4 in t._face_rows]
+
+
+def contains(t: Tetrahedron, p: Point, tol: float = 1e-9) -> bool:
+    """Whether p lies in the tetrahedron, the projective simplex of its
+    vertices: p's four coordinates in the basis of the vertex vectors share
+    a sign, each up to `tol` times the sum of their magnitudes.  `tol` is
+    relative.  The face rows are computed once per tetrahedron, on first
+    use; a vertex matrix that is singular in doubles raises `Degenerate`.
+    """
+    try:
+        finite = 0 <= tol < math.inf
+    except TypeError:  # not a number
+        finite = False
+    if not finite:
+        raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
+    c = _coefficients(t, p)
+    if sum(c) < 0:
+        c = [-x for x in c]
+    return bool(min(c) >= -tol * sum(map(abs, c)))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -580,7 +580,8 @@ def _ref_canonical_point_rep(m, space):
     if abs(d.im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
     if d.re <= 1e-14 * scale:
-        raise NormalizationFailure(f"representative has non-positive determinant {d.re}")
+        raise NormalizationFailure(f"representative has determinant {d.re}, not above "
+                                   f"1e-14 |A|_F^2 = {1e-14 * scale}")
     m = m * (1.0 / math.sqrt(d.re))
     t = m.flat[0] + m.flat[6]
     if t < 0:
@@ -663,7 +664,8 @@ def _ref_canonical_two_pass(flat, lam, space):
     if abs(d_im) > 1e-7 * scale:
         raise NormalizationFailure("determinant is not real")
     if d_re <= 1e-14 * scale:
-        raise NormalizationFailure(f"representative has non-positive determinant {d_re}")
+        raise NormalizationFailure(f"representative has determinant {d_re}, not above "
+                                   f"1e-14 |A|_F^2 = {1e-14 * scale}")
     flat = _scaled(flat, 1.0 / math.sqrt(d_re))
     t = flat[0] + flat[6]
     if t < 0:

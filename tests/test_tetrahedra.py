@@ -58,12 +58,10 @@ from dualtet.geometry import (
     plane_through_points,
 )
 from dualtet.gcnum import gc_angle
-from dualtet.matmodel import _herm, embed, quadric_value
+from dualtet.matmodel import embed, quadric_value
 from dualtet.tetrahedra import (
     _canonical_triple_from_shape,
     _triple_kernels,
-    _ideal_chart_inside,
-    _light_chart_inside,
     _match_sets,
     _perm_isometries,
     pose_from_rows,
@@ -651,13 +649,16 @@ def test_descriptor_round_trip(rng):
                 assert v.isclose(w, 1e-12)
 
 
-def test_ideal_chart_breakdown_is_reported():
-    from dualtet import ChartInversionFailure
-
+def test_point_where_the_ideal_chart_broke_down_gets_an_answer():
+    """The point with d = 0, where the horospherical chart has no inverse,
+    is answered like any other: by its coordinates in the basis of the
+    vertices, as their 50-digit values answer."""
+    mpref = _tool("mpref")
     p = Point("Y", Mat2(gc(1, 0, -1), gc(0, 1, -1), gc(0, -1, -1), gc(0, 0, -1)))
     t = ideal_from_angles(-1, 0.7, 0.5)
-    with pytest.raises(ChartInversionFailure):
-        contains(t, p)
+    got = contains(t, p)
+    assert type(got) is bool
+    assert got == mpref.inside(mpref.coefficients(t, p))
 
 
 def test_ideal_cross_ratio_equals_first_edge_shape(rng):
@@ -878,22 +879,23 @@ def _chart_probes(t, rng):
 
 
 def _exact_contains(mpref, t, p, tol=1e-9):
-    """The chart inverted on the 50-digit pull-back of p, rounded to doubles."""
+    """`contains`' test on p's 50-digit coordinates in the basis of the
+    exact posed vertices."""
     if p.space != t.space:
         return DomainError
-    ref = mpref.pull_back(t.pose.rep.flat, t.lam, t.space, p.rep.flat)
-    inside = _light_chart_inside if t.kind == "lightlike" else _ideal_chart_inside
-    return _hex_or_error(inside, t, _herm(tuple(float(x) for x in ref), t.space), tol)
+    return bool(mpref.inside(mpref.coefficients(t, p), tol))
 
 
 def test_sample_and_contains_match_per_point_reference():
     """Every sample point lies within 1e-11 of the 50-digit chart point at
     its chart coordinates, relative to its size (the route that recomputed
     determinants lost up to 1e-4 here), and raises where that route raised.
-    `contains` answers as that route does, except on probes where the
-    decision on the exact pull-back sides with it: one distinct probe on
-    this draw (at lam = -1, alpha + beta = 2.98, the ideal chart point of
-    r = 0 and t = 1, which the route before called inside)."""
+    `contains` answers as the chart route (`_ref_contains`) does, except
+    on probes where the decision on the 50-digit coordinates in the basis
+    of the vertices sides with it: one distinct probe on this draw (at
+    lam = -1, alpha + beta = 8.58, the ideal chart point of r = 0 and t = 1,
+    on the edge from vertex 1 to vertex 4, which the chart route called
+    outside, six times over)."""
     mpref = _tool("mpref")
     rng = np.random.default_rng(4242)
     seen = {True: 0, False: 0, "raises": 0}
@@ -998,6 +1000,59 @@ def test_contains_tolerance_must_be_finite_and_nonnegative(rng):
                 with pytest.raises(DomainError):
                     contains(t, p, bad)
         assert contains(t, inner, 0) and contains(t, inner, np.float64(1e-9))
+
+
+def test_contains_accepts_own_samples_of_small_and_long_cells():
+    """`tol` is relative: the samples of cells with one tiny edge (beta =
+    1.5) and of long ideal anti-de Sitter cells are all contained, where
+    the chart inversion's absolute tolerances rejected up to all of them."""
+    cells = [(kind, lam, alpha, 1.5) for kind in ("lightlike", "ideal") for lam in LAMBDAS
+             for alpha in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+    cells += [("ideal", -1, a, a) for a in (10.0, 20.0, 50.0)]
+    for cell in cells:
+        t = Tetrahedron(*cell)
+        assert all(contains(t, p) for p in sample(t, 20, seed=3)), cell
+
+
+def test_singular_vertex_matrix_raises_degenerate():
+    """Vertices 2 and 4 of this cell differ by 1e-300: in doubles their
+    vectors are dependent, membership has no basis of vertex vectors, and
+    it says so with the library's own error."""
+    t = lightlike_from_angles(0, 0.3, 1e-300)
+    assert np.abs(t.vertex(2).vector() - t.vertex(4).vector()).max() <= 1e-299
+    for p in (t.vertex(1), Point.origin("X", 0)):
+        with pytest.raises(Degenerate, match="span no tetrahedron in doubles") as info:
+            contains(t, p)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_ideal_anti_de_sitter_grid_gives_finite_results_or_typed_errors():
+    """On the ideal lam = -1 cells of a grid from 1e-300 to 1e6, `edge_data`
+    and `sample` return finite numbers or raise a `DualtetError`; past the
+    float range it is a `DomainError` that says so, where a bare
+    `OverflowError` or `ValueError` (the log of a zero modulus) escaped."""
+    grid = (1e-300, 1e-12, 1e-6, 0.3, 1.5, 5.0, 20.0, 100.0, 355.0, 360.0, 800.0, 1e6)
+    out_of_range = 0
+    for alpha, beta in itertools.product(grid, grid):
+        t = ideal_from_angles(-1, alpha, beta)
+        for call in (lambda: [x for e in edge_data(t) for x in (e.z.re, e.z.im, e.phi)],
+                     lambda: [x for p in sample(t, 2, seed=1) for x in p.rep.flat]):
+            try:
+                numbers = call()
+            except DomainError as exc:
+                assert "float range" in str(exc), (alpha, beta)
+                out_of_range += 1
+                continue
+            assert all(math.isfinite(x) for x in numbers), (alpha, beta)
+    assert out_of_range >= 100
+
+
+def test_determinant_refusal_states_its_bound():
+    """A representative is refused when det <= 1e-14 |A|_F^2, and the
+    message says so rather than calling the determinant non-positive."""
+    with pytest.raises(NormalizationFailure, match=r"^representative has determinant 1\.0078125, "
+                       r"not above 1e-14 \|A\|_F\^2 = 2\.14\d+$"):
+        lightlike_from_angles(-1, 8.25, 8.25)
 
 
 # -- recovery and duality against the route that repeated its work ------------------

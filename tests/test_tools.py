@@ -225,13 +225,10 @@ def test_mpref_push_and_determinants_are_exact():
 
 def test_mpref_pull_back_inverts_chart_point():
     """The pull-back of a posed chart point is the unposed one, and the
-    library's sample points and pull-backs are within 1e-12 of the
-    reference."""
+    library's sample points are within 1e-12 of the reference."""
     import numpy as np
 
     import dualtet
-    from dualtet.matmodel import _unherm
-    from dualtet.tetrahedra import _pull_back
     from dualtet.verify import random_isometry
 
     mpref = _tool("mpref")
@@ -248,8 +245,43 @@ def test_mpref_pull_back_inverts_chart_point():
                 std = mpref.chart_point(kind, lam, t.alpha, t.beta, identity, coords)
                 back = mpref.pull_back(t.pose.rep.flat, lam, t.space, ref)
                 assert mpref.rel_error([float(x) for x in back], std) <= 1e-15
-                exact = mpref.pull_back(t.pose.rep.flat, lam, t.space, p.rep.flat)
-                assert mpref.rel_error(_unherm(_pull_back(t, p), t.space), exact) <= 1e-12
+
+
+def test_mpref_coefficients_match_the_library():
+    """The exact face rows pair to the identity with the exact vertex
+    vectors, the chart's centre reads positive on each, and the library's
+    coordinates of its samples, of points beyond them and of its vertices
+    are within 1e-12 of the 50-digit ones, relative to their magnitudes,
+    with the same verdict of `contains`' test wherever the reference's
+    margin exceeds that."""
+    import numpy as np
+
+    import dualtet
+    from dualtet.tetrahedra import _centre, _coefficients
+    from dualtet.verify import random_isometry
+
+    mpref = _tool("mpref")
+    rng = np.random.default_rng(7)
+    for lam in (-1, 0, 1):
+        for kind in mpref.KINDS:
+            t = dualtet.Tetrahedron(kind, lam, 0.4, 0.9, random_isometry(rng, lam))
+            rows = mpref.face_rows(t)
+            cols = mpref.vertex_vectors(kind, lam, t.alpha, t.beta, t.pose.rep.flat)
+            for j, col in enumerate(cols):
+                pairs = [abs(mpref._pair(row, col)) for row in rows]
+                assert all(x <= mpref.mp.mpf(10) ** -40 * pairs[j] for x in pairs[:j] + pairs[j + 1:])
+            assert all(x > 0 for x in mpref.coefficients(t, _centre(t), rows))
+            points = dualtet.sample(t, 4, 2)
+            points += [dualtet.act(random_isometry(rng, lam, 0.3), p) for p in points]
+            if kind == "lightlike":
+                points += list(t.vertices)
+            for p in points:
+                ref = mpref.coefficients(t, p, rows)
+                got = _coefficients(t, p)
+                assert mpref.coefficient_error(got, ref) <= 1e-12, (lam, kind)
+                margin = min(abs(x) for x in ref) / mpref.mp.fsum(abs(x) for x in ref)
+                if margin > 1e-12:
+                    assert dualtet.contains(t, p) == mpref.inside(ref), (lam, kind)
 
 
 def test_mpref_sweep_bins_and_verdicts():
@@ -263,8 +295,8 @@ def test_mpref_sweep_bins_and_verdicts():
     for tally in got.values():
         assert tally["cells"] == 1
         assert tally["points"] + 2 * sum(tally["raised"].values()) == 2
-        for what in ("sample", "pull_back"):
+        for what in ("sample", "coefficients"):
             assert list(tally[what]) == [name for name, _q in mpref.QUANTILES]
     verdicts = mpref.verdicts(got, got)
-    assert all(v["sample_ok"] and v["pull_back_ok"] and not v["pull_back_higher"]
+    assert all(v["sample_ok"] and v["coefficients_ok"] and not v["coefficients_higher"]
                for v in verdicts.values())

@@ -1,5 +1,5 @@
 """A 50-digit reference for the matrix model, and the accuracy of `sample`
-and `contains` against it: SWEEP_chart_action.json.
+and of `contains`' coefficients against it: SWEEP_chart_action.json.
 
     python tools/mpref.py PARENT CHANGE --out SWEEP_chart_action.json
 
@@ -14,8 +14,13 @@ beyond double precision:
 * `chart_point`: the chart point of either kind at double chart
   coordinates, pushed by a double pose and normalized exactly to det 1,
   with the sign tr >= 0;
-* `pull_back`: what `contains` computes, exactly: the hermitian part of a
-  point's representative, pulled back by the pose and normalized to det 1;
+* `pull_back`: the hermitian part of a point's representative, pulled back
+  by the pose and normalized to det 1;
+* `face_rows` and `coefficients`: what `contains` computes, exactly: a
+  point's coordinates in the basis of the exact posed vertex vectors, each
+  vector scaled and signed as the library's double one, and each
+  coordinate signed so that the chart's centre reads positive; `inside`
+  is `contains`' test on them;
 * `ideal_null_vertices`: the vertices of a posed ideal tetrahedron at
   lam = -1 as null components, each real projective point scaled by its
   entry of larger magnitude, as `BoundaryPoint` scales them.
@@ -25,15 +30,17 @@ CELLS_PER_BIN cells in every bin of kind, lam and alpha + beta below or
 from SPLIT on (at lam = 1 only alpha + beta < pi is drawn), each at a pose
 drawn by `dualtet.verify.random_isometry`.  Per cell it runs
 `sample(t, SAMPLES, seed)`, replays its draws to get each point's chart
-coordinates, and measures each point against `chart_point`.  It then pulls
-back, with the checkout's own code, the points `Point(...)` makes of the
-reference points rounded to doubles (so both checkouts pull back the same
-bits), and measures them against `pull_back`.  An error is the largest
-entry error over the reference's Frobenius norm, on the eight numbers of
-the representative, for the nearer of its two signs.  Each checkout runs
-in a child process with its own `src` first on the path; the first
-checkout given is the parent, and with two the record gets a verdict per
-bin.
+coordinates, and measures each point against `chart_point`.  It then
+reads, with the checkout's own `_coefficients`, the coordinates of the
+points `Point(...)` makes of the reference points rounded to doubles (so
+both checkouts read the same bits), and measures them against
+`coefficients`.  A sample error is the largest entry error over the
+reference's Frobenius norm, on the eight numbers of the representative,
+for the nearer of its two signs; a coefficient error is the largest
+coordinate error over the sum of the reference's magnitudes.  Each
+checkout runs in a child process with its own `src` first on the path,
+and needs `_coefficients` (the barycentric `contains`); the first checkout
+given is the parent, and with two the record gets a verdict per bin.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ import platform
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -179,6 +187,109 @@ def pull_back(pose, lam: int, space: str, p_flat) -> tuple:
     return normalized(matmul(matmul(adj, h, lam), star(adj, space), lam), lam)
 
 
+def _light_standard(lam: int, alpha, beta) -> list[tuple]:
+    """The standard lightlike vertices: exp(r x) = gcos(r) + gsin(r) x for
+    the unit directions x of `_X4_COORDS` (vertex 3 as r = alpha + beta
+    along -x), and the identity for vertex 4."""
+    out = []
+    for r, a, b in ((alpha, 1, 0), (beta, 0, 1), (alpha + beta, 0, 0)):
+        c, s = _gcos_gsin(lam, r)
+        out.append((c, s, 0, -2 * a * s, 0, 2 * b * s, c, -s))
+    return out + [(1, 0, 0, 0, 0, 0, 1, 0)]
+
+
+def vertex_vectors(kind: str, lam: int, alpha: float, beta: float, pose) -> list[tuple]:
+    """The vertex vectors of `Tetrahedron(kind, lam, alpha, beta, pose)`
+    from the standard vertices at DPS digits, pushed by the double pose:
+    `Point.vector()` of A x A^circ (lightlike) and `BoundaryPoint.vec4()`
+    of A v (A v)^dag (ideal), unnormalized."""
+    al, be = mp.mpf(alpha), mp.mpf(beta)
+    flat = exact(pose)
+    if kind == "lightlike":
+        return [vector(push(flat, std, lam, "X"), "X") for std in _light_standard(lam, al, be)]
+    k = _gcos_gsin(lam, be)[1] / _gcos_gsin(lam, al)[1]
+    c, s = _gcos_gsin(lam, -(al + be))
+    a, b, cc, d = ((flat[2 * j], flat[2 * j + 1]) for j in range(4))
+    out = []
+    for v1, v2 in (((1, 0), (0, 0)), ((0, 0), (1, 0)), ((1, 0), (1, 0)), ((-k * c, -k * s), (1, 0))):
+        w = [tuple(x + y for x, y in zip(_mul(*p, *v1, lam), _mul(*q, *v2, lam)))
+             for p, q in ((a, b), (cc, d))]
+        m = [x for wi in w for wj in w for x in _mul(*wi, wj[0], -wj[1], lam)]
+        out.append(vector(m, "Y"))
+    return out
+
+
+def vector(flat, space: str) -> tuple:
+    """`unembed` of the eight numbers of a hermitian matrix."""
+    a0, a1, b0, b1, c0, c1, d0, d1 = exact(flat)
+    if space == "X":
+        return ((c1 - b1) / 2, (a0 + d0) / 2, (b1 + c1) / 2, (a1 - d1) / 2)
+    return ((a0 + d0) / 2, (b1 - c1) / 2, (a0 - d0) / 2, (b0 + c0) / 2)
+
+
+def face_rows(t) -> list[tuple]:
+    """The rows of E^-1, E the matrix whose columns are `vertex_vectors`,
+    each column scaled to the library's vertex vector (its projection on
+    it), and each row signed so that the library's chart centre reads
+    positive: `Tetrahedron._face_rows` at DPS digits."""
+    from dualtet import tetrahedra
+
+    lib = [v.vector() if t.kind == "lightlike" else v.vec4() for v in t.vertices]
+    cols = []
+    for e, v in zip(vertex_vectors(t.kind, t.lam, t.alpha, t.beta, t.pose.rep.flat), lib):
+        v = exact(v)
+        s = mp.fsum(x * y for x, y in zip(e, v)) / mp.fsum(x * x for x in e)
+        cols.append([x * s for x in e])
+    rows = _inverse(cols)
+    centre = vector(tetrahedra._centre(t).rep.flat, t.space)
+    return [tuple(x if _pair(row, centre) > 0 else -x for x in row) for row in rows]
+
+
+def _inverse(cols) -> list[list]:
+    """The rows of the inverse of the matrix with columns `cols`, by
+    Gauss-Jordan elimination on the exact rationals of its mpfs, each entry
+    rounded once to DPS digits: no pivot is refused as small."""
+    n = len(cols)
+    a = [[Fraction(*_ratio(col[i])) for col in cols] + [Fraction(int(i == k)) for k in range(n)]
+         for i in range(n)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("the vertex vectors are linearly dependent")
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [[mp.mpf(x.numerator) / x.denominator for x in row[n:]] for row in a]
+
+
+def _ratio(x) -> tuple[int, int]:
+    sign, man, exp, _bits = mp.mpf(x)._mpf_
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _pair(row, x):
+    return mp.fsum(r * y for r, y in zip(row, x))
+
+
+def coefficients(t, p, rows=None) -> list:
+    """p's coordinates in the basis of the exact posed vertex vectors: those
+    of `tetrahedra._coefficients(t, p)`, at DPS digits (`rows` are
+    `face_rows(t)`, computed when not given)."""
+    x = vector(p.rep.flat, p.space)
+    return [_pair(row, x) for row in rows or face_rows(t)]
+
+
+def inside(c, tol: float = 1e-9) -> bool:
+    """`contains`' test on coordinates c: they share a sign, each up to tol
+    times the sum of their magnitudes."""
+    if mp.fsum(c) < 0:
+        c = [-x for x in c]
+    return min(c) >= -tol * mp.fsum(abs(x) for x in c)
+
+
 def ideal_null_vertices(alpha: float, beta: float, pose) -> list[tuple]:
     """The four vertices of `Tetrahedron("ideal", -1, alpha, beta, pose)`:
     the standard ones infinity, 0, 1 and [z : 1], with
@@ -240,16 +351,10 @@ def chart_coords(t, n: int, seed: int) -> list[tuple]:
     return out
 
 
-def pulled_back_flat(t, p) -> tuple:
-    """The eight numbers `contains` inverts the chart on: those of
-    `_pull_back`'s hermitian entries where the checkout has it, else those
-    of the canonical representative of `_pulled_back` (before the pose's
-    action carried determinants)."""
-    from dualtet import matmodel, tetrahedra
-
-    if hasattr(tetrahedra, "_pull_back"):
-        return matmodel._unherm(tetrahedra._pull_back(t, p), t.space)
-    return tetrahedra._pulled_back(t, p, t.space)
+def coefficient_error(got, ref) -> float:
+    """The largest error of the coordinates `got` over the sum of the
+    magnitudes of `ref`."""
+    return float(max(abs(g - r) for g, r in zip(exact(got), ref)) / mp.fsum(abs(r) for r in ref))
 
 
 def bin_name(kind: str, lam: int, size: float) -> str:
@@ -264,10 +369,11 @@ def _quantiles(errors: list[float]) -> dict:
 
 def sweep(cells_per_bin: int = CELLS_PER_BIN, samples: int = SAMPLES) -> dict:
     """Per bin: cells, points measured, errors raised, and the quantiles of
-    the sample and pull-back errors of the dualtet on the path."""
+    the sample and coefficient errors of the dualtet on the path."""
     import numpy as np
 
     import dualtet
+    from dualtet.tetrahedra import _coefficients
     from dualtet.verify import random_isometry
 
     out = {}
@@ -285,11 +391,12 @@ def sweep(cells_per_bin: int = CELLS_PER_BIN, samples: int = SAMPLES) -> dict:
                     continue
                 wanted[side] -= 1
                 tally = out.setdefault(bin_name(kind, lam, alpha + beta), {
-                    "cells": 0, "points": 0, "raised": {}, "sample": [], "pull_back": []})
+                    "cells": 0, "points": 0, "raised": {}, "sample": [], "coefficients": []})
                 tally["cells"] += 1
                 try:
                     t = dualtet.Tetrahedron(kind, lam, alpha, beta, pose)
                     points = dualtet.sample(t, samples, seed)
+                    rows = face_rows(t)
                 except dualtet.DualtetError as exc:
                     name = type(exc).__name__
                     tally["raised"][name] = tally["raised"].get(name, 0) + 1
@@ -301,10 +408,10 @@ def sweep(cells_per_bin: int = CELLS_PER_BIN, samples: int = SAMPLES) -> dict:
                     tally["sample"].append(rel_error(p.rep.flat, ref))
                     probe = dualtet.Point(t.space, dualtet.Mat2.from_flat(
                         [float(x) for x in ref], lam))
-                    exact_back = pull_back(flat, lam, t.space, probe.rep.flat)
-                    tally["pull_back"].append(rel_error(pulled_back_flat(t, probe), exact_back))
+                    tally["coefficients"].append(coefficient_error(
+                        _coefficients(t, probe), coefficients(t, probe, rows)))
     for tally in out.values():
-        for what in ("sample", "pull_back"):
+        for what in ("sample", "coefficients"):
             tally[what] = _quantiles(tally[what])
     return out
 
@@ -312,8 +419,8 @@ def sweep(cells_per_bin: int = CELLS_PER_BIN, samples: int = SAMPLES) -> dict:
 def verdicts(parent: dict, change: dict) -> dict:
     """Per bin: whether the change's sample errors are no worse than the
     parent's (median and p99 at most the parent's or 4 eps, max at most the
-    parent's or 16 eps), whether its pull-back errors are (median and p90
-    at most the parent's or 4 eps), and which pull-back p99 or max rose."""
+    parent's or 16 eps), whether its coefficient errors are (median and p90
+    at most the parent's or 4 eps), and which coefficient p99 or max rose."""
     def within(side, what, q, floor):
         got, was = change[side][what][q], parent[side][what][q]
         return got <= max(was, floor)
@@ -323,9 +430,10 @@ def verdicts(parent: dict, change: dict) -> dict:
         out[name] = {
             "sample_ok": all(within(name, "sample", q, f) for q, f in
                              (("median", 4 * EPS), ("p99", 4 * EPS), ("max", 16 * EPS))),
-            "pull_back_ok": all(within(name, "pull_back", q, 4 * EPS) for q in ("median", "p90")),
-            "pull_back_higher": [q for q in ("p99", "max")
-                                 if change[name]["pull_back"][q] > parent[name]["pull_back"][q]],
+            "coefficients_ok": all(within(name, "coefficients", q, 4 * EPS)
+                                   for q in ("median", "p90")),
+            "coefficients_higher": [q for q in ("p99", "max") if change[name]["coefficients"][q]
+                                    > parent[name]["coefficients"][q]],
         }
     return out
 
